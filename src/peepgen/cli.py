@@ -108,7 +108,7 @@ def _backend(spec: str, config: dict, budget: verifier.Budget):
 def _pipeline_config(config: dict, backend_spec: str,
                      budget: verifier.Budget) -> pipemod.PipelineConfig:
     kwargs = {}
-    for key in ("stage1_max_iterations", "k", "max_width", "width_cap"):
+    for key in ("stage1_max_iterations", "k", "width_cap"):
         if key in config:
             kwargs[key] = int(config[key])
     table = costmod.default_table()

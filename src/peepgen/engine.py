@@ -544,7 +544,13 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
             return _cbin_int_vec(e.op, av, bv, w, ok)
         raise UnsupportedConstruct(f"constant expression {e!r}")
 
-    return ev(e)
+    # ev refers to itself through its closure; without the del, each call
+    # leaves a reference cycle that keeps `consts` and `params` (chunk-sized
+    # arrays) alive until the next garbage collection
+    try:
+        return ev(e)
+    finally:
+        del ev
 
 
 def _cbin_int_vec(op: str, av, bv, w: int, ok) -> CVal:

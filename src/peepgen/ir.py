@@ -7,8 +7,8 @@ a rule with no symbols left.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Union
 
 MAX_INT_WIDTH = 64
 FLOAT_PRECISIONS = (16, 32, 64)
@@ -336,82 +336,146 @@ Predicate = Union[PTrue, PCmp, PPow2, PKnownBits, PRange, PLowBitsZero,
 PCMP_INT_PREDS = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
 
 
+# ---------------------------------------------------------------------------
+# Traversal
+#
+# Every rewrite and scan of the IR goes through these; only the evaluators,
+# the printer and `validate` walk it by hand.  Rebuilders return new values;
+# with identity maps they return an equal value.
+
+
+def _identity(x):
+    return x
+
+
+def map_function(fn: Function, operand=_identity, ty=_identity) -> Function:
+    """Rebuild `fn` with every operand (body and `ret`) mapped by `operand`
+    and every declared type mapped by `ty`.
+
+    Declared types are those of the parameters, of the instruction results
+    and of symbolic-constant operands (applied after `operand`).  Literal
+    operands are left to `operand`: re-typing a literal re-encodes its value.
+    Per instruction, `ty` sees the result type before the operands.
+    """
+    def opnd(o: Operand) -> Operand:
+        o = operand(o)
+        return SymConst(o.name, ty(o.ty)) if isinstance(o, SymConst) else o
+
+    params = tuple((n, ty(t)) for n, t in fn.params)
+    body = []
+    for i in fn.body:
+        rty = ty(i.ty)
+        body.append(Instr(i.op, tuple(opnd(o) for o in i.operands), rty,
+                          i.flags, i.pred))
+    return Function(fn.name, params, tuple(body), opnd(fn.ret))
+
+
+def map_rule(rule: "Rule", operand=_identity, ty=_identity) -> "Rule":
+    """`map_function` over lhs then rhs, plus `ty` over the declared types
+    of the symbolic constants; the precondition and width variables are
+    kept."""
+    lhs = map_function(rule.lhs, operand, ty)
+    rhs = map_function(rule.rhs, operand, ty)
+    sym_consts = tuple((n, ty(t)) for n, t in rule.sym_consts)
+    return Rule(rule.name, sym_consts, rule.width_vars, rule.pre, lhs, rhs)
+
+
+def map_expr(e: ConstExpr, f) -> ConstExpr:
+    """Rebuild constant expression `e` bottom-up: `f` maps every node after
+    its children have been rebuilt."""
+    if isinstance(e, CBin):
+        e = CBin(e.op, map_expr(e.a, f), map_expr(e.b, f))
+    elif isinstance(e, CUn):
+        e = CUn(e.op, map_expr(e.a, f))
+    elif isinstance(e, CCast):
+        e = CCast(e.kind, map_expr(e.a, f), e.width)
+    return f(e)
+
+
+def map_pred(p: Predicate, f=_identity, ref=_identity) -> Predicate:
+    """Rebuild predicate `p`, under PNot/POr/PAnd too: every term with
+    `map_expr(term, f)`, and every value-reference name (the `%x` of an
+    atom and every CRef term) with `ref`."""
+    def node(e: ConstExpr) -> ConstExpr:
+        return f(CRef(ref(e.name)) if isinstance(e, CRef) else e)
+
+    def t(e: ConstExpr) -> ConstExpr:
+        return map_expr(e, node)
+
+    if isinstance(p, PCmp):
+        return PCmp(p.pred, t(p.a), t(p.b))
+    if isinstance(p, PPow2):
+        return PPow2(t(p.e))
+    if isinstance(p, PKnownBits):
+        return PKnownBits(ref(p.ref), t(p.zeros), t(p.ones))
+    if isinstance(p, PRange):
+        return PRange(ref(p.ref), t(p.lo), t(p.hi), p.signed)
+    if isinstance(p, PLowBitsZero):
+        return PLowBitsZero(ref(p.ref), t(p.k))
+    if isinstance(p, PNot):
+        return PNot(map_pred(p.a, f, ref))
+    if isinstance(p, (POr, PAnd)):
+        return type(p)(map_pred(p.a, f, ref), map_pred(p.b, f, ref))
+    return p
+
+
+def _atoms(p: Predicate) -> tuple:
+    if isinstance(p, PNot):
+        return _atoms(p.a)
+    if isinstance(p, (POr, PAnd)):
+        return _atoms(p.a) + _atoms(p.b)
+    return (p,)
+
+
+def pred_exprs(p: Predicate) -> tuple:
+    """The terms of every atom of `p`, under PNot/POr/PAnd too."""
+    out: tuple = ()
+    for a in _atoms(p):
+        if isinstance(a, PCmp):
+            out += (a.a, a.b)
+        elif isinstance(a, PPow2):
+            out += (a.e,)
+        elif isinstance(a, PKnownBits):
+            out += (a.zeros, a.ones)
+        elif isinstance(a, PRange):
+            out += (a.lo, a.hi)
+        elif isinstance(a, PLowBitsZero):
+            out += (a.k,)
+    return out
+
+
+def iter_expr(x):
+    """Every node of constant expression `x`, parents first; for a predicate,
+    every node of every one of its terms."""
+    stack = [x] if isinstance(x, ConstExpr) else list(reversed(pred_exprs(x)))
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, CBin):
+            stack += (e.b, e.a)
+        elif isinstance(e, (CUn, CCast)):
+            stack.append(e.a)
+
+
 def pred_const_names(p: Predicate) -> set:
-    names: set = set()
-
-    def walk_e(e: ConstExpr) -> None:
-        if isinstance(e, CConst):
-            names.add(e.name)
-        elif isinstance(e, CBin):
-            walk_e(e.a)
-            walk_e(e.b)
-        elif isinstance(e, CUn):
-            walk_e(e.a)
-        elif isinstance(e, CCast):
-            walk_e(e.a)
-
-    for e in pred_exprs(p):
-        walk_e(e)
-    return names
+    return {e.name for e in iter_expr(p) if isinstance(e, CConst)}
 
 
 def pred_param_refs(p: Predicate) -> set:
-    refs: set = set()
-
-    def walk_e(e: ConstExpr) -> None:
-        if isinstance(e, CRef):
-            refs.add(e.name)
-        elif isinstance(e, CBin):
-            walk_e(e.a)
-            walk_e(e.b)
-        elif isinstance(e, CUn):
-            walk_e(e.a)
-        elif isinstance(e, CCast):
-            walk_e(e.a)
-
-    if isinstance(p, (PKnownBits, PRange, PLowBitsZero)):
-        refs.add(p.ref)
-    for e in pred_exprs(p):
-        walk_e(e)
-    return refs
-
-
-def pred_exprs(p: Predicate) -> Iterable[ConstExpr]:
-    if isinstance(p, PCmp):
-        return (p.a, p.b)
-    if isinstance(p, PPow2):
-        return (p.e,)
-    if isinstance(p, PKnownBits):
-        return (p.zeros, p.ones)
-    if isinstance(p, PRange):
-        return (p.lo, p.hi)
-    if isinstance(p, PLowBitsZero):
-        return (p.k,)
-    if isinstance(p, PNot):
-        return pred_exprs(p.a)
-    if isinstance(p, (POr, PAnd)):
-        return tuple(pred_exprs(p.a)) + tuple(pred_exprs(p.b))
-    return ()
+    """Parameters `p` refers to: atom references and CRef terms, under
+    PNot/POr/PAnd too."""
+    refs = {a.ref for a in _atoms(p)
+            if isinstance(a, (PKnownBits, PRange, PLowBitsZero))}
+    return refs | {e.name for e in iter_expr(p) if isinstance(e, CRef)}
 
 
 def pred_width_vars(p: Predicate) -> set:
     names: set = set()
-
-    def walk_e(e: ConstExpr) -> None:
+    for e in iter_expr(p):
         if isinstance(e, CWidth):
             names.add(e.name)
-        elif isinstance(e, CBin):
-            walk_e(e.a)
-            walk_e(e.b)
-        elif isinstance(e, CUn):
-            walk_e(e.a)
-        elif isinstance(e, CCast):
-            walk_e(e.a)
-            if isinstance(e.width, str):
-                names.add(e.width)
-
-    for e in pred_exprs(p):
-        walk_e(e)
+        elif isinstance(e, CCast) and isinstance(e.width, str):
+            names.add(e.width)
     return names
 
 
@@ -437,9 +501,6 @@ class Rule:
             if cname == name:
                 return ty
         return None
-
-    def conjuncts(self) -> tuple:
-        return self.pre
 
 
 @dataclass(frozen=True)
@@ -487,10 +548,6 @@ def _check_operand(fn: Function, opnd: Operand, idx: int, path: str,
             diags.append(Diag(path, f"undeclared symbolic constant {opnd.name}"))
         elif rule.sym_const_type(opnd.name) != opnd.ty:
             diags.append(Diag(path, f"symbolic constant {opnd.name} type mismatch"))
-
-
-def _types_equal_or_symbolic(a: Type, b: Type) -> bool:
-    return a == b
 
 
 def _check_instr(fn: Function, instr: Instr, idx: int, path: str,
@@ -654,94 +711,67 @@ def validate(rule: Rule) -> list:
 # Width resolution and substitution
 
 
+def _bound_width(var: str, widths: dict) -> int:
+    if var not in widths:
+        raise SubstituteError(f"unbound width variable {var}")
+    return widths[var]
+
+
 def resolve_type(ty: Type, widths: dict) -> Type:
     if isinstance(ty, VarWidthType):
-        if ty.var not in widths:
-            raise SubstituteError(f"unbound width variable {ty.var}")
-        return IntType(widths[ty.var])
+        return IntType(_bound_width(ty.var, widths))
     return ty
 
 
-def _resolve_operand(opnd: Operand, widths: dict) -> Operand:
-    if isinstance(opnd, Literal) and isinstance(opnd.ty, VarWidthType):
-        ty = resolve_type(opnd.ty, widths)
-        return Literal(to_unsigned(opnd.value, ty.width), ty)
-    if isinstance(opnd, Literal):
-        return opnd
-    if isinstance(opnd, SymConst):
-        return SymConst(opnd.name, resolve_type(opnd.ty, widths))
-    return opnd
+def resolve_predicate(p: Predicate, widths: dict) -> Predicate:
+    """`p` with every width variable replaced by its width from `widths`."""
+    def node(e: ConstExpr) -> ConstExpr:
+        if isinstance(e, CWidth):
+            return CInt(_bound_width(e.name, widths))
+        if isinstance(e, CCast) and isinstance(e.width, str):
+            return CCast(e.kind, e.a, _bound_width(e.width, widths))
+        return e
 
-
-def _resolve_constexpr(e: ConstExpr, widths: dict) -> ConstExpr:
-    if isinstance(e, CWidth):
-        if e.name not in widths:
-            raise SubstituteError(f"unbound width variable {e.name}")
-        return CInt(widths[e.name])
-    if isinstance(e, CBin):
-        return CBin(e.op, _resolve_constexpr(e.a, widths), _resolve_constexpr(e.b, widths))
-    if isinstance(e, CUn):
-        return CUn(e.op, _resolve_constexpr(e.a, widths))
-    if isinstance(e, CCast):
-        w = e.width
-        if isinstance(w, str):
-            if w not in widths:
-                raise SubstituteError(f"unbound width variable {w}")
-            w = widths[w]
-        return CCast(e.kind, _resolve_constexpr(e.a, widths), w)
-    return e
-
-
-def _resolve_predicate(p: Predicate, widths: dict) -> Predicate:
-    if isinstance(p, PTrue):
-        return p
-    if isinstance(p, PCmp):
-        return PCmp(p.pred, _resolve_constexpr(p.a, widths), _resolve_constexpr(p.b, widths))
-    if isinstance(p, PPow2):
-        return PPow2(_resolve_constexpr(p.e, widths))
-    if isinstance(p, PKnownBits):
-        return PKnownBits(p.ref, _resolve_constexpr(p.zeros, widths),
-                          _resolve_constexpr(p.ones, widths))
-    if isinstance(p, PRange):
-        return PRange(p.ref, _resolve_constexpr(p.lo, widths),
-                      _resolve_constexpr(p.hi, widths), p.signed)
-    if isinstance(p, PLowBitsZero):
-        return PLowBitsZero(p.ref, _resolve_constexpr(p.k, widths))
-    if isinstance(p, PNot):
-        return PNot(_resolve_predicate(p.a, widths))
-    if isinstance(p, POr):
-        return POr(_resolve_predicate(p.a, widths), _resolve_predicate(p.b, widths))
-    if isinstance(p, PAnd):
-        return PAnd(_resolve_predicate(p.a, widths), _resolve_predicate(p.b, widths))
-    raise SubstituteError(f"unknown predicate {p!r}")
-
-
-def resolve_function(fn: Function, widths: dict) -> Function:
-    params = tuple((n, resolve_type(t, widths)) for n, t in fn.params)
-    body = tuple(
-        Instr(i.op, tuple(_resolve_operand(o, widths) for o in i.operands),
-              resolve_type(i.ty, widths), i.flags, i.pred)
-        for i in fn.body
-    )
-    return Function(fn.name, params, body, _resolve_operand(fn.ret, widths))
+    return map_pred(p, node)
 
 
 def resolve_widths(rule: Rule, widths: dict) -> Rule:
     """Instantiate all width variables, leaving symbolic constants in place."""
     for w in rule.width_vars:
-        if w not in widths:
-            raise SubstituteError(f"unbound width variable {w}")
-    sym_consts = tuple((n, resolve_type(t, widths)) for n, t in rule.sym_consts)
-    pre = tuple(_resolve_predicate(c, widths) for c in rule.pre)
-    return Rule(rule.name, sym_consts, (), pre,
-                resolve_function(rule.lhs, widths),
-                resolve_function(rule.rhs, widths))
+        _bound_width(w, widths)
+
+    def operand(o: Operand) -> Operand:
+        if isinstance(o, Literal) and isinstance(o.ty, VarWidthType):
+            ty = resolve_type(o.ty, widths)
+            return Literal(to_unsigned(o.value, ty.width), ty)
+        return o
+
+    resolved = map_rule(rule, operand, lambda ty: resolve_type(ty, widths))
+    pre = tuple(resolve_predicate(c, widths) for c in rule.pre)
+    return replace(resolved, width_vars=(), pre=pre)
 
 
-def _substitute_operand(opnd: Operand, bindings: dict) -> Operand:
-    if isinstance(opnd, SymConst):
-        return Literal(bindings[opnd.name], opnd.ty)
-    return opnd
+def bind_consts(rule: Rule, consts: dict) -> Rule:
+    """`rule` with every SymConst operand replaced by its literal; `consts`
+    maps constant names to (bit pattern, Type).  The declarations and the
+    precondition are kept."""
+    return map_rule(rule, lambda o: (Literal(*consts[o.name])
+                                     if isinstance(o, SymConst) else o))
+
+
+def bind_pred_consts(p: Predicate, consts: dict) -> Predicate:
+    """`p` with every constant bound in `consts` (name -> (bit pattern,
+    Type)) replaced by its value: signed for integers, a CFloat for floats."""
+    def node(e: ConstExpr) -> ConstExpr:
+        if not (isinstance(e, CConst) and e.name in consts):
+            return e
+        value, ty = consts[e.name]
+        if isinstance(ty, FloatType):
+            from . import semantics
+            return CFloat(semantics.bits_to_float(value, ty.bits))
+        return CInt(to_signed(value, ty.width) if isinstance(ty, IntType) else value)
+
+    return map_pred(p, node)
 
 
 def substitute(rule: Rule, bindings: dict, widths: Optional[dict] = None) -> Rule:
@@ -778,70 +808,51 @@ def substitute(rule: Rule, bindings: dict, widths: Optional[dict] = None) -> Rul
     residual = []
     for conj in resolved.pre:
         if pred_param_refs(conj):
-            residual.append(_substitute_pred_consts(conj, consts))
+            residual.append(bind_pred_consts(conj, consts))
             continue
         if not semantics.eval_predicate((conj,), {}, consts, {}):
             raise PreconditionUnsatisfied(f"precondition unsatisfied: {conj!r}")
-
-    lhs = Function(resolved.lhs.name, resolved.lhs.params,
-                   tuple(Instr(i.op, tuple(_substitute_operand(o, consts_patterns(consts))
-                                           for o in i.operands), i.ty, i.flags, i.pred)
-                         for i in resolved.lhs.body),
-                   _substitute_operand(resolved.lhs.ret, consts_patterns(consts)))
-    rhs = Function(resolved.rhs.name, resolved.rhs.params,
-                   tuple(Instr(i.op, tuple(_substitute_operand(o, consts_patterns(consts))
-                                           for o in i.operands), i.ty, i.flags, i.pred)
-                         for i in resolved.rhs.body),
-                   _substitute_operand(resolved.rhs.ret, consts_patterns(consts)))
-    return Rule(rule.name, (), (), tuple(residual), lhs, rhs)
+    return replace(bind_consts(resolved, consts), sym_consts=(),
+                   pre=tuple(residual))
 
 
-def consts_patterns(consts: dict) -> dict:
-    return {name: value for name, (value, _ty) in consts.items()}
+def retype_float_literal(lit: Literal, prec: int) -> Optional[Literal]:
+    """Float literal `lit` re-encoded at f`prec`; None when its value is not
+    exactly representable there."""
+    from . import semantics
 
-
-def _subst_expr_consts(e: ConstExpr, consts: dict) -> ConstExpr:
-    if isinstance(e, CConst) and e.name in consts:
-        value, ty = consts[e.name]
-        if isinstance(ty, FloatType):
-            from . import semantics
-            return CFloat(semantics.bits_to_float(value, ty.bits))
-        return CInt(to_signed(value, ty.width) if isinstance(ty, IntType) else value)
-    if isinstance(e, CBin):
-        return CBin(e.op, _subst_expr_consts(e.a, consts), _subst_expr_consts(e.b, consts))
-    if isinstance(e, CUn):
-        return CUn(e.op, _subst_expr_consts(e.a, consts))
-    if isinstance(e, CCast):
-        return CCast(e.kind, _subst_expr_consts(e.a, consts), e.width)
-    return e
-
-
-def _substitute_pred_consts(p: Predicate, consts: dict) -> Predicate:
-    if isinstance(p, PTrue):
-        return p
-    if isinstance(p, PCmp):
-        return PCmp(p.pred, _subst_expr_consts(p.a, consts), _subst_expr_consts(p.b, consts))
-    if isinstance(p, PPow2):
-        return PPow2(_subst_expr_consts(p.e, consts))
-    if isinstance(p, PKnownBits):
-        return PKnownBits(p.ref, _subst_expr_consts(p.zeros, consts),
-                          _subst_expr_consts(p.ones, consts))
-    if isinstance(p, PRange):
-        return PRange(p.ref, _subst_expr_consts(p.lo, consts),
-                      _subst_expr_consts(p.hi, consts), p.signed)
-    if isinstance(p, PLowBitsZero):
-        return PLowBitsZero(p.ref, _subst_expr_consts(p.k, consts))
-    if isinstance(p, PNot):
-        return PNot(_substitute_pred_consts(p.a, consts))
-    if isinstance(p, POr):
-        return POr(_substitute_pred_consts(p.a, consts), _substitute_pred_consts(p.b, consts))
-    if isinstance(p, PAnd):
-        return PAnd(_substitute_pred_consts(p.a, consts), _substitute_pred_consts(p.b, consts))
-    return p
+    f = semantics.bits_to_float(lit.value, lit.ty.bits)
+    pat = semantics.float_to_bits(f, prec)
+    back = semantics.bits_to_float(pat, prec)
+    if back == f or (back != back and f != f):
+        return Literal(pat, FloatType(prec))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Misc helpers shared across modules
+
+
+def rule_types(rule: Rule):
+    """Every type in the lhs and rhs (parameters, results, operands) and in
+    the constant declarations, with repeats."""
+    for fn in (rule.lhs, rule.rhs):
+        for _n, ty in fn.params:
+            yield ty
+        for instr in fn.body:
+            yield instr.ty
+            for o in instr.operands:
+                t = fn.operand_type(o)
+                if t is not None:
+                    yield t
+    for _n, ty in rule.sym_consts:
+        yield ty
+
+
+def params_used(fn: Function) -> set:
+    """Names of the parameters `fn` uses as operands."""
+    operands = [o for i in fn.body for o in i.operands] + [fn.ret]
+    return {o.name for o in operands if isinstance(o, Param)}
 
 
 def function_locals_used(fn: Function) -> set:
@@ -856,22 +867,63 @@ def function_locals_used(fn: Function) -> set:
     return used
 
 
-def rule_width_var_uses(rule: Rule) -> set:
-    names: set = set()
-    for fn in (rule.lhs, rule.rhs):
-        for _n, ty in fn.params:
-            if isinstance(ty, VarWidthType):
-                names.add(ty.var)
-        for instr in fn.body:
-            if isinstance(instr.ty, VarWidthType):
-                names.add(instr.ty.var)
-            for o in instr.operands:
-                ty = fn.operand_type(o)
-                if isinstance(ty, VarWidthType):
-                    names.add(ty.var)
-    for _n, ty in rule.sym_consts:
-        if isinstance(ty, VarWidthType):
-            names.add(ty.var)
-    for conj in rule.pre:
-        names |= pred_width_vars(conj)
-    return names
+def dce_function(fn: Function) -> Function:
+    """`fn` without the instructions its return value does not use."""
+    keep = sorted(function_locals_used(fn))
+    remap = {old: new for new, old in enumerate(keep)}
+    live = Function(fn.name, fn.params, tuple(fn.body[i] for i in keep), fn.ret)
+    return map_function(live, lambda o: (Local(remap[o.index])
+                                         if isinstance(o, Local) else o))
+
+
+def replace_instr(fn: Function, index: int, instr: Instr) -> Function:
+    body = fn.body[:index] + (instr,) + fn.body[index + 1:]
+    return Function(fn.name, fn.params, body, fn.ret)
+
+
+def _expr_key(fn: Function, opnd) -> tuple:
+    """Structural key of the expression tree rooted at `opnd`."""
+    if isinstance(opnd, Param):
+        return ("param", opnd.name)
+    if isinstance(opnd, Literal):
+        return ("lit", opnd.value, str(opnd.ty))
+    if isinstance(opnd, Local):
+        i = fn.body[opnd.index]
+        return ("instr", i.op, i.pred, tuple(sorted(i.flags)), str(i.ty),
+                tuple(_expr_key(fn, o) for o in i.operands))
+    return ("other", repr(opnd))
+
+
+def _replace_local(fn: Function, index: Optional[int], fresh: str,
+                   ty: Type) -> Function:
+    withparam = Function(fn.name, fn.params + ((fresh, ty),), fn.body, fn.ret)
+    return map_function(withparam, lambda o: (
+        Param(fresh) if isinstance(o, Local) and o.index == index else o))
+
+
+def abstract_local(lhs: Function, rhs: Function, index: int,
+                   fresh: str) -> tuple:
+    """Replace lhs local `index` by a new parameter `fresh`, and with it the
+    first rhs local computing the structurally identical expression, if any.
+    Both functions gain the parameter; returns (lhs, rhs)."""
+    ty = lhs.body[index].ty
+    key = _expr_key(lhs, Local(index))
+    mirror = next((j for j in range(len(rhs.body))
+                   if _expr_key(rhs, Local(j)) == key), None)
+    return (_replace_local(lhs, index, fresh, ty),
+            _replace_local(rhs, mirror, fresh, ty))
+
+
+def guards_partial_op(conj: Predicate, conjuncts) -> bool:
+    """Is `conj` an explicit PowerOfTwo(C) guard that another comparison in
+    `conjuncts` needs because it applies log2 to C?
+
+    log2 is partial; keeping its guard keeps the domain condition visible
+    in the final rule.
+    """
+    if not (isinstance(conj, PPow2) and isinstance(conj.e, CConst)):
+        return False
+    log2 = CUn("log2", conj.e)
+    return any(other is not conj and isinstance(other, PCmp)
+               and any(e == log2 for e in iter_expr(other))
+               for other in conjuncts)

@@ -9,20 +9,23 @@ profitability; weakenings additionally pass the strictly-weaker check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import cost as costmod
 from . import engine, proposer, pruner, semantics, textfmt, verifier
 from .ir import (
-    CAST_OPS, CBin, CCast, COMMUTATIVE_OPS, CUn, FloatType, Function, Instr,
-    IntType, Literal, Local, PCmp, PeepError, Param, PreconditionUnsatisfied,
-    Rule, SymConst, VarWidthType, pred_exprs, pred_param_refs, resolve_widths,
-    substitute, to_signed, to_unsigned, validate,
+    CAST_OPS, CCast, COMMUTATIVE_OPS, FloatType, Function, Instr, IntType,
+    Literal, Local, PeepError, Param, PreconditionUnsatisfied, Rule, SymConst,
+    VarWidthType, bind_pred_consts, guards_partial_op, iter_expr, map_pred,
+    map_rule, params_used, pred_param_refs, replace_instr, resolve_widths,
+    retype_float_literal, rule_types, substitute, to_signed, to_unsigned,
+    validate,
 )
 from .proposer import (
     FeedbackItem, ProposalRequest, ProposerError, Structural,
-    SymbolicConstants, WeakenPrecondition, WidthPredicate, _guards_partial_op,
+    SymbolicConstants, WeakenPrecondition, WidthPredicate,
 )
 from .textfmt import ParseError, canonical_text, print_pred, print_rule
 from .verifier import Budget, StrictlyWeaker, verdict_to_json
@@ -39,7 +42,6 @@ class PipelineConfig:
     backend: object = None
     stage1_max_iterations: int = 4
     k: int = 4
-    max_width: int = 64
     width_cap: int = 16  # per-width verification sweep bound
 
     def __post_init__(self):
@@ -47,7 +49,7 @@ class PipelineConfig:
             self.table = costmod.default_table()
         if self.backend is None:
             self.backend = proposer.HeuristicBackend(self.budget)
-        for name in ("stage1_max_iterations", "k", "max_width", "width_cap"):
+        for name in ("stage1_max_iterations", "k", "width_cap"):
             if getattr(self, name) <= 0:
                 raise PeepError(f"{name} must be positive")
 
@@ -214,13 +216,6 @@ def _new_lhs_params(rule: Rule, cand: Rule) -> list:
     return [n for n, _ in cand.lhs.params if n not in old]
 
 
-def _param_used(fn: Function, name: str) -> bool:
-    if isinstance(fn.ret, Param) and fn.ret.name == name:
-        return True
-    return any(isinstance(o, Param) and o.name == name
-               for i in fn.body for o in i.operands)
-
-
 def stage2_structural(rule: Rule, cfg: PipelineConfig):
     outcome = StageOutcome("structural",
                            counts={"subexpressions_abstracted": 0})
@@ -232,7 +227,7 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig):
         if cand is None:
             continue
         fresh = _new_lhs_params(rule, cand)
-        if not fresh or not any(_param_used(cand.lhs, n) for n in fresh):
+        if not params_used(cand.lhs).intersection(fresh):
             co.diagnostics.append("no fresh parameter used in lhs")
             continue
         verdict, profitable = _gate(cand, cfg)
@@ -256,20 +251,15 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig):
 # Stage 3: relaxation (remove conjuncts, weaken conjuncts, remove flags)
 
 
-def _with_pre(rule: Rule, pre: tuple) -> Rule:
-    return Rule(rule.name, rule.sym_consts, rule.width_vars, pre,
-                rule.lhs, rule.rhs)
-
-
 def remove_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
     removed = 0
     changed = True
     while changed:
         changed = False
         for i, conj in enumerate(rule.pre):
-            if _guards_partial_op(conj, list(rule.pre)):
+            if guards_partial_op(conj, rule.pre):
                 continue
-            trial = _with_pre(rule, rule.pre[:i] + rule.pre[i + 1:])
+            trial = replace(rule, pre=rule.pre[:i] + rule.pre[i + 1:])
             co = CandidateOutcome(f"remove: {print_pred(conj)}", True)
             verdict, profitable = _gate(trial, cfg)
             co.verdict = verdict_to_json(verdict)
@@ -302,7 +292,7 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
                 co.diagnostics.append(str(e))
                 continue
             new_pre = rule.pre[:i] + parsed + rule.pre[i + 1:]
-            trial = _with_pre(rule, new_pre)
+            trial = replace(rule, pre=new_pre)
             verdict, profitable = _gate(trial, cfg)
             co.verdict = verdict_to_json(verdict)
             co.profitable = profitable
@@ -325,15 +315,9 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
 
 def _drop_flag(rule: Rule, side: str, index: int, flag: str) -> Rule:
     fn = getattr(rule, side)
-    body = list(fn.body)
-    instr = body[index]
-    body[index] = Instr(instr.op, instr.operands, instr.ty,
-                        instr.flags - {flag}, instr.pred)
-    fn = Function(fn.name, fn.params, tuple(body), fn.ret)
-    lhs = fn if side == "lhs" else rule.lhs
-    rhs = fn if side == "rhs" else rule.rhs
-    return Rule(rule.name, rule.sym_consts, rule.width_vars, rule.pre,
-                lhs, rhs)
+    instr = fn.body[index]
+    fn = replace_instr(fn, index, replace(instr, flags=instr.flags - {flag}))
+    return replace(rule, **{side: fn})
 
 
 def remove_flags(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
@@ -386,32 +370,8 @@ def stage3_relax(rule: Rule, cfg: PipelineConfig):
 # Stage 4: bitwidth / precision generalization
 
 
-def _rule_types(rule: Rule):
-    for fn in (rule.lhs, rule.rhs):
-        for _n, ty in fn.params:
-            yield ty
-        for instr in fn.body:
-            yield instr.ty
-            for o in instr.operands:
-                t = fn.operand_type(o)
-                if t is not None:
-                    yield t
-    for _n, ty in rule.sym_consts:
-        yield ty
-
-
 def _uses_floats(rule: Rule) -> bool:
-    return any(isinstance(t, FloatType) for t in _rule_types(rule))
-
-
-def _expr_has_cast(e) -> bool:
-    if isinstance(e, CCast):
-        return True
-    if isinstance(e, CBin):
-        return _expr_has_cast(e.a) or _expr_has_cast(e.b)
-    if isinstance(e, CUn):
-        return _expr_has_cast(e.a)
-    return False
+    return any(isinstance(t, FloatType) for t in rule_types(rule))
 
 
 def _int_static_gate(rule: Rule) -> Optional[str]:
@@ -429,9 +389,8 @@ def _int_static_gate(rule: Rule) -> Optional[str]:
             return (f"literal {to_signed(fn.ret.value, fn.ret.ty.width)} "
                     "outside {0, 1, -1}")
     for conj in rule.pre:
-        for e in pred_exprs(conj):
-            if _expr_has_cast(e):
-                return "width-changing cast in the precondition"
+        if any(isinstance(e, CCast) for e in iter_expr(conj)):
+            return "width-changing cast in the precondition"
     return None
 
 
@@ -439,58 +398,32 @@ def _erase_widths(rule: Rule, width: int, var: str) -> Rule:
     target = IntType(width)
     wty = VarWidthType(var)
 
-    def conv_ty(ty):
-        return wty if ty == target else ty
-
     def conv(o):
         if isinstance(o, Literal) and o.ty == target:
             return Literal(to_signed(o.value, width), wty)
-        if isinstance(o, SymConst) and o.ty == target:
-            return SymConst(o.name, wty)
         return o
 
-    def conv_fn(fn: Function) -> Function:
-        params = tuple((n, conv_ty(t)) for n, t in fn.params)
-        body = tuple(Instr(i.op, tuple(conv(o) for o in i.operands),
-                           conv_ty(i.ty), i.flags, i.pred) for i in fn.body)
-        return Function(fn.name, params, body, conv(fn.ret))
-
-    sym_consts = tuple((n, conv_ty(t)) for n, t in rule.sym_consts)
-    return Rule(rule.name, sym_consts, rule.width_vars + (var,), rule.pre,
-                conv_fn(rule.lhs), conv_fn(rule.rhs))
+    erased = map_rule(rule, conv, lambda ty: wty if ty == target else ty)
+    return replace(erased, width_vars=rule.width_vars + (var,))
 
 
 def _retype_floats(rule: Rule, prec: int) -> Optional[Rule]:
     """Instantiate every float type at `prec`; None when a literal does not
     convert exactly."""
     new = FloatType(prec)
-
-    def conv_ty(ty):
-        return new if isinstance(ty, FloatType) else ty
-
     bad = []
 
-    def conv(o, fn: Function):
-        if isinstance(o, Literal) and isinstance(o.ty, FloatType):
-            f = semantics.bits_to_float(o.value, o.ty.bits)
-            pat = semantics.float_to_bits(f, prec)
-            back = semantics.bits_to_float(pat, prec)
-            if not (back == f or (back != back and f != f)):
-                bad.append(o)
-            return Literal(pat, new)
-        if isinstance(o, SymConst):
-            return SymConst(o.name, conv_ty(o.ty))
-        return o
+    def conv(o):
+        if not (isinstance(o, Literal) and isinstance(o.ty, FloatType)):
+            return o
+        lit = retype_float_literal(o, prec)
+        if lit is None:
+            bad.append(o)
+            return o
+        return lit
 
-    def conv_fn(fn: Function) -> Function:
-        params = tuple((n, conv_ty(t)) for n, t in fn.params)
-        body = tuple(Instr(i.op, tuple(conv(o, fn) for o in i.operands),
-                           conv_ty(i.ty), i.flags, i.pred) for i in fn.body)
-        return Function(fn.name, params, body, conv(fn.ret, fn))
-
-    sym_consts = tuple((n, conv_ty(t)) for n, t in rule.sym_consts)
-    out = Rule(rule.name, sym_consts, rule.width_vars, rule.pre,
-               conv_fn(rule.lhs), conv_fn(rule.rhs))
+    out = map_rule(rule, conv,
+                   lambda ty: new if isinstance(ty, FloatType) else ty)
     return None if bad else out
 
 
@@ -515,7 +448,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
     if reason is not None:
         outcome.note = f"static gate: {reason}"
         return outcome, rule
-    widths = sorted({t.width for t in _rule_types(rule)
+    widths = sorted({t.width for t in rule_types(rule)
                      if isinstance(t, IntType) and t.width != 1})
     if not widths:
         outcome.note = "no concrete integer widths to erase"
@@ -575,7 +508,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
                     f"admits {admitted}, passing set is {passing}")
                 continue
             co.accepted = True
-            guarded = _with_pre(erased, erased.pre + parsed)
+            guarded = replace(erased, pre=erased.pre + parsed)
             outcome.accepted_text = print_rule(guarded)
             outcome.counts["widths_generalized"] = 1
             outcome.note = f"width predicate admits {admitted}"
@@ -586,7 +519,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
 
 
 def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
-    original = sorted({t.bits for t in _rule_types(rule)
+    original = sorted({t.bits for t in rule_types(rule)
                        if isinstance(t, FloatType)})
     if len(original) != 1:
         outcome.note = f"multiple float precisions {original}"
@@ -773,18 +706,15 @@ def _residual_implied(rule_conjs: tuple, inst: Rule, env: dict) -> bool:
     for c in rule_conjs + tuple(inst.pre):
         refs |= pred_param_refs(c)
     dims = [(n, ty) for n, ty in inst.lhs.params if n in refs]
-    import math
-    space = math.prod(engine.space_of(ty) for _n, ty in dims) if dims else 1
+    space = math.prod(engine.space_of(ty) for _n, ty in dims)
     if space > _PARAM_SPACE_CAP:
         return False  # conservatively refuse to certify
-    from .verifier import _scalar_value
-
     sizes = [engine.space_of(ty) for _n, ty in dims]
     for flat in range(space):
         point = {}
         rem = flat
         for (name, ty), size in zip(dims, sizes):
-            point[name] = _scalar_value(rem % size, ty)
+            point[name] = verifier.scalar_value(rem % size, ty)
             rem //= size
         if not semantics.eval_predicate(tuple(inst.pre), point, {}, {}):
             continue
@@ -820,9 +750,10 @@ def match_rule(rule: Rule, concrete: Rule,
             return None
     except (semantics.EvalError, semantics.ConstEvalError):
         return None
-    from .ir import _substitute_pred_consts
-    bound = tuple(_substitute_pred_consts(c, consts) for c in param_conjs)
-    renamed = tuple(_rename_pred_refs(c, env["params"]) for c in bound)
+    rename = env["params"]
+    renamed = tuple(map_pred(bind_pred_consts(c, consts),
+                             ref=lambda n: rename.get(n, n))
+                    for c in param_conjs)
     if frozenset(renamed) != frozenset(concrete.pre):
         if not _residual_implied(renamed, concrete, env):
             return None
@@ -830,44 +761,6 @@ def match_rule(rule: Rule, concrete: Rule,
     bindings.update({v: w for v, w in env["widths"].items()
                      if v in rule.width_vars})
     return bindings
-
-
-def _rename_pred_refs(p, mapping: dict):
-    from .ir import (CRef, PAnd, PKnownBits, PLowBitsZero, PNot, POr, PPow2,
-                     PRange, PTrue)
-
-    def rex(e):
-        if isinstance(e, CRef):
-            return CRef(mapping.get(e.name, e.name))
-        if isinstance(e, CBin):
-            return CBin(e.op, rex(e.a), rex(e.b))
-        if isinstance(e, CUn):
-            return CUn(e.op, rex(e.a))
-        if isinstance(e, CCast):
-            return CCast(e.kind, rex(e.a), e.width)
-        return e
-
-    if isinstance(p, PCmp):
-        return PCmp(p.pred, rex(p.a), rex(p.b))
-    if isinstance(p, PRange):
-        return PRange(mapping.get(p.ref, p.ref), rex(p.lo), rex(p.hi),
-                      p.signed)
-    if isinstance(p, PKnownBits):
-        return PKnownBits(mapping.get(p.ref, p.ref), rex(p.zeros),
-                          rex(p.ones))
-    if isinstance(p, PLowBitsZero):
-        return PLowBitsZero(mapping.get(p.ref, p.ref), rex(p.k))
-    if isinstance(p, PNot):
-        return PNot(_rename_pred_refs(p.a, mapping))
-    if isinstance(p, POr):
-        return POr(_rename_pred_refs(p.a, mapping),
-                   _rename_pred_refs(p.b, mapping))
-    if isinstance(p, PAnd):
-        return PAnd(_rename_pred_refs(p.a, mapping),
-                    _rename_pred_refs(p.b, mapping))
-    if isinstance(p, PPow2):
-        return PPow2(rex(p.e))
-    return p
 
 
 @dataclass(frozen=True)
@@ -898,10 +791,9 @@ def _rule_domain(rule: Rule, widths: dict, budget: Budget):
             return [({}, substitute(resolved, {}, {}))], True
         except PreconditionUnsatisfied:
             return [], True
-    free, defs = engine.split_const_defs(resolved)
-    defs = verifier._typed_defs(resolved, defs)
+    free, defs = verifier.typed_const_defs(resolved)
     const_only = [c for c in resolved.pre if not pred_param_refs(c)]
-    cspace = verifier._const_space(free)
+    cspace = math.prod(engine.space_of(ty) for _n, ty in free)
     exhaustive = cspace <= min(budget.exhaustive_limit, _DOMAIN_CAP * 16)
     if exhaustive:
         const_map = verifier.enumerate_satisfying_consts(
@@ -919,10 +811,8 @@ def _rule_domain(rule: Rule, widths: dict, budget: Budget):
     instances = []
     seen = set()
     for i in range(n):
-        bindings = {}
-        for name, (arr, ty) in const_map.items():
-            bindings[name] = verifier._pattern_of(
-                np.asarray(arr).reshape(-1)[i], ty)
+        bindings = {name: engine.vval_pattern_at(engine.VVal(arr, None, ty), i)
+                    for name, (arr, ty) in const_map.items()}
         key = tuple(sorted(bindings.items()))
         if key in seen:
             continue

@@ -12,16 +12,16 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from . import semantics, textfmt, verifier
 from .ir import (
-    CBin, CConst, CInt, CUn, Function, Instr, IntType, Literal, Local, PCmp,
-    PeepError, PPow2, PRange, Param, PTrue, Rule, SymConst, VarWidthType,
-    to_signed, to_unsigned, validate,
+    CBin, CCast, CConst, CInt, CUn, Function, IntType, Literal, Local, PCmp,
+    PeepError, PPow2, PRange, Rule, SymConst, abstract_local,
+    guards_partial_op, map_rule, to_signed,
 )
 
 
@@ -173,17 +173,10 @@ def symbolize_literals(instance: Rule):
             return names[key]
         return o
 
-    def conv_fn(fn: Function) -> Function:
-        body = tuple(Instr(i.op, tuple(conv(o) for o in i.operands), i.ty,
-                           i.flags, i.pred) for i in fn.body)
-        return Function(fn.name, fn.params, body, conv(fn.ret))
-
-    lhs = conv_fn(instance.lhs)
-    rhs = conv_fn(instance.rhs)
+    rule = map_rule(instance, conv)
     sym_consts = instance.sym_consts + tuple(
         (sc.name, sc.ty) for sc in names.values())
-    return (Rule(instance.name, sym_consts, instance.width_vars, instance.pre,
-                 lhs, rhs), assignment)
+    return replace(rule, sym_consts=sym_consts), assignment
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +210,6 @@ def _holds(conj, consts: dict) -> bool:
         return semantics.eval_predicate((conj,), {}, consts, {})
     except (semantics.EvalError, semantics.ConstEvalError):
         return False
-
-
-def _guards_partial_op(conj, remaining: list) -> bool:
-    # an explicit PowerOfTwo guard is kept when another conjunct applies
-    # log2 to the same constant; log2 is partial and the guard keeps its
-    # domain condition visible in the final rule
-    if not (isinstance(conj, PPow2) and isinstance(conj.e, CConst)):
-        return False
-    name = conj.e.name
-
-    def mentions(e) -> bool:
-        if isinstance(e, CUn):
-            if e.op == "log2" and e.a == CConst(name):
-                return True
-            return mentions(e.a)
-        if isinstance(e, CBin):
-            return mentions(e.a) or mentions(e.b)
-        return False
-
-    for other in remaining:
-        if other is conj:
-            continue
-        if isinstance(other, PCmp) and (mentions(other.a) or mentions(other.b)):
-            return True
-    return False
 
 
 def _probe_budget(budget: verifier.Budget) -> verifier.Budget:
@@ -298,8 +266,7 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
     removable = pins + pow2s + equalities[::-1]
 
     def verified(conjuncts: list) -> bool:
-        rule = Rule(skeleton.name, skeleton.sym_consts, skeleton.width_vars,
-                    tuple(conjuncts), skeleton.lhs, skeleton.rhs)
+        rule = replace(skeleton, pre=tuple(conjuncts))
         verdict, _r, _w = verifier.verify_with_reduction(rule, widths, probe)
         return verdict.kind == "verified"
 
@@ -311,7 +278,7 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
     while changed:
         changed = False
         for conj in removable:
-            if conj not in keep or _guards_partial_op(conj, keep):
+            if conj not in keep or guards_partial_op(conj, keep):
                 continue
             trial = [c for c in keep if c is not conj]
             if verified(trial):
@@ -341,7 +308,6 @@ def _value_bound(fn: Function, index: int):
     if instr.op == "zext" and isinstance(instr.operands[0], Local):
         inner = _value_bound(fn, instr.operands[0].index)
         if inner is not None and isinstance(instr.ty, IntType):
-            from .ir import CCast
             return CCast("zext", inner, instr.ty.width)
         return None
     if instr.op in ("lshr", "urem", "umin"):
@@ -352,7 +318,7 @@ def _value_bound(fn: Function, index: int):
 def _structural_candidates(rule: Rule) -> list:
     """Replace a bounded lhs subexpression (and its rhs mirror) by a fresh
     parameter with a RangeU atom."""
-    from .pruner import _expr_key, _replace_local, dce
+    from .pruner import dce
 
     out = []
     taken = {n for n, _ in rule.lhs.params}
@@ -368,20 +334,9 @@ def _structural_candidates(rule: Rule) -> list:
         while fresh in taken:
             n += 1
             fresh = f"V{n}"
-        key = _expr_key(rule.lhs, Local(i))
-        lhs = _replace_local(rule.lhs, i, fresh, ty)
-        rhs = rule.rhs
-        for j in range(len(rule.rhs.body)):
-            if _expr_key(rule.rhs, Local(j)) == key:
-                rhs = _replace_local(rule.rhs, j, fresh, ty)
-                break
-        else:
-            rhs = Function(rhs.name, rhs.params + ((fresh, ty),), rhs.body,
-                           rhs.ret)
+        lhs, rhs = abstract_local(rule.lhs, rule.rhs, i, fresh)
         atom = PRange(fresh, CInt(0), bound, False)
-        candidate = dce(Rule(rule.name, rule.sym_consts, rule.width_vars,
-                             rule.pre + (atom,), lhs, rhs))
-        out.append(candidate)
+        out.append(dce(replace(rule, pre=rule.pre + (atom,), lhs=lhs, rhs=rhs)))
     return out
 
 
@@ -424,10 +379,8 @@ class HeuristicBackend:
             skeleton, _ = symbolize_literals(rule)
             for _assignment, conjuncts in heuristic_fit_constants(
                     rule, {}, self.budget):
-                cand = Rule(skeleton.name, skeleton.sym_consts,
-                            skeleton.width_vars, conjuncts, skeleton.lhs,
-                            skeleton.rhs)
-                texts.append(textfmt.print_rule(cand))
+                texts.append(textfmt.print_rule(
+                    replace(skeleton, pre=conjuncts)))
         elif isinstance(stage, Structural):
             texts = [textfmt.print_rule(c) for c in _structural_candidates(rule)]
         elif isinstance(stage, WeakenPrecondition):

@@ -13,9 +13,7 @@ from typing import Optional
 
 from . import cost as costmod
 from . import verifier
-from .ir import (
-    Function, Instr, Literal, Local, Param, Rule, function_locals_used,
-)
+from .ir import Function, Rule, abstract_local, dce_function, params_used
 
 
 @dataclass(frozen=True)
@@ -49,79 +47,13 @@ class PruneLog:
 
 
 # ---------------------------------------------------------------------------
-# Structural correspondence between lhs and rhs locals
-
-
-def _expr_key(fn: Function, opnd):
-    if isinstance(opnd, Param):
-        return ("param", opnd.name)
-    if isinstance(opnd, Literal):
-        return ("lit", opnd.value, str(opnd.ty))
-    if isinstance(opnd, Local):
-        i = fn.body[opnd.index]
-        return ("instr", i.op, i.pred, tuple(sorted(i.flags)), str(i.ty),
-                tuple(_expr_key(fn, o) for o in i.operands))
-    return ("other", repr(opnd))
-
-
-def _matching_rhs_local(rule: Rule, lhs_index: int) -> Optional[int]:
-    key = _expr_key(rule.lhs, Local(lhs_index))
-    for j in range(len(rule.rhs.body)):
-        if _expr_key(rule.rhs, Local(j)) == key:
-            return j
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Substitution and dead-code elimination
-
-
-def _replace_local(fn: Function, index: int, fresh: str, ty) -> Function:
-    def sub(o):
-        if isinstance(o, Local) and o.index == index:
-            return Param(fresh)
-        return o
-
-    body = tuple(Instr(i.op, tuple(sub(o) for o in i.operands), i.ty, i.flags,
-                       i.pred) for i in fn.body)
-    return Function(fn.name, fn.params + ((fresh, ty),), body, sub(fn.ret))
-
-
-def _add_param(fn: Function, fresh: str, ty) -> Function:
-    return Function(fn.name, fn.params + ((fresh, ty),), fn.body, fn.ret)
-
-
-def dce_function(fn: Function) -> Function:
-    used = function_locals_used(fn)
-    keep = sorted(used)
-    remap = {old: new for new, old in enumerate(keep)}
-
-    def sub(o):
-        if isinstance(o, Local):
-            return Local(remap[o.index])
-        return o
-
-    body = tuple(Instr(fn.body[i].op, tuple(sub(o) for o in fn.body[i].operands),
-                       fn.body[i].ty, fn.body[i].flags, fn.body[i].pred)
-                 for i in keep)
-    return Function(fn.name, fn.params, body, sub(fn.ret))
-
-
-def _params_used(fn: Function) -> set:
-    names = set()
-    for i in fn.body:
-        for o in i.operands:
-            if isinstance(o, Param):
-                names.add(o.name)
-    if isinstance(fn.ret, Param):
-        names.add(fn.ret.name)
-    return names
+# Dead-code elimination
 
 
 def dce(rule: Rule) -> Rule:
     """Remove dead instructions, then parameters dead on both sides."""
     lhs, rhs = dce_function(rule.lhs), dce_function(rule.rhs)
-    used = _params_used(lhs) | _params_used(rhs)
+    used = params_used(lhs) | params_used(rhs)
     params = tuple((n, t) for n, t in lhs.params if n in used)
     lhs = Function(lhs.name, params, lhs.body, lhs.ret)
     rhs = Function(rhs.name, params, rhs.body, rhs.ret)
@@ -152,13 +84,7 @@ def prune(instance: Rule, budget: Optional[verifier.Budget] = None,
             while fresh in names:
                 suffix += 1
                 fresh = f"newvar_v{i}_{suffix}"
-            ty = current.lhs.body[i].ty
-            j = _matching_rhs_local(current, i)
-            lhs = _replace_local(current.lhs, i, fresh, ty)
-            if j is not None:
-                rhs = _replace_local(current.rhs, j, fresh, ty)
-            else:
-                rhs = _add_param(current.rhs, fresh, ty)
+            lhs, rhs = abstract_local(current.lhs, current.rhs, i, fresh)
             candidate = dce(Rule(current.name, (), (), (), lhs, rhs))
             lc, rc = costmod.cost(candidate.lhs, table), costmod.cost(candidate.rhs, table)
             verdict = verifier.check_refinement(candidate, {}, budget)

@@ -10,17 +10,17 @@ scalar evaluator before being returned (self-validation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import engine, semantics
 from .ir import (
-    CBin, CConst, CInt, CUn, FloatType, Function, IntType, Literal, PCmp,
-    PeepError, Predicate, Rule, VarWidthType, literal_fits, mask,
-    pred_const_names, pred_exprs, pred_param_refs, resolve_widths, to_signed,
-    to_unsigned,
+    CBin, CInt, CUn, FloatType, Function, IntType, Literal, PeepError, Rule,
+    VarWidthType, bind_consts, iter_expr, literal_fits, map_rule,
+    pred_const_names, pred_exprs, pred_param_refs, resolve_predicate,
+    resolve_widths, retype_float_literal, to_signed, to_unsigned,
 )
 
 REJECTION_CAP = 10 ** 6
@@ -114,7 +114,8 @@ def verdict_to_json(v: Verdict) -> dict:
 # Scalar replay
 
 
-def _scalar_value(pattern: int, ty):
+def scalar_value(pattern: int, ty):
+    """The scalar evaluator's value for bit pattern `pattern` of type `ty`."""
     if isinstance(ty, FloatType):
         return semantics.FloatBits(ty.bits, pattern)
     return semantics.Bits(ty.width, pattern)
@@ -125,12 +126,12 @@ def replay_counterexample(rule: Rule, cx: Counterexample) -> bool:
     refinement violation reproduces."""
     resolved = resolve_widths(rule, dict(cx.widths)) if rule.width_vars else rule
     consts = {name: (cx.consts[name], ty) for name, ty in resolved.sym_consts}
-    params = {name: _scalar_value(cx.inputs[name], ty)
+    params = {name: scalar_value(cx.inputs[name], ty)
               for name, ty in resolved.lhs.params}
     if not semantics.eval_predicate(resolved.pre, params, consts, {}):
         return False
     args = [params[name] for name, _ in resolved.lhs.params]
-    inst = _substitute_all(resolved, consts)
+    inst = bind_consts(resolved, consts)
     lv = semantics.eval_function(inst.lhs, args)
     rv = semantics.eval_function(inst.rhs, args)
     if lv is semantics.POISON:
@@ -138,41 +139,16 @@ def replay_counterexample(rule: Rule, cx: Counterexample) -> bool:
     return rv is semantics.POISON or not semantics.values_equal(lv, rv)
 
 
-def _substitute_all(resolved: Rule, consts: dict) -> Rule:
-    """Replace SymConst operands with literals, leaving the pre untouched."""
-    def subst_fn(fn: Function) -> Function:
-        from .ir import Instr, SymConst
-
-        def subst(o):
-            if isinstance(o, SymConst):
-                value, ty = consts[o.name]
-                return Literal(value, ty)
-            return o
-
-        body = tuple(Instr(i.op, tuple(subst(o) for o in i.operands), i.ty,
-                           i.flags, i.pred) for i in fn.body)
-        return Function(fn.name, fn.params, body, subst(fn.ret))
-
-    return Rule(resolved.name, resolved.sym_consts, (), resolved.pre,
-                subst_fn(resolved.lhs), subst_fn(resolved.rhs))
-
-
 # ---------------------------------------------------------------------------
 # Constant-space enumeration and sampling
 
 
-def _const_space(free: list) -> int:
-    return math.prod(engine.space_of(ty) for _, ty in free) if free else 1
-
-
-def _param_space(fn: Function) -> int:
-    return math.prod(engine.space_of(ty) for _, ty in fn.params) if fn.params else 1
+def _space(decls) -> int:
+    return math.prod(engine.space_of(ty) for _, ty in decls)
 
 
 def _digits_to_data(digits, ty):
-    if isinstance(ty, FloatType):
-        return np.asarray(digits, dtype=engine._FUINT[ty.bits]).view(engine._FLOAT[ty.bits])
-    return np.asarray(digits, dtype=engine.udtype(ty.width))
+    return engine.patterns_to_vval(digits, ty).data
 
 
 def _compute_derived(consts: dict, defs: list):
@@ -180,7 +156,7 @@ def _compute_derived(consts: dict, defs: list):
     for name, expr, ty in defs:
         cv = engine.eval_constexpr_vec(expr, consts)
         if isinstance(ty, FloatType):
-            data = np.asarray(cv.data, dtype=engine._FLOAT[ty.bits])
+            data = np.asarray(cv.data, dtype=f"float{ty.bits}")
         else:
             if cv.width is None:
                 data = engine.udtype(ty.width)(to_unsigned(int(cv.data), ty.width))
@@ -193,9 +169,12 @@ def _compute_derived(consts: dict, defs: list):
     return consts
 
 
-def _typed_defs(resolved: Rule, defs: list) -> list:
+def typed_const_defs(resolved: Rule) -> tuple:
+    """`engine.split_const_defs` with each derived constant's type attached:
+    returns (free constants, [(name, expr, Type)] in definition order)."""
+    free, defs = engine.split_const_defs(resolved)
     types = dict(resolved.sym_consts)
-    return [(name, expr, types[name]) for name, expr in defs]
+    return free, [(name, expr, types[name]) for name, expr in defs]
 
 
 def _filter_chunk(consts: dict, const_only, n: int):
@@ -227,11 +206,6 @@ def enumerate_satisfying_consts(resolved: Rule, free: list, defs: list,
                 types[n]) for n in names}
 
 
-def _special_tuples(types: list) -> list:
-    """Cross product (capped) of per-type special values."""
-    return _special_tuples_wide(types, _SPECIAL_CROSS_CAP)
-
-
 def _type_pools(types: list) -> list:
     return [engine.special_float_patterns(ty.bits) if isinstance(ty, FloatType)
             else engine.special_int_patterns(ty.width) for ty in types]
@@ -249,28 +223,14 @@ def _cross_pools(pools: list, cap: int) -> list:
 
 
 def _special_tuples_wide(types: list, cap: int) -> list:
+    """Cross product (capped) of per-type special values."""
     return _cross_pools(_type_pools(types), cap)
 
 
 def _harvested_literals(resolved: Rule) -> list:
     """Integer literals appearing in the precondition."""
-    out: set = set()
-
-    def walk(e) -> None:
-        if isinstance(e, CInt):
-            out.add(e.value)
-        elif isinstance(e, CBin):
-            walk(e.a)
-            walk(e.b)
-        elif isinstance(e, CUn):
-            walk(e.a)
-        elif hasattr(e, "a"):  # CCast
-            walk(e.a)
-
-    for conj in resolved.pre:
-        for e in pred_exprs(conj):
-            walk(e)
-    return sorted(out)
+    return sorted({e.value for conj in resolved.pre for e in iter_expr(conj)
+                   if isinstance(e, CInt)})
 
 
 def _const_special_pools(resolved: Rule, free: list) -> list:
@@ -402,7 +362,8 @@ def _special_cross_refute(resolved: Rule, widths: dict, free: list, defs: list,
     if sp_consts is None:
         return None
     nc = len(next(iter(sp_consts.values()))[0])
-    sp = _special_tuples([ty for _, ty in resolved.lhs.params])
+    sp = _special_tuples_wide([ty for _, ty in resolved.lhs.params],
+                              _SPECIAL_CROSS_CAP)
     pdata = {name: _digits_to_data(p, ty)
              for (name, ty), p in zip(resolved.lhs.params, sp)}
     np_ = len(sp[0]) if sp else 1
@@ -442,7 +403,7 @@ def _param_grid_chunks(fn: Function, chunk: int):
         digits = engine.unravel_chunk(sizes, start, end) if sizes else []
         params = {}
         for (name, ty), d in zip(fn.params, digits):
-            params[name] = engine.VVal(_digits_to_data(d, ty), None, ty)
+            params[name] = engine.patterns_to_vval(d, ty)
         yield params, end - start
 
 
@@ -455,13 +416,14 @@ def _sampled_params(fn: Function, budget: Budget, rng) -> tuple:
         else:
             pats = engine.sample_int_patterns(rng, ty.width, n)
         arrays[name] = pats
-    specials = _special_tuples([ty for _, ty in fn.params])
+    specials = _special_tuples_wide([ty for _, ty in fn.params],
+                                    _SPECIAL_CROSS_CAP)
     if specials:
         for (name, ty), pats in zip(fn.params, specials):
             arrays[name] = np.concatenate(
                 [arrays[name], pats.astype(arrays[name].dtype)])
     count = len(next(iter(arrays.values()))) if arrays else 1
-    params = {name: engine.VVal(_digits_to_data(arrays[name], ty), None, ty)
+    params = {name: engine.patterns_to_vval(arrays[name], ty)
               for name, ty in fn.params}
     return params, count
 
@@ -488,26 +450,23 @@ def _violation(resolved: Rule, params: dict, consts: dict, param_conjs):
 def _extract_point(resolved: Rule, widths: dict, params: dict, consts: dict,
                    lv, rv, flat_index: int, n: int) -> Counterexample:
     def pick(data):
-        return np.broadcast_to(np.asarray(data), (n,)).reshape(-1)[flat_index]
+        return np.broadcast_to(np.asarray(data), (n,))
 
-    inputs = {name: _pattern_of(pick(params[name].data), ty)
+    def pattern(data, ty) -> int:
+        return engine.vval_pattern_at(engine.VVal(pick(data), None, ty),
+                                      flat_index)
+
+    inputs = {name: pattern(params[name].data, ty)
               for name, ty in resolved.lhs.params}
-    cx_consts = {name: _pattern_of(pick(data), ty)
-                 for name, (data, ty) in consts.items()}
+    cx_consts = {name: pattern(data, ty) for name, (data, ty) in consts.items()}
 
     def result(v: engine.VVal):
-        pois = bool(pick(v.poison)) if v.poison is not None else False
-        return pois, (None if pois else _pattern_of(pick(v.data), v.ty))
+        pois = bool(pick(v.poison)[flat_index]) if v.poison is not None else False
+        return pois, (None if pois else pattern(v.data, v.ty))
 
     lp, lval = result(lv)
     rp, rval = result(rv)
     return Counterexample(cx_consts, dict(widths), inputs, lp, rp, lval, rval)
-
-
-def _pattern_of(x, ty) -> int:
-    if isinstance(ty, FloatType):
-        return int(np.asarray(x).view(engine._FUINT[ty.bits]))
-    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +489,10 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
 
     const_only = [c for c in resolved.pre if not pred_param_refs(c)]
     param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
-    free, defs = engine.split_const_defs(resolved)
-    defs = _typed_defs(resolved, defs)
+    free, defs = typed_const_defs(resolved)
 
-    cspace = _const_space(free)
-    pspace = _param_space(resolved.lhs)
+    cspace = _space(free)
+    pspace = _space(resolved.lhs.params)
 
     if cspace <= min(budget.exhaustive_limit, _ENUM_CAP):
         const_map = enumerate_satisfying_consts(resolved, free, defs, const_only)
@@ -613,7 +571,7 @@ def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
                   budget: Budget, rng) -> Verdict:
     param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
     sat = len(next(iter(const_map.values()))[0]) if const_map else 1
-    pspace = _param_space(resolved.lhs)
+    pspace = _space(resolved.lhs.params)
     full_grid = pspace <= max(budget.sample_count, 1)
     checked = 0
     sampled_params = None
@@ -688,15 +646,10 @@ def check_strictly_weaker(rule: Rule, weakened_pre: tuple,
         weakened_pre = (weakened_pre,)
     try:
         resolved = resolve_widths(rule, widths) if rule.width_vars else rule
-        weak = tuple(_resolve_conjunct(c, widths) for c in weakened_pre)
+        weak = tuple(resolve_predicate(c, widths) for c in weakened_pre)
         return _strictly_weaker(resolved, weak, budget)
     except engine.UnsupportedConstruct as e:
         return Inconclusive("UnsupportedConstruct", str(e))
-
-
-def _resolve_conjunct(c, widths: dict):
-    from .ir import _resolve_predicate
-    return _resolve_predicate(c, widths)
 
 
 def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
@@ -710,7 +663,7 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
     else:
         dims = []
     free = list(resolved.sym_consts)
-    space = math.prod(engine.space_of(ty) for _, ty in free + dims) if (free or dims) else 1
+    space = _space(free + dims)
     rng = np.random.default_rng(budget.rng_seed)
 
     a_fail = None
@@ -744,7 +697,7 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
             for (name, ty), d in zip(free, digits[:len(free)]):
                 consts[name] = (_digits_to_data(d, ty), ty)
             for (name, ty), d in zip(dims, digits[len(free):]):
-                params[name] = engine.VVal(_digits_to_data(d, ty), None, ty)
+                params[name] = engine.patterns_to_vval(d, ty)
             scan(consts, params, end - start)
             if a_fail is not None and b_witness is not None:
                 break
@@ -769,7 +722,7 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
         for (name, ty), p in zip(free, pats[:len(free)]):
             consts[name] = (_digits_to_data(p, ty), ty)
         for (name, ty), p in zip(dims, pats[len(free):]):
-            params[name] = engine.VVal(_digits_to_data(p, ty), None, ty)
+            params[name] = engine.patterns_to_vval(p, ty)
         scan(consts, params, n)
         exhaustive = False
 
@@ -785,17 +738,16 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
 
 
 def _point_at(consts: dict, params: dict, i: int) -> dict:
-    out = {}
-    for name, (data, ty) in consts.items():
-        out[name] = _pattern_of(np.asarray(data).reshape(-1)[i], ty)
-    for name, v in params.items():
-        out[name] = _pattern_of(np.asarray(v.data).reshape(-1)[i], v.ty)
+    out = {name: engine.vval_pattern_at(engine.VVal(data, None, ty), i)
+           for name, (data, ty) in consts.items()}
+    out.update({name: engine.vval_pattern_at(v, i)
+                for name, v in params.items()})
     return out
 
 
 def _replay_witness(resolved: Rule, weak: tuple, point: dict) -> None:
     consts = {name: (point[name], ty) for name, ty in resolved.sym_consts}
-    params = {name: _scalar_value(point[name], ty)
+    params = {name: scalar_value(point[name], ty)
               for name, ty in resolved.lhs.params if name in point}
     weak_ok = semantics.eval_predicate(weak, params, consts, {})
     pre_ok = semantics.eval_predicate(resolved.pre, params, consts, {})
@@ -843,14 +795,12 @@ def _reduce_literal(lit: Literal, new_ty):
             return Literal(to_unsigned(signed, nw), new_ty)
         return ReductionBlocked(f"literal {signed} not encodable at {new_ty}")
     if isinstance(lit.ty, FloatType) and isinstance(new_ty, FloatType):
-        f = semantics.bits_to_float(lit.value, lit.ty.bits)
-        pat = semantics.float_to_bits(f, new_ty.bits)
-        back = semantics.bits_to_float(pat, new_ty.bits)
-        same = (back == f) or (np.isnan(back) and np.isnan(f))
-        if not same:
+        reduced = retype_float_literal(lit, new_ty.bits)
+        if reduced is None:
+            f = semantics.bits_to_float(lit.value, lit.ty.bits)
             return ReductionBlocked(
                 f"float literal {float(f)} not exactly representable at {new_ty}")
-        return Literal(pat, new_ty)
+        return reduced
     return lit
 
 
@@ -861,8 +811,6 @@ def reduce_widths(rule: Rule, widths: Optional[dict] = None):
     The rule itself is transformed because concrete types appear directly in
     functions and literals.
     """
-    from .ir import Instr, SymConst
-
     widths = widths or {}
     new_widths = {}
     for var, w in widths.items():
@@ -873,73 +821,30 @@ def reduce_widths(rule: Rule, widths: Optional[dict] = None):
             return ReductionBlocked(f"width for {var} would reach 0")
         new_widths[var] = nw
 
-    def conv_ty(ty):
-        if isinstance(ty, VarWidthType):
-            return ty
-        return _reduce_type(ty)
-
     blocked: list = []
 
-    def conv_operand(o, new_ty):
-        if isinstance(o, Literal):
-            r = _reduce_literal(o, new_ty if not isinstance(o.ty, VarWidthType) else o.ty)
-            if isinstance(r, ReductionBlocked):
-                blocked.append(r)
-                return o
-            return r
-        if isinstance(o, SymConst):
-            nt = conv_ty(o.ty)
-            if isinstance(nt, ReductionBlocked):
-                blocked.append(nt)
-                return o
-            return SymConst(o.name, nt)
-        return o
-
-    def conv_fn(fn: Function) -> Function:
-        params = []
-        for n, ty in fn.params:
-            nt = conv_ty(ty)
-            if isinstance(nt, ReductionBlocked):
-                blocked.append(nt)
-                nt = ty
-            params.append((n, nt))
-        new_fn_types = []
-        body = []
-        for instr in fn.body:
-            nt = conv_ty(instr.ty)
-            if isinstance(nt, ReductionBlocked):
-                blocked.append(nt)
-                nt = instr.ty
-            new_fn_types.append(nt)
-            ops = []
-            for o in instr.operands:
-                old_ty = fn.operand_type(o)
-                not_ = conv_ty(old_ty) if old_ty is not None else None
-                if isinstance(not_, ReductionBlocked):
-                    blocked.append(not_)
-                    not_ = old_ty
-                ops.append(conv_operand(o, not_))
-            body.append(Instr(instr.op, tuple(ops), nt, instr.flags, instr.pred))
-        ret = conv_operand(fn.ret, conv_ty(fn.operand_type(fn.ret)))
-        return Function(fn.name, tuple(params), tuple(body), ret)
-
-    lhs = conv_fn(rule.lhs)
-    rhs = conv_fn(rule.rhs)
-    sym_consts = []
-    for n, ty in rule.sym_consts:
-        nt = conv_ty(ty)
+    def conv_ty(ty):
+        nt = _reduce_type(ty)
         if isinstance(nt, ReductionBlocked):
             blocked.append(nt)
-            nt = ty
-        sym_consts.append((n, nt))
+            return ty
+        return nt
 
-    pre_block = _check_pre_literals(rule, dict(sym_consts), new_widths)
+    def conv_operand(o):
+        if not isinstance(o, Literal):
+            return o
+        r = _reduce_literal(o, conv_ty(o.ty))
+        if isinstance(r, ReductionBlocked):
+            blocked.append(r)
+            return o
+        return r
+
+    reduced = map_rule(rule, conv_operand, conv_ty)
+    pre_block = _check_pre_literals(rule, dict(reduced.sym_consts), new_widths)
     if pre_block is not None:
         blocked.append(pre_block)
     if blocked:
         return blocked[0]
-    reduced = Rule(rule.name, tuple(sym_consts), rule.width_vars, rule.pre,
-                   lhs, rhs)
     return reduced, new_widths
 
 

@@ -170,14 +170,14 @@ def oracle_check_refinement(rule):
 
     Returns None when verified, else (consts, inputs) of a violation.
     """
-    from peepgen.verifier import _substitute_all
+    from peepgen.ir import bind_consts
 
     cdims = [(n, ty.width) for n, ty in rule.sym_consts]
     pdims = [(n, ty.width) for n, ty in rule.lhs.params]
     for cvals in itertools.product(*(range(1 << w) for _, w in cdims)):
         consts = {n: v for (n, _), v in zip(cdims, cvals)}
         typed = {n: (consts[n], ty) for n, ty in rule.sym_consts}
-        inst = _substitute_all(rule, typed) if cdims else rule
+        inst = bind_consts(rule, typed) if cdims else rule
         for pvals in itertools.product(*(range(1 << w) for _, w in pdims)):
             params = {n: v for (n, _), v in zip(pdims, pvals)}
             if not oracle_pre(rule, consts, params):

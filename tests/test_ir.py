@@ -2,11 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peepgen.ir import (IntType, PeepError, PreconditionUnsatisfied,
-                        literal_fits, mask, resolve_widths, substitute,
-                        to_signed, to_unsigned, validate)
+                        literal_fits, map_function, map_pred, mask,
+                        pred_param_refs, resolve_widths, rule_types,
+                        substitute, to_signed, to_unsigned, validate)
 from peepgen import textfmt
+from peepgen.pipeline import _erase_widths
 
-from conftest import parse
+from conftest import FIXTURES, parse
+
+PEEP_FILES = sorted(p for d in ("int", "float", "rules")
+                    for p in (FIXTURES / d).glob("*.peep"))
 
 MUL_W = """
 rule "m" {
@@ -93,3 +98,32 @@ def test_substitute_rejects_pre_violations():
     rule = parse(MUL_W)
     with pytest.raises(PreconditionUnsatisfied):
         substitute(rule, {"C1": 3}, {"W": 8})
+
+
+@pytest.mark.parametrize("path", PEEP_FILES,
+                         ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_walkers_on_fixture(path):
+    rule = textfmt.parse_rule(path.read_text())
+    for fn in (rule.lhs, rule.rhs):
+        assert map_function(fn, lambda o: o, lambda ty: ty) == fn
+    for conj in rule.pre:
+        assert map_pred(conj, lambda e: e, lambda n: n) == conj
+    # erase each concrete integer width into a width variable, then resolve
+    # it back: the printed rule is the fixture's own
+    widths = {t.width for t in rule_types(rule)
+              if isinstance(t, IntType) and t.width != 1}
+    for w in sorted(widths):
+        erased = _erase_widths(rule, w, "W")
+        assert textfmt.print_rule(resolve_widths(erased, {"W": w})) == \
+            textfmt.print_rule(rule)
+
+
+def test_walkers_reach_references_under_connectives():
+    def conjunct(text):
+        (conj,) = textfmt.parse_conjuncts(text, {}, [])
+        return conj
+
+    conj = conjunct("!RangeU(%x, 0, 3) || KnownBits(%y, 1, 0) || %z == 2")
+    assert pred_param_refs(conj) == {"x", "y", "z"}
+    assert map_pred(conj, ref=str.upper) == conjunct(
+        "!RangeU(%X, 0, 3) || KnownBits(%Y, 1, 0) || %Z == 2")

@@ -198,3 +198,22 @@ def test_refuted_counterexamples_replay(fixture_corpus):
         verdict = check_refinement(stripped, {}, Budget())
         if verdict.kind == "refuted":
             assert replay_counterexample(stripped, verdict.counterexample), fx.name
+
+
+@pytest.mark.parametrize("pre", [
+    "!RangeU(%x, 0, 3)",
+    "(RangeU(%x, 4, 7) || RangeU(%x, 8, 9))",
+])
+def test_value_reference_under_connective(pre):
+    # a %x reference nested under ! or || makes the conjunct a parameter
+    # conjunct; classifying it as constant-only evaluated it without inputs
+    rule = parse(f"""
+rule "nested_ref" {{
+  pre: {pre};
+  lhs fn(x: i8) -> i1 {{ %0 = icmp.ugt i8 %x, 3; ret %0 }}
+  rhs fn(x: i8) -> i1 {{ ret 1 }}
+}}
+""")
+    verdict = check_refinement(rule, {}, Budget())
+    assert isinstance(verdict, Verified)
+    assert (verdict.mode, verdict.points) == ("exhaustive", 256)
