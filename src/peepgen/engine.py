@@ -22,7 +22,7 @@ from .ir import (
     CAST_OPS, CBin, CCast, CConst, CFloat, CInt, CRef, CUn, FloatType,
     Function, Instr, IntType, Literal, Local, Param, PeepError, PAnd, PCmp,
     PKnownBits, PLowBitsZero, PNot, POr, PPow2, PRange, PTrue, Rule,
-    SymConst, mask, pred_param_refs, to_unsigned,
+    SymConst, iter_expr, mask, pred_param_refs, to_unsigned,
 )
 from .ir import FCMP_PREDS as _FCMP_PREDS
 from .ir import ICMP_PREDS as _ICMP_PREDS
@@ -736,41 +736,67 @@ def _apply_ok(r, *oks):
 # Constant-space handling
 
 
+def _const_names(e) -> set:
+    return {x.name for x in iter_expr(e) if isinstance(x, CConst)}
+
+
 def split_const_defs(rule: Rule):
     """Partition symbolic constants into free ones and derived ones.
 
-    A conjunct `C == expr` (either side) whose expression mentions only
-    earlier-known constants defines C; derived constants are computed
-    instead of enumerated, which shrinks the search space.  The defining
-    conjuncts are still checked like any other.
+    Two kinds of const-only conjunct define a constant C: `C == expr` (either
+    side) whose expression does not mention C, and, for an integer C, a pin
+    pair `C <=u k` and `C >=u k`, which defines C := k.  A k that is no
+    pattern of C's width admits no value at all; C is then derived as k
+    wrapped to its width, which the pin rejects, so an unsatisfiable pin
+    costs one point instead of C's whole range.  The first definition of
+    each constant wins.
+    Definitions whose expression mentions only available constants are
+    derived, iteratively; when the remaining ones form a cycle, the first
+    remaining constant in declaration order is freed and derivation goes on.
+    Derived constants are computed instead of enumerated or sampled, which
+    shrinks the search space; the defining conjuncts are still checked like
+    any other, so the satisfying set does not change.
     """
-    from .ir import pred_const_names
-
-    all_names = {name for name, _ in rule.sym_consts}
+    types = dict(rule.sym_consts)
     candidates: dict = {}  # name -> expr, first defining conjunct wins
+    bounds: set = set()  # (pred, name, k) of the `C <=u k` / `C >=u k` seen
     for conj in rule.pre:
-        if not isinstance(conj, PCmp) or conj.pred != "eq" or pred_param_refs(conj):
+        if not isinstance(conj, PCmp) or pred_param_refs(conj):
+            continue
+        if (conj.pred in ("ule", "uge") and isinstance(conj.a, CConst)
+                and isinstance(conj.b, CInt)):
+            name, k = conj.a.name, conj.b.value
+            bounds.add((conj.pred, name, k))
+            partner = "uge" if conj.pred == "ule" else "ule"
+            if ((partner, name, k) in bounds and name not in candidates
+                    and isinstance(types.get(name), IntType)):
+                candidates[name] = CInt(k)
+            continue
+        if conj.pred != "eq":
             continue
         for tgt, other in ((conj.a, conj.b), (conj.b, conj.a)):
-            if isinstance(tgt, CConst) and tgt.name not in candidates:
-                used = pred_const_names(PCmp("eq", other, other))
-                if tgt.name not in used:
-                    candidates[tgt.name] = other
-                    break
+            if (isinstance(tgt, CConst) and tgt.name in types
+                    and tgt.name not in candidates
+                    and tgt.name not in _const_names(other)):
+                candidates[tgt.name] = other
+                break
     # consts with no candidate definition are enumerated; candidates whose
     # expression depends only on available consts become derived, iteratively
-    available = all_names - set(candidates)
+    available = set(types) - set(candidates)
     defs: list = []
-    progress = True
-    while progress:
+    while candidates:
         progress = False
         for name, expr in list(candidates.items()):
-            used = pred_const_names(PCmp("eq", expr, expr))
-            if used <= available:
+            if _const_names(expr) <= available:
                 defs.append((name, expr))
                 available.add(name)
                 del candidates[name]
                 progress = True
+        if not progress:
+            # every remaining definition waits on another one: break the cycle
+            first = next(n for n in types if n in candidates)
+            del candidates[first]
+            available.add(first)
     derived_names = {n for n, _ in defs}
     free = [(n, t) for n, t in rule.sym_consts if n not in derived_names]
     return free, defs

@@ -131,10 +131,18 @@ class PipelineReport:
 # Gating helpers
 
 
-def _proposals(req: ProposalRequest, cfg: PipelineConfig) -> list:
+def _add_note(outcome: StageOutcome, text: str) -> None:
+    outcome.note = f"{outcome.note}; {text}" if outcome.note else text
+
+
+def _proposals(req: ProposalRequest, cfg: PipelineConfig,
+               outcome: StageOutcome) -> list:
+    """The backend's proposals; a backend failure yields none and is
+    recorded in the stage's note."""
     try:
         return proposer.propose(req, cfg.backend)
-    except ProposerError:
+    except ProposerError as e:
+        _add_note(outcome, f"proposer error ({req.stage.tag}): {e}")
         return []
 
 
@@ -167,7 +175,7 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig):
     for _iteration in range(cfg.stage1_max_iterations):
         req = ProposalRequest(SymbolicConstants(), print_rule(rule),
                               tuple(feedback), cfg.k)
-        proposals = _proposals(req, cfg)
+        proposals = _proposals(req, cfg, outcome)
         passers: list = []
         new_feedback = 0
         for idx, p in enumerate(proposals):
@@ -221,7 +229,7 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig):
                            counts={"subexpressions_abstracted": 0})
     req = ProposalRequest(Structural(), print_rule(rule), (), cfg.k)
     passers: list = []
-    for idx, p in enumerate(_proposals(req, cfg)):
+    for idx, p in enumerate(_proposals(req, cfg, outcome)):
         cand, co = _parse_candidate(p.text)
         outcome.candidates.append(co)
         if cand is None:
@@ -281,7 +289,7 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
         req = ProposalRequest(WeakenPrecondition(i), print_rule(rule), (),
                               cfg.k)
         accepted_here = False
-        for p in _proposals(req, cfg):
+        for p in _proposals(req, cfg, outcome):
             co = CandidateOutcome(f"weaken[{i}]: {p.text.strip()}", True)
             outcome.candidates.append(co)
             try:
@@ -488,7 +496,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
     if passing:
         req = ProposalRequest(WidthPredicate(tuple(passing), tuple(failing)),
                               print_rule(erased), (), cfg.k)
-        for p in _proposals(req, cfg):
+        for p in _proposals(req, cfg, outcome):
             co = CandidateOutcome(f"width predicate: {p.text.strip()}", True)
             outcome.candidates.append(co)
             try:
@@ -513,8 +521,8 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
             outcome.counts["widths_generalized"] = 1
             outcome.note = f"width predicate admits {admitted}"
             return outcome, guarded
-    outcome.note = outcome.note or (
-        f"passing widths {passing}, failing {failing}; no predicate accepted")
+    _add_note(outcome, f"passing widths {passing}, failing {failing}; "
+                       "no predicate accepted")
     return outcome, rule
 
 

@@ -236,8 +236,9 @@ def _harvested_literals(resolved: Rule) -> list:
 def _const_special_pools(resolved: Rule, free: list) -> list:
     """Special values plus precondition literals (and neighbours) per constant.
 
-    Pins such as `C1 <=u 173 && C1 >=u 173` confine the satisfying set to a
-    region random draws essentially never hit; seeding the pool with the
+    Bounds that `engine.split_const_defs` does not turn into definitions,
+    such as `C1 + 1 <=u 174 && C1 + 1 >=u 174`, confine the satisfying set to
+    a region random draws essentially never hit; seeding the pool with the
     precondition's own literals makes those assignments deterministic finds.
     """
     lits = _harvested_literals(resolved)
@@ -404,7 +405,29 @@ def _param_grid_chunks(fn: Function, chunk: int):
         params = {}
         for (name, ty), d in zip(fn.params, digits):
             params[name] = engine.patterns_to_vval(d, ty)
+            # grids are reused across constants: an evaluator writing into
+            # its inputs would corrupt the next scan, so make that an error
+            params[name].data.setflags(write=False)
         yield params, end - start
+
+
+class _StreamedGrid:
+    """An input grid larger than one chunk, rebuilt chunk by chunk on each
+    pass so that peak memory stays at one chunk."""
+
+    def __init__(self, fn: Function):
+        self.fn = fn
+
+    def __iter__(self):
+        return _param_grid_chunks(self.fn, _CHUNK)
+
+
+def _input_grid(fn: Function):
+    """The chunks of `fn`'s full input grid, iterable once per constant: a
+    grid that fits one chunk is built once and its arrays are reused."""
+    if _space(fn.params) > _CHUNK:
+        return _StreamedGrid(fn)
+    return list(_param_grid_chunks(fn, _CHUNK))
 
 
 def _sampled_params(fn: Function, budget: Budget, rng) -> tuple:
@@ -540,9 +563,10 @@ def _scan_exhaustive(resolved: Rule, widths: dict, const_map: dict, sat: int,
     checked = 0
     if not const_map or sat <= pspace:
         # loop constants (possibly none), vectorize inputs
+        grid = _input_grid(resolved.lhs)
         for i in range(max(sat, 1) if const_map else 1):
             consts = _index_consts(const_map, i) if const_map else {}
-            for params, n in _param_grid_chunks(resolved.lhs, _CHUNK):
+            for params, n in grid:
                 viol, lv, rv = _violation(resolved, params, consts, param_conjs)
                 checked += n
                 hit = _first_true(viol, n)
@@ -574,16 +598,13 @@ def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
     pspace = _space(resolved.lhs.params)
     full_grid = pspace <= max(budget.sample_count, 1)
     checked = 0
-    sampled_params = None
-    if not full_grid:
-        sampled_params, pcount = _sampled_params(resolved.lhs, budget, rng)
+    if full_grid:
+        grid = _input_grid(resolved.lhs)
+    else:
+        grid = [_sampled_params(resolved.lhs, budget, rng)]
     for i in range(max(sat, 1)):
         consts = _index_consts(const_map, i) if const_map else {}
-        if full_grid:
-            chunks = _param_grid_chunks(resolved.lhs, _CHUNK)
-        else:
-            chunks = [(sampled_params, pcount)]
-        for params, n in chunks:
+        for params, n in grid:
             viol, lv, rv = _violation(resolved, params, consts, param_conjs)
             checked += n
             hit = _first_true(viol, n)

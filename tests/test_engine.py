@@ -1,11 +1,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from peepgen import engine, semantics
-from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, FloatType,
-                        Function, Instr, IntType, Local, Param, mask,
-                        opcode_arity)
+from peepgen import engine, semantics, verifier
+from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CInt,
+                        FloatType, Function, Instr, IntType, Local, Param,
+                        mask, opcode_arity)
 from peepgen.semantics import Bits, FloatBits, POISON
+
+from conftest import parse
 
 WIDTHS = [1, 3, 8, 16, 32, 64]
 FLAG_POOL = {"add": ["nsw", "nuw"], "sub": ["nsw", "nuw"],
@@ -97,3 +99,44 @@ def test_special_float_patterns_cover_corners():
 def test_space_of():
     assert engine.space_of(IntType(8)) == 256
     assert engine.space_of(FloatType(16)) == 65536
+
+
+def _const_rule(decls: str, pre: str):
+    return parse(f"""
+rule "d" {{
+  {decls}
+  pre: {pre};
+  lhs fn(x: i8) -> i8 {{ %0 = add i8 %x, C1; ret %0 }}
+  rhs fn(x: i8) -> i8 {{ %0 = add i8 %x, C1; ret %0 }}
+}}
+""")
+
+
+def test_split_const_defs_derives_pinned_constant():
+    rule = _const_rule("const C1: i8; const C2: i8;",
+                       "C1 <=u 173 && C2 <=u 9 && C1 >=u 173")
+    free, defs = engine.split_const_defs(rule)
+    assert [n for n, _ in free] == ["C2"]
+    assert defs == [("C1", CInt(173))]
+
+
+def test_split_const_defs_derives_unencodable_pin():
+    # 256 is no i8 pattern: the pin admits nothing, and deriving C1 lets the
+    # verifier find that out from one point instead of 256
+    rule = _const_rule("const C1: i8; const C2: i8;",
+                       "C1 <=u 256 && C1 >=u 256 && C2 <=u 9")
+    free, defs = engine.split_const_defs(rule)
+    assert [n for n, _ in free] == ["C2"]
+    assert defs == [("C1", CInt(256))]
+    verdict = verifier.check_refinement(rule)
+    assert verdict.kind == "inconclusive"
+    assert verdict.reason == "NoSatisfyingConstants"
+
+
+def test_split_const_defs_breaks_a_cycle():
+    rule = _const_rule("const C1: i8; const C2: i8;",
+                       "C1 == C2 + 1 && C2 == C1 - 1")
+    free, defs = engine.split_const_defs(rule)
+    # the first constant in declaration order is freed, the other derived
+    assert [n for n, _ in free] == ["C1"]
+    assert [n for n, _ in defs] == ["C2"]

@@ -2,7 +2,7 @@ from peepgen import textfmt
 from peepgen.pipeline import (PipelineConfig, compare_generality, match_rule,
                               remove_flags, run_pipeline, stage3_relax,
                               stage4_widths, StageOutcome)
-from peepgen.proposer import HeuristicBackend
+from peepgen.proposer import HeuristicBackend, ProposerError
 from peepgen.verifier import Budget
 
 from conftest import FIXTURES, parse
@@ -145,3 +145,25 @@ def test_compare_generality_strict_superset():
     result = compare_generality(a, b)
     assert result.verdict == "AMoreGeneral"
     assert result.witness is not None
+
+
+class _FailingBackend:
+    name = "failing"
+
+    def generate(self, req):
+        raise ProposerError("endpoint unreachable")
+
+
+def test_backend_failure_is_recorded_in_the_stage_note():
+    instance = parse("""
+rule "i" {
+  lhs fn(x: i8) -> i8 { %0 = add i8 %x, 3; %1 = sub i8 %0, 3; ret %1 }
+  rhs fn(x: i8) -> i8 { ret %x }
+}
+""")
+    report = run_pipeline(instance, _cfg(backend=_FailingBackend()))
+    notes = {s.stage: s.note for s in report.stages}
+    assert notes["symbolic_constants"] == (
+        "proposer error (symbolic_constants): endpoint unreachable")
+    assert notes["structural"] == (
+        "proposer error (structural): endpoint unreachable")

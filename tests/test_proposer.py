@@ -4,14 +4,16 @@ import threading
 
 import pytest
 
-from peepgen import textfmt
+from peepgen import textfmt, verifier
 from peepgen.ir import PeepError
 from peepgen.proposer import (FeedbackItem, HeuristicBackend, LLMBackend,
                               Proposal, ProposalRequest, ProposerError,
                               RecordingBackend, ReplayBackend, Structural,
                               SymbolicConstants, WeakenPrecondition,
-                              WidthPredicate, extract_fenced, propose,
-                              render_prompt, request_hash, symbolize_literals)
+                              WidthPredicate, extract_fenced,
+                              heuristic_fit_constants, propose, render_prompt,
+                              request_hash, symbolize_literals)
+from peepgen.verifier import Budget
 
 from conftest import FIXTURES, parse
 
@@ -44,6 +46,30 @@ def test_heuristic_finds_power_of_two_shift():
     req = ProposalRequest(SymbolicConstants(), MUL8_TEXT)
     texts = [p.text for p in HeuristicBackend().generate(req)]
     assert any("PowerOfTwo(C1)" in t and "log2(C1)" in t for t in texts)
+
+
+def test_heuristic_generalizes_clamp_concrete():
+    # five i16 constants: the pinned seed check only passes when the pins
+    # define the constants instead of leaving them to rejection sampling
+    rule = parse((FIXTURES / "int" / "clamp_concrete.peep").read_text())
+    assert heuristic_fit_constants(rule, {}, Budget())
+
+
+def test_pinned_probes_do_not_exhaust_the_rejection_cap(monkeypatch):
+    # a pinned or defined constant is derived, so only probes whose free
+    # constants really are constrained to a few values come back short
+    calls = []
+    sample = verifier.sample_satisfying_consts
+
+    def counted(resolved, free, defs, const_only, budget, rng):
+        out = sample(resolved, free, defs, const_only, budget, rng)
+        got = len(next(iter(out.values()))[0]) if out else 0
+        calls.append(got < budget.constant_sample_count)
+        return out
+
+    monkeypatch.setattr(verifier, "sample_satisfying_consts", counted)
+    heuristic_fit_constants(parse(XOR_AND_TEXT), {}, Budget(rng_seed=0))
+    assert calls and sum(calls) <= 1
 
 
 def test_heuristic_is_deterministic():

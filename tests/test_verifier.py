@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peepgen import textfmt, verifier
-from peepgen.ir import (CConst, CInt, Function, Instr, IntType, Literal,
+from peepgen import semantics, textfmt, verifier
+from peepgen.ir import (CBin, CConst, CInt, Function, Instr, IntType, Literal,
                         Local, Param, PCmp, PPow2, Rule, SymConst, validate)
 from peepgen.verifier import (Budget, EquivalentOrIncomparable, Inconclusive,
                               Refuted, StrictlyWeaker, Verified,
@@ -18,13 +20,11 @@ SMALL_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
 UNARY = {"neg", "not", "ctpop", "cttz"}
 
 
-@st.composite
-def small_rules(draw):
-    w = draw(st.sampled_from([2, 3, 4]))
-    ty = IntType(w)
+def _draw_rule(draw, ty, sym_consts, pre):
+    """A valid rule over one input `x` of type `ty` whose bodies may use
+    `sym_consts`; rejects the example when the rule does not validate."""
+    w = ty.width
     params = (("x", ty),)
-    nconsts = draw(st.integers(0, 1))
-    sym_consts = tuple((f"C{i + 1}", ty) for i in range(nconsts))
 
     def body(n):
         instrs = []
@@ -43,18 +43,27 @@ def small_rules(draw):
 
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
-    pre = []
-    if sym_consts and draw(st.booleans()):
-        pre.append(draw(st.sampled_from([
-            PPow2(CConst("C1")),
-            PCmp("ult", CConst("C1"), CInt(draw(st.integers(1, (1 << w) - 1)))),
-        ])))
     rule = Rule("gen", sym_consts, (), tuple(pre),
                 Function("lhs", params, body(n), Local(n - 1)),
                 Function("rhs", params, body(m), Local(m - 1)))
     if validate(rule):
         draw(st.nothing())
     return rule
+
+
+@st.composite
+def small_rules(draw):
+    w = draw(st.sampled_from([2, 3, 4]))
+    ty = IntType(w)
+    nconsts = draw(st.integers(0, 1))
+    sym_consts = tuple((f"C{i + 1}", ty) for i in range(nconsts))
+    pre = []
+    if sym_consts and draw(st.booleans()):
+        pre.append(draw(st.sampled_from([
+            PPow2(CConst("C1")),
+            PCmp("ult", CConst("C1"), CInt(draw(st.integers(1, (1 << w) - 1)))),
+        ])))
+    return _draw_rule(draw, ty, sym_consts, pre)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -71,6 +80,73 @@ def test_exhaustive_verifier_matches_brute_force(rule):
     else:
         assert verdict.reason == "NoSatisfyingConstants"
         assert violation is None
+
+
+@st.composite
+def derivable_rules(draw):
+    """2-3 constants (two at i4) under pin pairs, some with a literal that
+    no pattern of the width encodes, equalities between constants that may
+    form cycles, and `ult` bounds."""
+    w = draw(st.sampled_from([2, 3, 4]))
+    ty = IntType(w)
+    # three i4 constants would make the brute-force oracle the whole cost
+    count = draw(st.integers(2, 3 if w < 4 else 2))
+    names = [f"C{i + 1}" for i in range(count)]
+    const = st.sampled_from(names).map(CConst)
+    expr = st.one_of(
+        const,
+        st.builds(CBin, st.sampled_from(["+", "-", "^", "&", "|"]), const,
+                  st.one_of(const, st.integers(0, (1 << w) - 1).map(CInt))))
+    pre = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["pin", "eq", "ult"]))
+        c = draw(const)
+        if kind == "pin":
+            k = CInt(draw(st.integers(-1, 1 << w)))
+            pre += [PCmp("ule", c, k), PCmp("uge", c, k)]
+        elif kind == "eq":
+            pre.append(PCmp("eq", c, draw(expr)))
+        else:
+            pre.append(PCmp("ult", c, CInt(draw(st.integers(1, 1 << w)))))
+    pre = draw(st.permutations(pre))
+    return _draw_rule(draw, ty, tuple((n, ty) for n in names), pre)
+
+
+def _satisfiable(rule) -> bool:
+    # every conjunct is constant-only: brute force with the scalar evaluator
+    for values in itertools.product(*(range(1 << ty.width)
+                                      for _, ty in rule.sym_consts)):
+        consts = {n: (v, ty) for (n, ty), v in zip(rule.sym_consts, values)}
+        if semantics.eval_predicate(rule.pre, {}, consts, {}):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(derivable_rules())
+def test_derived_constants_keep_verdicts_complete(rule):
+    satisfiable = _satisfiable(rule)
+    violation = oracle_check_refinement(rule) if satisfiable else None
+    # exact: every constant assignment is enumerated (free ones) or derived
+    exact = check_refinement(rule, {}, Budget(exhaustive_limit=1 << 20))
+    if isinstance(exact, Verified):
+        assert exact.mode == "exhaustive" and violation is None
+    elif isinstance(exact, Refuted):
+        assert violation is not None
+        assert replay_counterexample(rule, exact.counterexample)
+    else:
+        assert exact.reason == "NoSatisfyingConstants"
+        assert not satisfiable
+    # sampled: a budget below the constant space sends most rules through
+    # constant sampling, which must still find a non-empty satisfying set
+    sampled = check_refinement(
+        rule, {}, Budget(exhaustive_limit=16, constant_sample_count=8))
+    if isinstance(sampled, Refuted):
+        assert violation is not None
+        assert replay_counterexample(rule, sampled.counterexample)
+    elif isinstance(sampled, Inconclusive):
+        assert sampled.reason == "NoSatisfyingConstants"
+        assert not satisfiable
 
 
 @settings(max_examples=300, deadline=None)
