@@ -49,10 +49,6 @@ def udtype(width: int):
     return _UINT[storage_bits(width)]
 
 
-def sdtype(width: int):
-    return _SINT[storage_bits(width)]
-
-
 def space_of(ty) -> int:
     if isinstance(ty, IntType):
         return 1 << ty.width
@@ -740,11 +736,21 @@ def _const_names(e) -> set:
     return {x.name for x in iter_expr(e) if isinstance(x, CConst)}
 
 
+def _mixes_widths(e, ty, types: dict) -> bool:
+    """Whether `e` involves a width other than `ty`'s: a cast, or a
+    constant of another type."""
+    return any(isinstance(x, CCast)
+               or (isinstance(x, CConst) and types.get(x.name) != ty)
+               for x in iter_expr(e))
+
+
 def split_const_defs(rule: Rule):
     """Partition symbolic constants into free ones and derived ones.
 
     Two kinds of const-only conjunct define a constant C: `C == expr` (either
-    side) whose expression does not mention C, and, for an integer C, a pin
+    side) whose expression does not mention C and involves no other width
+    (no cast, no constant of another type; `==` compares such operands
+    mathematically, so C is left free instead), and, for an integer C, a pin
     pair `C <=u k` and `C >=u k`, which defines C := k.  A k that is no
     pattern of C's width admits no value at all; C is then derived as k
     wrapped to its width, which the pin rejects, so an unsatisfiable pin
@@ -777,7 +783,8 @@ def split_const_defs(rule: Rule):
         for tgt, other in ((conj.a, conj.b), (conj.b, conj.a)):
             if (isinstance(tgt, CConst) and tgt.name in types
                     and tgt.name not in candidates
-                    and tgt.name not in _const_names(other)):
+                    and tgt.name not in _const_names(other)
+                    and not _mixes_widths(other, types[tgt.name], types)):
                 candidates[tgt.name] = other
                 break
     # consts with no candidate definition are enumerated; candidates whose

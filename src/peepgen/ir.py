@@ -469,16 +469,6 @@ def pred_param_refs(p: Predicate) -> set:
     return refs | {e.name for e in iter_expr(p) if isinstance(e, CRef)}
 
 
-def pred_width_vars(p: Predicate) -> set:
-    names: set = set()
-    for e in iter_expr(p):
-        if isinstance(e, CWidth):
-            names.add(e.name)
-        elif isinstance(e, CCast) and isinstance(e.width, str):
-            names.add(e.width)
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Rules
 
@@ -491,10 +481,6 @@ class Rule:
     pre: tuple  # conjunct list; empty means True
     lhs: Function
     rhs: Function
-
-    @property
-    def is_instance(self) -> bool:
-        return not self.sym_consts and not self.width_vars and not self.pre
 
     def sym_const_type(self, name: str) -> Optional[Type]:
         for cname, ty in self.sym_consts:

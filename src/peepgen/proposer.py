@@ -310,8 +310,6 @@ def _value_bound(fn: Function, index: int):
         if inner is not None and isinstance(instr.ty, IntType):
             return CCast("zext", inner, instr.ty.width)
         return None
-    if instr.op in ("lshr", "urem", "umin"):
-        return None
     return None
 
 

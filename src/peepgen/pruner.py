@@ -7,13 +7,13 @@ is eliminated after every acceptance and the sweep repeats to a fixpoint.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cost as costmod
 from . import verifier
-from .ir import Function, Rule, abstract_local, dce_function, params_used
+from .ir import (Function, Rule, abstract_local, dce_function, params_used,
+                 pred_param_refs)
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,18 @@ class PruneLog:
             ],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 # ---------------------------------------------------------------------------
 # Dead-code elimination
 
 
 def dce(rule: Rule) -> Rule:
-    """Remove dead instructions, then parameters dead on both sides."""
+    """Remove dead instructions, then parameters dead on both sides and
+    unreferenced by the precondition."""
     lhs, rhs = dce_function(rule.lhs), dce_function(rule.rhs)
     used = params_used(lhs) | params_used(rhs)
+    for conj in rule.pre:
+        used |= pred_param_refs(conj)
     params = tuple((n, t) for n, t in lhs.params if n in used)
     lhs = Function(lhs.name, params, lhs.body, lhs.ret)
     rhs = Function(rhs.name, params, rhs.body, rhs.ret)
@@ -85,7 +85,8 @@ def prune(instance: Rule, budget: Optional[verifier.Budget] = None,
                 suffix += 1
                 fresh = f"newvar_v{i}_{suffix}"
             lhs, rhs = abstract_local(current.lhs, current.rhs, i, fresh)
-            candidate = dce(Rule(current.name, (), (), (), lhs, rhs))
+            candidate = dce(Rule(current.name, current.sym_consts,
+                                 current.width_vars, current.pre, lhs, rhs))
             lc, rc = costmod.cost(candidate.lhs, table), costmod.cost(candidate.rhs, table)
             verdict = verifier.check_refinement(candidate, {}, budget)
             if verdict.kind != "verified":

@@ -389,12 +389,6 @@ def eval_function(fn: Function, args: list) -> Value:
 # whatever they are combined with.
 
 
-def _as_int(v) -> Optional[int]:
-    if isinstance(v, int):
-        return v
-    return None
-
-
 def _cbin_int(op: str, av: int, bv: int, w: Optional[int]):
     # math at width w (None = unbounded)
     def wrap(x: int) -> int:

@@ -2,13 +2,21 @@
 recursive width/precision reduction.
 
 The joint (constants, inputs) space is enumerated exhaustively when it fits
-the budget; above the limit, satisfying constant assignments are drawn by
-rejection sampling and inputs are sampled with a special-value set mixed in.
-Every Refuted verdict carries a counterexample that is re-checked with the
-scalar evaluator before being returned (self-validation).
+the budget.  Above the limit, a special-value pass first crosses the
+satisfying special constant tuples with special inputs; then the sampled
+scan checks satisfying constant assignments (enumerated and subsampled, or
+drawn by rejection sampling) against sampled inputs with a special-value set
+mixed in.  Every check runs through one scan loop (`_scan`) over
+(inputs, constants, count) slices: the exhaustive check and the special pass
+loop over the smaller of the constant and input axes and vectorise the
+larger; the sampled scan loops over its constants.  Every satisfying
+constant set is built by one filter (`_satisfying`).  Every Refuted verdict
+carries a counterexample that is re-checked with the scalar evaluator before
+being returned (self-validation).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -151,22 +159,24 @@ def _digits_to_data(digits, ty):
     return engine.patterns_to_vval(digits, ty).data
 
 
-def _compute_derived(consts: dict, defs: list):
-    """Extend `consts` with derived constants (in definition order)."""
-    for name, expr, ty in defs:
-        cv = engine.eval_constexpr_vec(expr, consts)
-        if isinstance(ty, FloatType):
-            data = np.asarray(cv.data, dtype=f"float{ty.bits}")
-        else:
-            if cv.width is None:
-                data = engine.udtype(ty.width)(to_unsigned(int(cv.data), ty.width))
-            elif cv.width == ty.width:
-                data = np.asarray(cv.data)
-            else:
-                raise engine.UnsupportedConstruct(
-                    f"derived constant {name} width mismatch")
-        consts[name] = (data, ty)
-    return consts
+def _vvals(decls, patterns: list) -> dict:
+    return {name: engine.patterns_to_vval(p, ty)
+            for (name, ty), p in zip(decls, patterns)}
+
+
+def _digit_chunks(decls):
+    """Every pattern tuple of `decls` in flat order, one chunk at a time:
+    yields (mixed-radix digit arrays, tuple count)."""
+    sizes = [engine.space_of(ty) for _, ty in decls]
+    total = math.prod(sizes)
+    for start in range(0, total, _CHUNK):
+        end = min(start + _CHUNK, total)
+        yield engine.unravel_chunk(sizes, start, end) if sizes else [], end - start
+
+
+def _const_count(const_map: dict) -> int:
+    """Assignments in a constant map; a map of no constants holds one."""
+    return len(next(iter(const_map.values()))[0]) if const_map else 1
 
 
 def typed_const_defs(resolved: Rule) -> tuple:
@@ -177,33 +187,42 @@ def typed_const_defs(resolved: Rule) -> tuple:
     return free, [(name, expr, types[name]) for name, expr in defs]
 
 
-def _filter_chunk(consts: dict, const_only, n: int):
-    ok = engine.eval_pred_vec(const_only, {}, consts)
-    return np.broadcast_to(np.asarray(ok, dtype=bool), (n,))
+def _satisfying(free: list, defs: list, const_only, patterns: list,
+                n: int) -> dict:
+    """The assignments among `n` patterns of the free constants that satisfy
+    the const-only conjuncts, with the derived constants computed in
+    definition order: name -> (array, Type), free constants first."""
+    consts = {name: (_digits_to_data(p, ty), ty)
+              for (name, ty), p in zip(free, patterns)}
+    for name, expr, ty in defs:
+        cv = engine.eval_constexpr_vec(expr, consts)
+        if isinstance(ty, FloatType):
+            data = np.asarray(cv.data, dtype=f"float{ty.bits}")
+        elif cv.width is None:
+            data = engine.udtype(ty.width)(to_unsigned(int(cv.data), ty.width))
+        elif cv.width == ty.width:
+            data = np.asarray(cv.data)
+        else:
+            raise engine.UnsupportedConstruct(
+                f"derived constant {name} width mismatch")
+        consts[name] = (data, ty)
+    keep = np.broadcast_to(np.asarray(
+        engine.eval_pred_vec(const_only, {}, consts), dtype=bool), (n,))
+    return {name: (np.broadcast_to(np.asarray(data), (n,))[keep], ty)
+            for name, (data, ty) in consts.items()}
+
+
+def _join(resolved: Rule, batches: list) -> dict:
+    """Concatenate `_satisfying` batches, in declaration order."""
+    return {name: (np.concatenate([b[name][0] for b in batches]), ty)
+            for name, ty in resolved.sym_consts}
 
 
 def enumerate_satisfying_consts(resolved: Rule, free: list, defs: list,
                                 const_only) -> dict:
     """All satisfying constant assignments; returns name -> (array, Type)."""
-    sizes = [engine.space_of(ty) for _, ty in free]
-    total = math.prod(sizes) if sizes else 1
-    names = [n for n, _ in resolved.sym_consts]
-    collected: dict = {n: [] for n in names}
-    for start in range(0, total, _CHUNK):
-        end = min(start + _CHUNK, total)
-        digits = engine.unravel_chunk(sizes, start, end) if sizes else []
-        consts = {}
-        for (name, ty), d in zip(free, digits):
-            consts[name] = (_digits_to_data(d, ty), ty)
-        _compute_derived(consts, defs)
-        keep = _filter_chunk(consts, const_only, end - start)
-        for n in names:
-            data, ty = consts[n]
-            data = np.broadcast_to(np.asarray(data), (end - start,))
-            collected[n].append(data[keep])
-    types = dict(resolved.sym_consts)
-    return {n: (np.concatenate(collected[n]) if collected[n] else np.array([]),
-                types[n]) for n in names}
+    return _join(resolved, [_satisfying(free, defs, const_only, digits, n)
+                            for digits, n in _digit_chunks(free)])
 
 
 def _type_pools(types: list) -> list:
@@ -220,11 +239,6 @@ def _cross_pools(pools: list, cap: int) -> list:
         return [g.reshape(-1) for g in grids]
     n = max(len(p) for p in pools)
     return [np.resize(p, n) for p in pools]
-
-
-def _special_tuples_wide(types: list, cap: int) -> list:
-    """Cross product (capped) of per-type special values."""
-    return _cross_pools(_type_pools(types), cap)
 
 
 def _harvested_literals(resolved: Rule) -> list:
@@ -265,56 +279,45 @@ def _sample_free_patterns(rng, free: list, n: int) -> list:
     return out
 
 
+def _sampled_patterns(rng, decls: list, n: int, cap: int) -> list:
+    """`n` random patterns per declaration, then the special-value cross
+    product (up to `cap` tuples)."""
+    pats = _sample_free_patterns(rng, decls, n)
+    specials = _cross_pools(_type_pools([ty for _, ty in decls]), cap)
+    if specials:
+        pats = [np.concatenate([p, s.astype(p.dtype)])
+                for p, s in zip(pats, specials)]
+    return pats
+
+
 def sample_satisfying_consts(resolved: Rule, free: list, defs: list,
                              const_only, budget: Budget, rng) -> Optional[dict]:
-    """Rejection-sample satisfying assignments; None when the cap is hit
-    without finding any."""
-    names = [n for n, _ in resolved.sym_consts]
-    types = dict(resolved.sym_consts)
-    collected: dict = {n: [] for n in names}
-    found = 0
-    drawn = 0
-
-    def consume(pattern_arrays: list, count: int) -> int:
-        nonlocal found
-        consts = {}
-        for (name, ty), pats in zip(free, pattern_arrays):
-            consts[name] = (_digits_to_data(pats, ty), ty)
-        _compute_derived(consts, defs)
-        keep = _filter_chunk(consts, const_only, count)
-        kept = int(keep.sum())
-        if kept:
-            for n in names:
-                data, ty = consts[n]
-                data = np.broadcast_to(np.asarray(data), (count,))
-                collected[n].append(data[keep])
-            found += kept
-        return kept
-
-    specials = (_cross_pools(_const_special_pools(resolved, free), _CHUNK)
-                if free else [])
+    """Rejection-sample satisfying assignments, special values first; None
+    when the cap is hit without finding any."""
+    batches = []
+    specials = _cross_pools(_const_special_pools(resolved, free), _CHUNK)
     if specials:
-        consume(specials, len(specials[0]))
-    batch = 8192
+        batches.append(_satisfying(free, defs, const_only, specials,
+                                   len(specials[0])))
+    found = sum(map(_const_count, batches))
+    drawn = 0
     while found < budget.constant_sample_count and drawn < REJECTION_CAP:
-        take = min(batch, REJECTION_CAP - drawn)
-        consume(_sample_free_patterns(rng, free, take), take)
+        take = min(8192, REJECTION_CAP - drawn)
+        batches.append(_satisfying(free, defs, const_only,
+                                   _sample_free_patterns(rng, free, take), take))
+        found += _const_count(batches[-1])
         drawn += take
     if found == 0:
         return None
     limit = budget.constant_sample_count
-    out = {}
-    for n in names:
-        data = np.concatenate(collected[n])
-        out[n] = (data[:limit] if len(data) > limit else data, types[n])
-    return out
+    return {name: (data[:limit], ty)
+            for name, (data, ty) in _join(resolved, batches).items()}
 
 
 def _choose_consts(const_map: dict, count: int, rng) -> dict:
     if not const_map:
         return const_map
-    some = next(iter(const_map.values()))[0]
-    total = len(some)
+    total = _const_count(const_map)
     if total <= count:
         return const_map
     idx = rng.choice(total, size=count, replace=False)
@@ -328,17 +331,8 @@ def _satisfying_specials(resolved: Rule, free: list, defs: list,
                             _SPECIAL_CROSS_CAP)
     if not specials:
         return None
-    n = len(specials[0])
-    consts = {}
-    for (name, ty), pats in zip(free, specials):
-        consts[name] = (_digits_to_data(pats, ty), ty)
-    _compute_derived(consts, defs)
-    keep = _filter_chunk(consts, const_only, n)
-    if not keep.any():
-        return None
-    types = dict(resolved.sym_consts)
-    return {name: (np.broadcast_to(np.asarray(data), (n,))[keep], types[name])
-            for name, (data, _ty) in consts.items()}
+    sat = _satisfying(free, defs, const_only, specials, len(specials[0]))
+    return sat if _const_count(sat) else None
 
 
 def _concat_const_maps(a: dict, b: Optional[dict]) -> dict:
@@ -348,67 +342,18 @@ def _concat_const_maps(a: dict, b: Optional[dict]) -> dict:
             for n, (arr, ty) in a.items()}
 
 
-def _special_cross_refute(resolved: Rule, widths: dict, free: list, defs: list,
-                          const_only, budget: Budget) -> Optional[Verdict]:
-    """Scan every satisfying special constant tuple against special inputs.
-
-    Random constant selection can miss narrow corner regions entirely; this
-    pass makes refutation on the special-value grid deterministic.  The
-    smaller axis is looped, the larger vectorized.
-    """
-    if not resolved.sym_consts:
-        return None
-    param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
-    sp_consts = _satisfying_specials(resolved, free, defs, const_only)
-    if sp_consts is None:
-        return None
-    nc = len(next(iter(sp_consts.values()))[0])
-    sp = _special_tuples_wide([ty for _, ty in resolved.lhs.params],
-                              _SPECIAL_CROSS_CAP)
-    pdata = {name: _digits_to_data(p, ty)
-             for (name, ty), p in zip(resolved.lhs.params, sp)}
-    np_ = len(sp[0]) if sp else 1
-    if nc <= np_:
-        params = {name: engine.VVal(pdata[name], None, ty)
-                  for name, ty in resolved.lhs.params}
-        for i in range(min(nc, _SPECIAL_LOOP_CAP)):
-            consts = _index_consts(sp_consts, i)
-            viol, lv, rv = _violation(resolved, params, consts, param_conjs)
-            hit = _first_true(viol, np_)
-            if hit is not None:
-                cx = _extract_point(resolved, widths, params, consts, lv, rv,
-                                    hit, np_)
-                return _refute(resolved, cx, budget)
-    else:
-        for j in range(min(np_, _SPECIAL_LOOP_CAP)):
-            point = {name: engine.VVal(pdata[name][j:j + 1], None, ty)
-                     for name, ty in resolved.lhs.params}
-            viol, lv, rv = _violation(resolved, point, sp_consts, param_conjs)
-            hit = _first_true(viol, nc)
-            if hit is not None:
-                cx = _extract_point(resolved, widths, point, sp_consts, lv, rv,
-                                    hit, nc)
-                return _refute(resolved, cx, budget)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Cross-space scanning
 
 
-def _param_grid_chunks(fn: Function, chunk: int):
-    sizes = [engine.space_of(ty) for _, ty in fn.params]
-    total = math.prod(sizes) if sizes else 1
-    for start in range(0, total, chunk):
-        end = min(start + chunk, total)
-        digits = engine.unravel_chunk(sizes, start, end) if sizes else []
-        params = {}
-        for (name, ty), d in zip(fn.params, digits):
-            params[name] = engine.patterns_to_vval(d, ty)
+def _param_grid_chunks(fn: Function):
+    for digits, n in _digit_chunks(fn.params):
+        params = _vvals(fn.params, digits)
+        for v in params.values():
             # grids are reused across constants: an evaluator writing into
             # its inputs would corrupt the next scan, so make that an error
-            params[name].data.setflags(write=False)
-        yield params, end - start
+            v.data.setflags(write=False)
+        yield params, n
 
 
 class _StreamedGrid:
@@ -419,7 +364,7 @@ class _StreamedGrid:
         self.fn = fn
 
     def __iter__(self):
-        return _param_grid_chunks(self.fn, _CHUNK)
+        return _param_grid_chunks(self.fn)
 
 
 def _input_grid(fn: Function):
@@ -427,47 +372,64 @@ def _input_grid(fn: Function):
     grid that fits one chunk is built once and its arrays are reused."""
     if _space(fn.params) > _CHUNK:
         return _StreamedGrid(fn)
-    return list(_param_grid_chunks(fn, _CHUNK))
+    return list(_param_grid_chunks(fn))
 
 
-def _sampled_params(fn: Function, budget: Budget, rng) -> tuple:
-    arrays = {}
-    n = budget.sample_count
-    for name, ty in fn.params:
-        if isinstance(ty, FloatType):
-            pats = engine.sample_float_patterns(rng, ty.bits, n)
-        else:
-            pats = engine.sample_int_patterns(rng, ty.width, n)
-        arrays[name] = pats
-    specials = _special_tuples_wide([ty for _, ty in fn.params],
-                                    _SPECIAL_CROSS_CAP)
-    if specials:
-        for (name, ty), pats in zip(fn.params, specials):
-            arrays[name] = np.concatenate(
-                [arrays[name], pats.astype(arrays[name].dtype)])
-    count = len(next(iter(arrays.values()))) if arrays else 1
-    params = {name: engine.patterns_to_vval(arrays[name], ty)
-              for name, ty in fn.params}
-    return params, count
+def _slices(const_map: dict, grid, points: Optional[int] = None,
+            cap: Optional[int] = None):
+    """The (params, consts, n) slices of constants x inputs in scan order.
+
+    Each constant assignment in turn is checked against the vectorised input
+    grid, unless the grid's point count `points` is given and is below the
+    number of assignments: then each input point in turn is checked against
+    the vectorised constants.  `cap` bounds the looped axis.
+    """
+    nc = _const_count(const_map)
+    if const_map and points is not None and nc > points:
+        rows = (({name: engine.VVal(np.asarray(v.data).reshape(-1)[j:j + 1],
+                                    None, v.ty) for name, v in params.items()},
+                 const_map, nc)
+                for params, n in grid for j in range(n))
+        yield from itertools.islice(rows, cap)
+        return
+    for i in range(nc)[:cap]:
+        consts = {name: (np.asarray(arr)[i], ty)
+                  for name, (arr, ty) in const_map.items()}
+        for params, n in grid:
+            yield params, consts, n
 
 
-def _index_consts(const_map: dict, i: int) -> dict:
-    return {n: (np.asarray(arr)[i], ty) for n, (arr, ty) in const_map.items()}
+def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
+    """Check the slices in order; returns (Refuted at the first violation, or
+    None; the number of points checked)."""
+    param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
+    checked = 0
+    for params, consts, n in slices:
+        lv = engine.eval_function_vec(resolved.lhs, params, consts)
+        rv = engine.eval_function_vec(resolved.rhs, params, consts)
+        viol = ~np.asarray(engine.values_equal_vec(lv, rv), dtype=bool)
+        if rv.poison is not None:
+            viol = viol | rv.poison
+        if lv.poison is not None:
+            viol = viol & ~lv.poison
+        if param_conjs:
+            pre = engine.eval_pred_vec(param_conjs, params, consts)
+            viol = viol & np.asarray(pre, dtype=bool)
+        checked += n
+        hit = _first_true(viol, n)
+        if hit is not None:
+            cx = _extract_point(resolved, widths, params, consts, lv, rv, hit, n)
+            if not replay_counterexample(resolved, cx):
+                raise ReplayMismatch(
+                    f"counterexample does not replay under scalar semantics: {cx}")
+            return Refuted(cx, budget.rng_seed), checked
+    return None, checked
 
 
-def _violation(resolved: Rule, params: dict, consts: dict, param_conjs):
-    lv = engine.eval_function_vec(resolved.lhs, params, consts)
-    rv = engine.eval_function_vec(resolved.rhs, params, consts)
-    ok = engine.values_equal_vec(lv, rv)
-    viol = ~np.asarray(ok, dtype=bool)
-    if rv.poison is not None:
-        viol = viol | rv.poison
-    if lv.poison is not None:
-        viol = viol & ~lv.poison
-    if param_conjs:
-        pre = engine.eval_pred_vec(param_conjs, params, consts)
-        viol = viol & np.asarray(pre, dtype=bool)
-    return viol, lv, rv
+def _first_true(viol, n: int) -> Optional[int]:
+    v = np.broadcast_to(np.asarray(viol, dtype=bool), (n,))
+    idx = np.flatnonzero(v)
+    return int(idx[0]) if len(idx) else None
 
 
 def _extract_point(resolved: Rule, widths: dict, params: dict, consts: dict,
@@ -511,123 +473,91 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
     rng = np.random.default_rng(budget.rng_seed)
 
     const_only = [c for c in resolved.pre if not pred_param_refs(c)]
-    param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
     free, defs = typed_const_defs(resolved)
 
     cspace = _space(free)
     pspace = _space(resolved.lhs.params)
 
+    const_map = None  # None: too many constants to enumerate, sample them
     if cspace <= min(budget.exhaustive_limit, _ENUM_CAP):
         const_map = enumerate_satisfying_consts(resolved, free, defs, const_only)
-        sat = len(next(iter(const_map.values()))[0]) if const_map else 1
-        if resolved.sym_consts and sat == 0:
+        sat = _const_count(const_map)
+        if sat == 0:
             return Inconclusive("NoSatisfyingConstants",
                                 "no constant assignment satisfies the precondition")
-        if sat * pspace <= budget.exhaustive_limit or budget.sample_count == 0:
-            if sat * pspace > budget.exhaustive_limit:
-                return Inconclusive(
-                    "BudgetExceeded",
-                    f"joint satisfying space {sat}x{pspace} exceeds "
-                    f"{budget.exhaustive_limit} and sampling is disabled")
-            return _scan_exhaustive(resolved, widths, const_map, sat, pspace, budget)
-        refuted = _special_cross_refute(resolved, widths, free, defs,
-                                        const_only, budget)
-        if refuted is not None:
-            return refuted
-        const_map = _choose_consts(const_map, budget.constant_sample_count, rng)
-        const_map = _concat_const_maps(
-            const_map, _satisfying_specials(resolved, free, defs, const_only))
-        return _scan_sampled(resolved, widths, const_map, budget, rng)
-
-    if budget.sample_count == 0:
+        if sat * pspace <= budget.exhaustive_limit:
+            grid = _input_grid(resolved.lhs)
+            refuted, checked = _scan(resolved, widths,
+                                     _slices(const_map, grid, pspace), budget)
+            return refuted or Verified(
+                "exhaustive", checked, f"{sat} constants x {pspace} inputs",
+                budget.rng_seed)
+        if budget.sample_count == 0:
+            return Inconclusive(
+                "BudgetExceeded",
+                f"joint satisfying space {sat}x{pspace} exceeds "
+                f"{budget.exhaustive_limit} and sampling is disabled")
+    elif budget.sample_count == 0:
         return Inconclusive(
             "BudgetExceeded",
             f"constant space {cspace} exceeds {budget.exhaustive_limit} "
             "and sampling is disabled")
-    refuted = _special_cross_refute(resolved, widths, free, defs, const_only,
-                                    budget)
+
+    # the special-value pass, then the sampled scan
+    specials = _satisfying_specials(resolved, free, defs, const_only)
+    refuted = _special_cross_refute(resolved, widths, specials, budget)
     if refuted is not None:
         return refuted
-    const_map = sample_satisfying_consts(resolved, free, defs, const_only,
-                                         budget, rng)
     if const_map is None:
-        return Inconclusive("NoSatisfyingConstants",
-                            f"no satisfying constants in {REJECTION_CAP} draws")
+        const_map = sample_satisfying_consts(resolved, free, defs, const_only,
+                                             budget, rng)
+        if const_map is None:
+            return Inconclusive("NoSatisfyingConstants",
+                                f"no satisfying constants in {REJECTION_CAP} draws")
+    else:
+        const_map = _concat_const_maps(
+            _choose_consts(const_map, budget.constant_sample_count, rng),
+            specials)
     return _scan_sampled(resolved, widths, const_map, budget, rng)
 
 
-def _scan_exhaustive(resolved: Rule, widths: dict, const_map: dict, sat: int,
-                     pspace: int, budget: Budget) -> Verdict:
-    param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
-    space = f"{max(sat, 1)} constants x {pspace} inputs"
-    checked = 0
-    if not const_map or sat <= pspace:
-        # loop constants (possibly none), vectorize inputs
-        grid = _input_grid(resolved.lhs)
-        for i in range(max(sat, 1) if const_map else 1):
-            consts = _index_consts(const_map, i) if const_map else {}
-            for params, n in grid:
-                viol, lv, rv = _violation(resolved, params, consts, param_conjs)
-                checked += n
-                hit = _first_true(viol, n)
-                if hit is not None:
-                    cx = _extract_point(resolved, widths, params, consts, lv, rv,
-                                        hit, n)
-                    return _refute(resolved, cx, budget)
-    else:
-        # loop inputs, vectorize constants
-        for params, n in _param_grid_chunks(resolved.lhs, 4096):
-            for j in range(n):
-                point = {name: engine.VVal(np.asarray(v.data).reshape(-1)[j:j + 1],
-                                           None, v.ty)
-                         for name, v in params.items()}
-                viol, lv, rv = _violation(resolved, point, const_map, param_conjs)
-                checked += sat
-                hit = _first_true(viol, sat)
-                if hit is not None:
-                    cx = _extract_point(resolved, widths, point, const_map, lv, rv,
-                                        hit, sat)
-                    return _refute(resolved, cx, budget)
-    return Verified("exhaustive", checked, space, budget.rng_seed)
+def _special_cross_refute(resolved: Rule, widths: dict,
+                          sp_consts: Optional[dict],
+                          budget: Budget) -> Optional[Verdict]:
+    """Scan the satisfying special constant tuples against special inputs.
+
+    Random constant selection can miss narrow corner regions entirely; this
+    pass makes refutation on the special-value grid deterministic.  At most
+    `_SPECIAL_LOOP_CAP` entries of the looped axis are scanned.
+    """
+    if sp_consts is None:
+        return None
+    fn = resolved.lhs
+    sp = _cross_pools(_type_pools([ty for _, ty in fn.params]),
+                      _SPECIAL_CROSS_CAP)
+    points = len(sp[0]) if sp else 1
+    slices = _slices(sp_consts, [(_vvals(fn.params, sp), points)], points,
+                     _SPECIAL_LOOP_CAP)
+    return _scan(resolved, widths, slices, budget)[0]
 
 
 def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
                   budget: Budget, rng) -> Verdict:
-    param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
-    sat = len(next(iter(const_map.values()))[0]) if const_map else 1
-    pspace = _space(resolved.lhs.params)
+    """Loop over the constants, each against the full input grid when it
+    holds no more than `sample_count` points, else against sampled inputs."""
+    fn = resolved.lhs
+    pspace = _space(fn.params)
     full_grid = pspace <= max(budget.sample_count, 1)
-    checked = 0
     if full_grid:
-        grid = _input_grid(resolved.lhs)
+        grid = _input_grid(fn)
     else:
-        grid = [_sampled_params(resolved.lhs, budget, rng)]
-    for i in range(max(sat, 1)):
-        consts = _index_consts(const_map, i) if const_map else {}
-        for params, n in grid:
-            viol, lv, rv = _violation(resolved, params, consts, param_conjs)
-            checked += n
-            hit = _first_true(viol, n)
-            if hit is not None:
-                cx = _extract_point(resolved, widths, params, consts, lv, rv,
-                                    hit, n)
-                return _refute(resolved, cx, budget)
-    space = f"{max(sat, 1)} sampled constants x " + (
+        pats = _sampled_patterns(rng, fn.params, budget.sample_count,
+                                 _SPECIAL_CROSS_CAP)
+        grid = [(_vvals(fn.params, pats), len(pats[0]))]
+    refuted, checked = _scan(resolved, widths, _slices(const_map, grid), budget)
+    space = f"{_const_count(const_map)} sampled constants x " + (
         f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")
-    return Verified("sampled", checked, space, budget.rng_seed)
-
-
-def _first_true(viol, n: int) -> Optional[int]:
-    v = np.broadcast_to(np.asarray(viol, dtype=bool), (n,))
-    idx = np.flatnonzero(v)
-    return int(idx[0]) if len(idx) else None
-
-
-def _refute(resolved: Rule, cx: Counterexample, budget: Budget) -> Verdict:
-    if not replay_counterexample(resolved, cx):
-        raise ReplayMismatch(
-            f"counterexample does not replay under scalar semantics: {cx}")
-    return Refuted(cx, budget.rng_seed)
+    return refuted or Verified("sampled", checked, space, budget.rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -677,75 +607,46 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
     refs = set()
     for c in tuple(resolved.pre) + weak:
         refs |= pred_param_refs(c)
-    if refs:
-        # parameters appear in a predicate; fold them into the point space as
-        # extra enumerated/sampled dimensions
-        dims = [(n, ty) for n, ty in resolved.lhs.params if n in refs]
-    else:
-        dims = []
+    # parameters that appear in a predicate are folded into the point space
+    # as extra enumerated/sampled dimensions
     free = list(resolved.sym_consts)
-    space = _space(free + dims)
-    rng = np.random.default_rng(budget.rng_seed)
+    decls = free + [(n, ty) for n, ty in resolved.lhs.params if n in refs]
+    space = _space(decls)
+    exhaustive = space <= budget.exhaustive_limit
+    if exhaustive:
+        batches = _digit_chunks(decls)
+    elif budget.sample_count == 0:
+        return Inconclusive("BudgetExceeded",
+                            f"point space {space} exceeds the budget "
+                            "and sampling is disabled")
+    else:
+        # predicates are cheap to evaluate, so the special cross can be much
+        # larger here than in function scans
+        pats = _sampled_patterns(np.random.default_rng(budget.rng_seed), decls,
+                                 budget.sample_count, _CHUNK)
+        batches = [(pats, len(pats[0]))]
 
     a_fail = None
     b_witness = None
-
-    def scan(consts: dict, params: dict, n: int):
-        nonlocal a_fail, b_witness
+    for pats, n in batches:
+        consts = {name: (_digits_to_data(p, ty), ty)
+                  for (name, ty), p in zip(free, pats)}
+        params = _vvals(decls[len(free):], pats[len(free):])
         pre_ok = np.broadcast_to(
             np.asarray(engine.eval_pred_vec(tuple(resolved.pre), params, consts),
                        dtype=bool), (n,))
         weak_ok = np.broadcast_to(
             np.asarray(engine.eval_pred_vec(weak, params, consts), dtype=bool), (n,))
         if a_fail is None:
-            bad = pre_ok & ~weak_ok
-            i = _first_true(bad, n)
+            i = _first_true(pre_ok & ~weak_ok, n)
             if i is not None:
                 a_fail = _point_at(consts, params, i)
         if b_witness is None:
-            good = weak_ok & ~pre_ok
-            i = _first_true(good, n)
+            i = _first_true(weak_ok & ~pre_ok, n)
             if i is not None:
                 b_witness = _point_at(consts, params, i)
-
-    if space <= budget.exhaustive_limit:
-        sizes = [engine.space_of(ty) for _, ty in free + dims]
-        for start in range(0, space, _CHUNK):
-            end = min(start + _CHUNK, space)
-            digits = engine.unravel_chunk(sizes, start, end) if sizes else []
-            consts = {}
-            params = {}
-            for (name, ty), d in zip(free, digits[:len(free)]):
-                consts[name] = (_digits_to_data(d, ty), ty)
-            for (name, ty), d in zip(dims, digits[len(free):]):
-                params[name] = engine.patterns_to_vval(d, ty)
-            scan(consts, params, end - start)
-            if a_fail is not None and b_witness is not None:
-                break
-        exhaustive = True
-    else:
-        if budget.sample_count == 0:
-            return Inconclusive("BudgetExceeded",
-                                f"point space {space} exceeds the budget "
-                                "and sampling is disabled")
-        n = budget.sample_count
-        pats = _sample_free_patterns(rng, free + dims, n)
-        # predicates are cheap to evaluate, so the special cross can be much
-        # larger here than in function scans
-        specials = _special_tuples_wide(
-            [ty for _, ty in free + dims], _CHUNK)
-        if specials:
-            pats = [np.concatenate([p, s.astype(p.dtype)])
-                    for p, s in zip(pats, specials)]
-            n = len(pats[0])
-        consts = {}
-        params = {}
-        for (name, ty), p in zip(free, pats[:len(free)]):
-            consts[name] = (_digits_to_data(p, ty), ty)
-        for (name, ty), p in zip(dims, pats[len(free):]):
-            params[name] = engine.patterns_to_vval(p, ty)
-        scan(consts, params, n)
-        exhaustive = False
+        if a_fail is not None and b_witness is not None:
+            break
 
     if a_fail is not None:
         return EquivalentOrIncomparable("not_implied", a_fail)

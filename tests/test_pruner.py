@@ -67,3 +67,38 @@ def test_prune_deterministic():
     b, lb = prune(_prune_instance())
     assert textfmt.print_rule(a) == textfmt.print_rule(b)
     assert la.to_json() == lb.to_json()
+
+
+def test_prune_keeps_constants_and_precondition():
+    # x is abstracted away; y is referenced only by the precondition
+    rule = parse("""
+rule "mod_div_const" {
+  const C1: i8;
+  pre: C1 != 0 && RangeU(%y, 0, 3);
+  lhs fn(x: i16, y: i8) -> i8 {
+    %0 = trunc i16 %x to i8;
+    %1 = urem i8 %0, C1;
+    %2 = udiv i8 %1, C1;
+    ret %2
+  }
+  rhs fn(x: i16, y: i8) -> i8 {
+    %0 = trunc i16 %x to i8;
+    %1 = and i8 %0, 0;
+    ret %1
+  }
+}
+""")
+    pruned, log = prune(rule)
+    assert pruned.sym_consts == rule.sym_consts
+    assert pruned.pre == rule.pre
+    assert [n for n, _ in pruned.lhs.params] == ["y", "newvar_v0"]
+    assert "trunc" not in textfmt.print_rule(pruned)
+    assert log.attempts[0].outcome == "accepted"
+    assert check_refinement(pruned, {}, Budget()).kind == "verified"
+
+
+def test_prune_rule_with_symbolic_constants():
+    rule = parse((FIXTURES / "rules" / "clamp_range.peep").read_text())
+    pruned, log = prune(rule)
+    assert textfmt.print_rule(pruned) == textfmt.print_rule(rule)
+    assert [a.outcome for a in log.attempts] == ["refuted"] * 4

@@ -293,3 +293,107 @@ rule "nested_ref" {{
     verdict = check_refinement(rule, {}, Budget())
     assert isinstance(verdict, Verified)
     assert (verdict.mode, verdict.points) == ("exhaustive", 256)
+
+
+MIXED_WIDTH_RULE = """
+rule "mixed_width" {{
+  const C1: i8;
+  const C2: i16;
+  pre: C1 == C2;
+  lhs fn(x: i8) -> i8 {{
+    %0 = trunc i16 C2 to i8;
+    %1 = {op} i8 %x, %0;
+    ret %1
+  }}
+  rhs fn(x: i8) -> i8 {{ %0 = add i8 %x, C1; ret %0 }}
+}}
+"""
+
+
+def test_mixed_width_definition_leaves_constants_free():
+    # `==` compares an i8 and an i16 mathematically (equal as unsigned or as
+    # signed values), so neither constant is derived from the other: both
+    # are enumerated, and the 384 pairs where C2 is C1 zero- or
+    # sign-extended satisfy the precondition
+    verdict = check_refinement(parse(MIXED_WIDTH_RULE.format(op="add")),
+                               {}, Budget())
+    assert verdict_to_json(verdict) == {
+        "kind": "verified", "mode": "exhaustive", "points": 384 * 256,
+        "space": "384 constants x 256 inputs", "seed": 0}
+    rule = parse(MIXED_WIDTH_RULE.format(op="sub"))
+    verdict = check_refinement(rule, {}, Budget())
+    assert isinstance(verdict, Refuted)
+    assert replay_counterexample(rule, verdict.counterexample)
+
+
+def _or_for_add_rule(cty, xty, pre):
+    # lhs and rhs differ exactly where x and C1 share a set bit, so the first
+    # counterexample depends on which of the two axes a scan loops over
+    x, ext, r = "%x", "", "%0"
+    if cty != xty:
+        x, ext, r = "%0", f"%0 = zext {xty} %x to {cty}; ", "%1"
+    return f"""
+rule "scan_order" {{
+  const C1: {cty};
+  pre: {pre};
+  lhs fn(x: {xty}) -> {cty} {{ {ext}{r} = add {cty} {x}, C1; ret {r} }}
+  rhs fn(x: {xty}) -> {cty} {{ {ext}{r} = or {cty} {x}, C1; ret {r} }}
+}}
+"""
+
+
+def _residue_rule(cty, pre, refutable=True):
+    # lhs holds where (x + C1) mod 1000 is 777, which no special input value
+    # reaches, so only the sampled scan can tell it from `ret 0`
+    body = f"""
+    %0 = {"zext i8 C1 to i32" if cty == "i8" else "add i32 C1, 0"};
+    %1 = add i32 %x, %0;
+    %2 = urem i32 %1, 1000;
+    %3 = icmp.eq i32 %2, 777;
+    ret %3
+  """
+    return f"""
+rule "scan_order" {{
+  const C1: {cty};
+  pre: {pre};
+  lhs fn(x: i32) -> i1 {{{body}}}
+  rhs fn(x: i32) -> i1 {{{"ret 0" if refutable else body}}}
+}}
+"""
+
+
+def _refuted(c1, x, lhs, rhs):
+    return {"kind": "refuted", "seed": 0, "counterexample": {
+        "consts": {"C1": c1}, "widths": {}, "inputs": {"x": x},
+        "lhs": lhs, "rhs": rhs}}
+
+
+@pytest.mark.parametrize("text, budget, expected", [
+    pytest.param(_or_for_add_rule("i8", "i8", "C1 >u 199"), Budget(),
+                 _refuted("0xc8", "0x8", "0xd0", "0xc8"),
+                 id="exhaustive-loops-constants"),
+    pytest.param(_or_for_add_rule("i8", "i4", "C1 >u 17"), Budget(),
+                 _refuted("0x13", "0x1", "0x14", "0x13"),
+                 id="exhaustive-loops-inputs"),
+    pytest.param(_or_for_add_rule("i32", "i32", "C1 >u 1001"), Budget(),
+                 _refuted("0x3ea", "0x2", "0x3ec", "0x3ea"),
+                 id="special-pass-loops-constants"),
+    pytest.param(_or_for_add_rule("i32", "i8", "C1 >u 1001"), Budget(),
+                 _refuted("0x3ff", "0x1", "0x400", "0x3ff"),
+                 id="special-pass-loops-inputs"),
+    pytest.param(_residue_rule("i8", "C1 >u 199"), Budget(),
+                 _refuted("0xc8", "0xe266ac39", "0x1", "0x0"),
+                 id="sampled-enumerated-constants"),
+    pytest.param(_residue_rule("i32", "C1 >u 1001"), Budget(),
+                 _refuted("0x3ea", "0x2247", "0x1", "0x0"),
+                 id="sampled-drawn-constants"),
+    pytest.param(_residue_rule("i32", "C1 >u 1001", refutable=False),
+                 Budget(sample_count=1000, constant_sample_count=20),
+                 {"kind": "verified", "mode": "sampled", "points": 21280,
+                  "space": "20 sampled constants x sampled inputs", "seed": 0},
+                 id="sampled-verified"),
+])
+def test_scan_order_pins_reported_counterexample(text, budget, expected):
+    # which counterexample a scan reports is decided by the order it visits
+    # (constant, input) points and by the order of its random draws
+    assert verdict_to_json(check_refinement(parse(text), {}, budget)) == expected

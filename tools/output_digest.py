@@ -1,0 +1,45 @@
+"""Print one sha256 per backend over everything `peepgen bench fixtures/`
+writes at seed 0: stdout, stderr and every `--report-dir` report.
+
+Two checkouts whose digests match produce byte-identical bench output, so a
+refactor that must not change behaviour is checked by running this script on
+the old and the new commit and comparing the printed lines.  Stdlib only.
+
+Run from anywhere:  python3 tools/output_digest.py [backend ...]
+(default backends: heuristic and replay:fixtures/replay)
+"""
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BACKENDS = ("heuristic", "replay:fixtures/replay")
+
+
+def digest(backend: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as reports:
+        proc = subprocess.run(
+            [sys.executable, "-m", "peepgen.cli", "bench", "fixtures/",
+             "--seed", "0", "--backend", backend, "--report-dir", reports],
+            cwd=ROOT, env=env, capture_output=True, check=False)
+        h = hashlib.sha256()
+        for label, data in (("exit", str(proc.returncode).encode()),
+                            ("stdout", proc.stdout), ("stderr", proc.stderr)):
+            h.update(f"{label} {len(data)}\n".encode() + data)
+        for path in sorted(pathlib.Path(reports).iterdir()):
+            data = path.read_bytes()
+            h.update(f"report {path.name} {len(data)}\n".encode() + data)
+    return h.hexdigest()
+
+
+def main() -> None:
+    for backend in sys.argv[1:] or BACKENDS:
+        print(f"{digest(backend)}  {backend}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
