@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified/success, 1 refuted (or generalize produced no
 strictly-more-general rule), 2 inconclusive, 64 usage error, 65 parse or
-validation error.
+validation error, 70 internal error (a bench instance raised an internal
+alarm).
 """
 from __future__ import annotations
 
@@ -18,12 +19,14 @@ from . import pipeline as pipemod
 from . import pruner, textfmt, verifier
 from .ir import PeepError, validate
 from .proposer import HeuristicBackend, LLMBackend, ReplayBackend
+from .semantics import EvalError
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_INTERNAL = 70
 
 _VERDICT_EXIT = {"verified": EXIT_VERIFIED, "refuted": EXIT_REFUTED,
                  "inconclusive": EXIT_INCONCLUSIVE}
@@ -245,18 +248,27 @@ _STAGES = ("symbolic_constants", "structural", "relax", "widths")
 
 
 def summarize_reports(rows: list) -> dict:
-    """Aggregate (name, domain, report-or-None) rows into a BenchSummary.
+    """Aggregate (name, domain, report-or-None[, alarm]) rows into a
+    BenchSummary.
 
-    A None report marks an instance rejected at ingestion (it failed
-    refinement or profitability before the pipeline ran); rejected
-    instances are excluded from success denominators.
+    A row with an alarm message is an instance that raised an internal
+    alarm (`ReplayMismatch`, `EvalError`): status "error", counted under
+    "errors", a key present only when some instance has one.  Otherwise a
+    None report marks an instance rejected at ingestion (it failed parsing,
+    validation, refinement or profitability before the pipeline ran);
+    rejected and errored instances are excluded from success denominators.
     """
     domains: dict = {}
     strategies = {s: {"effective": 0, "affected": 0} for s in _STAGES}
     instances = []
-    for name, domain, report in sorted(rows, key=lambda r: (r[1], r[0])):
+    for name, domain, report, *alarm in sorted(rows, key=lambda r: (r[1], r[0])):
         d = domains.setdefault(domain, {"instances": 0, "success": 0,
                                         "rejected": 0})
+        if alarm and alarm[0] is not None:
+            d["errors"] = d.get("errors", 0) + 1
+            instances.append({"name": name, "domain": domain,
+                              "status": "error", "error": alarm[0]})
+            continue
         if report is None:
             d["rejected"] += 1
             instances.append({"name": name, "domain": domain,
@@ -276,14 +288,17 @@ def summarize_reports(rows: list) -> dict:
                 if isinstance(v, int))
         instances.append({"name": name, "domain": domain,
                           "status": "success" if success else "failed"})
+    total = {key: sum(d[key] for d in domains.values())
+             for key in ("instances", "success", "rejected")}
+    errors = sum(d.get("errors", 0) for d in domains.values())
+    if errors:
+        total["errors"] = errors
     return {
         "schema": "peepgen-bench-1",
         "domains": domains,
         "strategies": strategies,
         "instances": instances,
-        "total": {"instances": sum(d["instances"] for d in domains.values()),
-                  "success": sum(d["success"] for d in domains.values()),
-                  "rejected": sum(d["rejected"] for d in domains.values())},
+        "total": total,
     }
 
 
@@ -301,28 +316,35 @@ def _bench_table(summary: dict) -> str:
     for stage in _STAGES:
         s = summary["strategies"][stage]
         lines.append(f"{stage:20s} {s['effective']:9d} {s['affected']:8d}")
+    for row in summary["instances"]:
+        if row["status"] == "error":
+            lines.append(f"error: {row['domain']}/{row['name']}: {row['error']}")
     return "\n".join(lines)
 
 
 def _bench_one(path: Path, domain: str, config: dict, backend_spec: str,
                budget: verifier.Budget, report_dir):
+    """(name, domain, report or None, internal alarm message or None)."""
     name = path.stem
     try:
         instance = textfmt.parse_rule(path.read_text())
         diags = validate(instance)
         if diags:
-            return name, domain, None
+            return name, domain, None, None
         verdict = verifier.check_refinement(instance, {}, budget)
         if verdict.kind == "refuted" or not costmod.check_profitable(instance):
-            return name, domain, None
+            return name, domain, None, None
         cfg = _pipeline_config(config, backend_spec, budget)
         report = pipemod.run_pipeline(instance, cfg).to_json()
+    except (verifier.ReplayMismatch, EvalError) as e:
+        # an internal alarm is a fault of peepgen, not of the instance
+        return name, domain, None, f"{type(e).__name__}: {e}"
     except PeepError:
-        return name, domain, None
+        return name, domain, None, None
     if report_dir:
         out = Path(report_dir) / f"{domain}_{name}.json"
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return name, domain, report
+    return name, domain, report, None
 
 
 @cli.command("bench")
@@ -362,7 +384,7 @@ def cmd_bench(dataset_dir, backend_spec, config_file, out, report_dir, jobs,
     summary = summarize_reports(rows)
     _emit(summary, out)
     click.echo(_bench_table(summary), err=True)
-    sys.exit(EXIT_VERIFIED)
+    sys.exit(EXIT_INTERNAL if "errors" in summary["total"] else EXIT_VERIFIED)
 
 
 def main() -> None:

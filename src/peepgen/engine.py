@@ -813,14 +813,39 @@ def split_const_defs(rule: Rule):
 # Grids, special values and sampling
 
 
-def unravel_chunk(sizes: list, start: int, end: int) -> list:
-    """Arrays of mixed-radix digits for flat indices [start, end)."""
-    idx = np.arange(start, end, dtype=np.uint64)
+def storage_dtype(ty):
+    """The unsigned dtype that holds a bit pattern of `ty`."""
+    if isinstance(ty, FloatType):
+        return _FUINT[ty.bits]
+    return udtype(ty.width)
+
+
+def unravel_chunk(types: list, start: int, end: int) -> list:
+    """The bit patterns of `types` at flat indices [start, end) of their
+    joint space, last type fastest, each in its storage dtype.
+
+    Every radix is a power of two, so each digit is a shift and a mask of
+    the index; the index is uint32 when the whole space fits 32 bits.
+    """
+    bits = [space_of(ty).bit_length() - 1 for ty in types]
+    total = sum(bits)
+    idx = np.arange(start, end, dtype=np.uint32 if total <= 32 else np.uint64)
+    shifted = np.empty_like(idx)
     out = []
-    for size in reversed(sizes):
-        out.append(idx % np.uint64(size))
-        idx = idx // np.uint64(size)
-    out.reverse()
+    shift = total
+    for ty, b in zip(types, bits):
+        shift -= b
+        digit = np.empty(len(idx), dtype=storage_dtype(ty))
+        # the leading digit needs no mask and the trailing one no shift
+        if shift + b == total:
+            np.right_shift(idx, idx.dtype.type(shift), out=digit,
+                           casting="unsafe")
+        else:
+            src = idx if shift == 0 else np.right_shift(
+                idx, idx.dtype.type(shift), out=shifted)
+            np.bitwise_and(src, idx.dtype.type((1 << b) - 1), out=digit,
+                           casting="unsafe")
+        out.append(digit)
     return out
 
 
@@ -876,10 +901,10 @@ def sample_float_patterns(rng: np.random.Generator, prec: int, n: int) -> np.nda
 
 
 def patterns_to_vval(patterns: np.ndarray, ty) -> VVal:
+    data = np.asarray(patterns, dtype=storage_dtype(ty))
     if isinstance(ty, FloatType):
-        return VVal(np.asarray(patterns, dtype=_FUINT[ty.bits]).view(_FLOAT[ty.bits]),
-                    None, ty)
-    return VVal(np.asarray(patterns, dtype=udtype(ty.width)), None, ty)
+        data = data.view(_FLOAT[ty.bits])
+    return VVal(data, None, ty)
 
 
 def vval_pattern_at(v: VVal, index) -> int:

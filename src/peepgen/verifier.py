@@ -7,16 +7,19 @@ satisfying special constant tuples with special inputs; then the sampled
 scan checks satisfying constant assignments (enumerated and subsampled, or
 drawn by rejection sampling) against sampled inputs with a special-value set
 mixed in.  Every check runs through one scan loop (`_scan`) over
-(inputs, constants, count) slices: the exhaustive check and the special pass
+(inputs, constants, shape) blocks: the exhaustive check and the special pass
 loop over the smaller of the constant and input axes and vectorise the
-larger; the sampled scan loops over its constants.  Every satisfying
-constant set is built by one filter (`_satisfying`).  Every Refuted verdict
-carries a counterexample that is re-checked with the scalar evaluator before
-being returned (self-validation).
+larger; the sampled scan loops over its constants.  A block is a column of
+consecutive looped entries x the vectorised row (about `_BLOCK` points), and
+its first violation is taken in row-major order, the order of looping one
+entry at a time.  Grids are enumerated by bit slicing the flat index
+(`engine.unravel_chunk`).  Every satisfying constant set is built by one
+filter (`_satisfying`).  Every Refuted verdict carries a counterexample that
+is re-checked with the scalar evaluator before being returned
+(self-validation).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -35,6 +38,8 @@ REJECTION_CAP = 10 ** 6
 _SPECIAL_CROSS_CAP = 1 << 16
 _SPECIAL_LOOP_CAP = 512
 _CHUNK = 1 << 22
+# a scan evaluates about this many points at once when its rows are short
+_BLOCK = 1 << 16
 # constant assignments are materialized for exhaustive scans; above this cap
 # memory would blow up, so the sampled path takes over even when the budget
 # would nominally allow enumeration
@@ -166,12 +171,12 @@ def _vvals(decls, patterns: list) -> dict:
 
 def _digit_chunks(decls):
     """Every pattern tuple of `decls` in flat order, one chunk at a time:
-    yields (mixed-radix digit arrays, tuple count)."""
-    sizes = [engine.space_of(ty) for _, ty in decls]
-    total = math.prod(sizes)
+    yields (pattern arrays, tuple count)."""
+    types = [ty for _, ty in decls]
+    total = _space(decls)
     for start in range(0, total, _CHUNK):
         end = min(start + _CHUNK, total)
-        yield engine.unravel_chunk(sizes, start, end) if sizes else [], end - start
+        yield engine.unravel_chunk(types, start, end) if types else [], end - start
 
 
 def _const_count(const_map: dict) -> int:
@@ -375,36 +380,70 @@ def _input_grid(fn: Function):
     return list(_param_grid_chunks(fn))
 
 
+def _blocks(rows: int, cols: int, cap: Optional[int]):
+    """The [r0, r1) x [c0, c1) blocks that cover the first `cap` of `rows`
+    looped entries x `cols` vectorised ones in C order: consecutive rows of
+    about `_BLOCK` points together, a row wider than `_CHUNK` in pieces."""
+    rows = min(rows, cap) if cap is not None else rows
+    if cols > _CHUNK:
+        for r in range(rows):
+            for c in range(0, cols, _CHUNK):
+                yield r, r + 1, c, min(c + _CHUNK, cols)
+        return
+    step = max(1, _BLOCK // cols)
+    for r in range(0, rows, step):
+        yield r, min(r + step, rows), 0, cols
+
+
 def _slices(const_map: dict, grid, points: Optional[int] = None,
             cap: Optional[int] = None):
-    """The (params, consts, n) slices of constants x inputs in scan order.
+    """The (params, consts, shape) blocks of constants x inputs in scan order.
 
-    Each constant assignment in turn is checked against the vectorised input
-    grid, unless the grid's point count `points` is given and is below the
-    number of assignments: then each input point in turn is checked against
-    the vectorised constants.  `cap` bounds the looped axis.
+    Constant assignments are looped and the input grid is vectorised, unless
+    the grid's point count `points` is given and is below the number of
+    assignments: then input points are looped and the constants vectorised.
+    A block is a column of consecutive looped entries x the vectorised row
+    (one entry per block when the grid is streamed), so its flat C-order
+    index visits points in the same order as looping one entry at a time.
+    `cap` bounds the number of looped entries.
     """
     nc = _const_count(const_map)
     if const_map and points is not None and nc > points:
-        rows = (({name: engine.VVal(np.asarray(v.data).reshape(-1)[j:j + 1],
-                                    None, v.ty) for name, v in params.items()},
-                 const_map, nc)
-                for params, n in grid for j in range(n))
-        yield from itertools.islice(rows, cap)
-        return
-    for i in range(nc)[:cap]:
-        consts = {name: (np.asarray(arr)[i], ty)
-                  for name, (arr, ty) in const_map.items()}
+        left = cap
         for params, n in grid:
-            yield params, consts, n
+            for r0, r1, c0, c1 in _blocks(n, nc, left):
+                col = {name: engine.VVal(
+                    np.asarray(v.data).reshape(-1, 1)[r0:r1], None, v.ty)
+                    for name, v in params.items()}
+                row = {name: (np.asarray(arr).reshape(1, -1)[:, c0:c1], ty)
+                       for name, (arr, ty) in const_map.items()}
+                yield col, row, (r1 - r0, c1 - c0)
+            if left is not None:
+                left -= min(n, left)
+        return
+    if isinstance(grid, _StreamedGrid):
+        for i in range(nc)[:cap]:
+            consts = {name: (np.asarray(arr)[i], ty)
+                      for name, (arr, ty) in const_map.items()}
+            for params, n in grid:
+                yield params, consts, (n,)
+        return
+    ((params, n),) = grid
+    for r0, r1, c0, c1 in _blocks(nc, n, cap):
+        row = {name: engine.VVal(np.asarray(v.data).reshape(1, -1)[:, c0:c1],
+                                 None, v.ty)
+               for name, v in params.items()}
+        col = {name: (np.asarray(arr).reshape(-1, 1)[r0:r1], ty)
+               for name, (arr, ty) in const_map.items()}
+        yield row, col, (r1 - r0, c1 - c0)
 
 
 def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
-    """Check the slices in order; returns (Refuted at the first violation, or
-    None; the number of points checked)."""
+    """Check the blocks in order; returns (Refuted at the first violation,
+    or None; the number of points checked)."""
     param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
     checked = 0
-    for params, consts, n in slices:
+    for params, consts, shape in slices:
         lv = engine.eval_function_vec(resolved.lhs, params, consts)
         rv = engine.eval_function_vec(resolved.rhs, params, consts)
         viol = ~np.asarray(engine.values_equal_vec(lv, rv), dtype=bool)
@@ -415,10 +454,11 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
         if param_conjs:
             pre = engine.eval_pred_vec(param_conjs, params, consts)
             viol = viol & np.asarray(pre, dtype=bool)
-        checked += n
-        hit = _first_true(viol, n)
+        checked += math.prod(shape)
+        hit = _first_true(viol, shape)
         if hit is not None:
-            cx = _extract_point(resolved, widths, params, consts, lv, rv, hit, n)
+            cx = _extract_point(resolved, widths, params, consts, lv, rv,
+                                np.unravel_index(hit, shape), shape)
             if not replay_counterexample(resolved, cx):
                 raise ReplayMismatch(
                     f"counterexample does not replay under scalar semantics: {cx}")
@@ -426,27 +466,28 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
     return None, checked
 
 
-def _first_true(viol, n: int) -> Optional[int]:
-    v = np.broadcast_to(np.asarray(viol, dtype=bool), (n,))
-    idx = np.flatnonzero(v)
-    return int(idx[0]) if len(idx) else None
+def _first_true(viol, shape: tuple) -> Optional[int]:
+    """The flat C-order index of the first True in `viol` broadcast to
+    `shape`, or None."""
+    v = np.broadcast_to(np.asarray(viol, dtype=bool), shape).ravel()
+    i = int(v.argmax())
+    return i if v[i] else None
 
 
 def _extract_point(resolved: Rule, widths: dict, params: dict, consts: dict,
-                   lv, rv, flat_index: int, n: int) -> Counterexample:
+                   lv, rv, at: tuple, shape: tuple) -> Counterexample:
     def pick(data):
-        return np.broadcast_to(np.asarray(data), (n,))
+        return np.broadcast_to(np.asarray(data), shape)[at]
 
     def pattern(data, ty) -> int:
-        return engine.vval_pattern_at(engine.VVal(pick(data), None, ty),
-                                      flat_index)
+        return engine.vval_pattern_at(engine.VVal(pick(data), None, ty), ())
 
     inputs = {name: pattern(params[name].data, ty)
               for name, ty in resolved.lhs.params}
     cx_consts = {name: pattern(data, ty) for name, (data, ty) in consts.items()}
 
     def result(v: engine.VVal):
-        pois = bool(pick(v.poison)[flat_index]) if v.poison is not None else False
+        pois = bool(pick(v.poison)) if v.poison is not None else False
         return pois, (None if pois else pattern(v.data, v.ty))
 
     lp, lval = result(lv)
@@ -638,11 +679,11 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
         weak_ok = np.broadcast_to(
             np.asarray(engine.eval_pred_vec(weak, params, consts), dtype=bool), (n,))
         if a_fail is None:
-            i = _first_true(pre_ok & ~weak_ok, n)
+            i = _first_true(pre_ok & ~weak_ok, (n,))
             if i is not None:
                 a_fail = _point_at(consts, params, i)
         if b_witness is None:
-            i = _first_true(weak_ok & ~pre_ok, n)
+            i = _first_true(weak_ok & ~pre_ok, (n,))
             if i is not None:
                 b_witness = _point_at(consts, params, i)
         if a_fail is not None and b_witness is not None:

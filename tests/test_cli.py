@@ -5,7 +5,9 @@ import sys
 import jsonschema
 import pytest
 
-from peepgen.cli import summarize_reports
+from peepgen import cli, pipeline
+from peepgen.cli import EXIT_INTERNAL, summarize_reports
+from peepgen.verifier import ReplayMismatch
 
 from conftest import DOCS, FIXTURES, REPO
 
@@ -168,6 +170,32 @@ def test_bench_rejects_unsound_instance(tmp_path):
     assert summary["total"] == {"instances": 1, "success": 1, "rejected": 1}
     statuses = {i["name"]: i["status"] for i in summary["instances"]}
     assert statuses == {"bad": "rejected at ingestion", "ok": "success"}
+
+
+def test_bench_reports_internal_alarm_as_error(tmp_path, monkeypatch, capsys):
+    # an alarm raised mid-pipeline is peepgen's fault, not the instance's
+    ddir = tmp_path / "data" / "int"
+    ddir.mkdir(parents=True)
+    (ddir / "ok.peep").write_text(
+        (FIXTURES / "int" / "xor_self.peep").read_text())
+    (ddir / "unparsable.peep").write_text('rule "unparsable" {')
+
+    def alarm(*args, **kwargs):
+        raise ReplayMismatch("counterexample does not replay")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", alarm)
+    with pytest.raises(SystemExit) as exited:
+        cli.cli.main(["bench", str(tmp_path / "data")], standalone_mode=False)
+    assert exited.value.code == EXIT_INTERNAL != 0
+    out = capsys.readouterr()
+    summary = json.loads(out.out)
+    jsonschema.validate(summary, _schema("bench.schema.json"))
+    statuses = {i["name"]: i["status"] for i in summary["instances"]}
+    assert statuses == {"ok": "error", "unparsable": "rejected at ingestion"}
+    assert summary["total"] == {"instances": 0, "success": 0, "rejected": 1,
+                                "errors": 1}
+    assert ("error: int/ok: ReplayMismatch: counterexample does not replay"
+            in out.err)
 
 
 def test_bench_parallel_matches_serial(bench_runs):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from peepgen import engine, semantics, verifier
-from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CInt,
+from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CConst, CInt,
                         FloatType, Function, Instr, IntType, Local, Param,
-                        mask, opcode_arity)
+                        PCmp, mask, opcode_arity)
 from peepgen.semantics import Bits, FloatBits, POISON
 
 from conftest import parse
@@ -99,6 +102,48 @@ def test_special_float_patterns_cover_corners():
 def test_space_of():
     assert engine.space_of(IntType(8)) == 256
     assert engine.space_of(FloatType(16)) == 65536
+
+
+@pytest.mark.parametrize("types", [
+    [IntType(1), IntType(3), IntType(8), IntType(12), FloatType(16)],
+    [IntType(3), IntType(12), IntType(1), IntType(8)],
+    [FloatType(16), IntType(1)],
+    [IntType(8)],
+])
+def test_unravel_chunk_matches_unravel_index(types):
+    # the bit-sliced digits are the mixed-radix digits of the flat index,
+    # last type fastest, each already in its type's storage dtype
+    sizes = [engine.space_of(ty) for ty in types]
+    total = math.prod(sizes)
+    for start, end in [(0, 1), (3, 1000), (total // 3 + 7, total // 3 + 5000),
+                       (total - 777, total)]:
+        start, end = max(start, 0), min(end, total)
+        digits = engine.unravel_chunk(types, start, end)
+        expected = np.unravel_index(np.arange(start, end, dtype=np.int64),
+                                    sizes)
+        assert len(digits) == len(types)
+        for ty, d, e in zip(types, digits, expected):
+            assert d.dtype == (np.uint16 if isinstance(ty, FloatType)
+                               else engine.udtype(ty.width))
+            assert np.array_equal(d.astype(np.int64), e)
+
+
+@pytest.mark.parametrize("pred", ["eq", "ne"])
+def test_mixed_width_equality_matches_scalar(pred):
+    # between widths, `==` holds when the values agree read as unsigned or
+    # read as signed: i8 0x80 is 128 and -128, so it equals i16 0x0080 (128)
+    # and 0xff80 (-128) but not 0x7f80
+    conj = PCmp(pred, CConst("C1"), CConst("C2"))
+    c2 = [0x0080, 0xff80, 0x7f80]
+    expected = [True, True, False] if pred == "eq" else [False, False, True]
+    scalar = [semantics.eval_predicate(
+        conj, {}, {"C1": (0x80, IntType(8)), "C2": (v, IntType(16))}, {})
+        for v in c2]
+    vector = engine.eval_pred_vec(conj, {}, {
+        "C1": (np.full(3, 0x80, dtype=np.uint8), IntType(8)),
+        "C2": (np.array(c2, dtype=np.uint16), IntType(16))})
+    assert scalar == expected
+    assert np.asarray(vector, dtype=bool).tolist() == expected
 
 
 def _const_rule(decls: str, pre: str):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from peepgen import semantics, textfmt, verifier
 from peepgen.ir import (CBin, CConst, CInt, Function, Instr, IntType, Literal,
@@ -147,6 +147,54 @@ def test_derived_constants_keep_verdicts_complete(rule):
     elif isinstance(sampled, Inconclusive):
         assert sampled.reason == "NoSatisfyingConstants"
         assert not satisfiable
+
+
+def _satisfying_count(rule) -> int:
+    # every conjunct is constant-only: count with the scalar evaluator
+    return sum(
+        semantics.eval_predicate(rule.pre, {}, {n: (v, ty) for (n, ty), v in
+                                                zip(rule.sym_consts, values)}, {})
+        for values in itertools.product(*(range(1 << ty.width)
+                                          for _, ty in rule.sym_consts)))
+
+
+@st.composite
+def constant_looping_rules(draw):
+    """0-2 constants under `pow2`/`ult` bounds only, so none is derived,
+    and no more satisfying assignments than inputs, so the exhaustive scan
+    loops constants in the brute-force oracle's order."""
+    w = draw(st.sampled_from([2, 3, 4]))
+    ty = IntType(w)
+    names = [f"C{i + 1}" for i in range(draw(st.integers(0, 2)))]
+    pre = [draw(st.sampled_from([
+        PPow2(CConst(n)),
+        PCmp("ult", CConst(n), CInt(draw(st.integers(1, (1 << w) - 1))))]))
+        for n in names if draw(st.booleans())]
+    rule = _draw_rule(draw, ty, tuple((n, ty) for n in names), pre)
+    assume(_satisfying_count(rule) <= 1 << w)
+    return rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_looping_rules(),
+       st.sampled_from([(1, 1 << 22), (3, 1 << 22), (1 << 16, 1 << 22),
+                        (5, 4), (1 << 16, 8)]))
+def test_exhaustive_counterexample_is_first_violation(rule, sizes):
+    # shrinking the block and chunk sizes splits these small scans into
+    # many blocks (and streams the input grid once it exceeds a chunk);
+    # none of that may change which violation is reported first
+    saved = verifier._BLOCK, verifier._CHUNK
+    verifier._BLOCK, verifier._CHUNK = sizes
+    try:
+        verdict = check_refinement(rule, {}, Budget(exhaustive_limit=1 << 20))
+    finally:
+        verifier._BLOCK, verifier._CHUNK = saved
+    violation = oracle_check_refinement(rule)
+    if isinstance(verdict, Refuted):
+        cx = verdict.counterexample
+        assert (cx.consts, cx.inputs) == violation
+    else:
+        assert violation is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,6 +410,40 @@ rule "scan_order" {{
 """
 
 
+def _sum_rule(cty, xty, total, pre):
+    # lhs holds where C1 + x (zero-extended to i16) is `total`: only the
+    # constants near the top of the range reach it, each at one input, so
+    # a scan that visits points in another order reports another point
+    return f"""
+rule "scan_order" {{
+  const C1: {cty};
+  pre: {pre};
+  lhs fn(x: {xty}) -> i1 {{
+    %0 = {"add i16 C1, 0" if cty == "i16" else f"zext {cty} C1 to i16"};
+    %1 = zext {xty} %x to i16;
+    %2 = add i16 %0, %1;
+    %3 = icmp.eq i16 %2, {total};
+    ret %3
+  }}
+  rhs fn(x: {xty}) -> i1 {{ ret 0 }}
+}}
+"""
+
+
+# 4356 satisfying special constant pairs > 2048 special inputs, so the
+# special pass loops inputs, 15 to a block: its 512-input cap ends two rows
+# into a block, and the first input with x == 4 is number 512
+_SPECIAL_CAP_RULE = """
+rule "scan_order" {
+  const C1: i32;
+  const C2: i32;
+  pre: C1 != C2 && C2 != 3000;
+  lhs fn(x: i8, y: i8, z: i4) -> i1 { %0 = icmp.eq i8 %x, 4; ret %0 }
+  rhs fn(x: i8, y: i8, z: i4) -> i1 { ret 0 }
+}
+"""
+
+
 def _refuted(c1, x, lhs, rhs):
     return {"kind": "refuted", "seed": 0, "counterexample": {
         "consts": {"C1": c1}, "widths": {}, "inputs": {"x": x},
@@ -392,6 +474,25 @@ def _refuted(c1, x, lhs, rhs):
                  {"kind": "verified", "mode": "sampled", "points": 21280,
                   "space": "20 sampled constants x sampled inputs", "seed": 0},
                  id="sampled-verified"),
+    # 1096 constants x 4096 inputs, 16 constants to a block: the first
+    # violation is constant 105 (C1 = 3105) at the last input
+    pytest.param(_sum_rule("i12", "i12", 7200, "C1 >=u 3000"), Budget(),
+                 _refuted("0xc21", "0xfff", "0x1", "0x0"),
+                 id="exhaustive-past-first-block"),
+    # 6003 enumerated constants (all of them, in order) x the 256-input
+    # grid, 256 constants to a block: the first violation is constant 845
+    pytest.param(_sum_rule("i16", "i8", 40100, "C1 >=u 39000 && C1 <u 45000"),
+                 Budget(exhaustive_limit=1 << 20, constant_sample_count=10000),
+                 _refuted("0x9ba5", "0xff", "0x1", "0x0"),
+                 id="sampled-full-grid-past-first-block"),
+    # the special pass stops at its cap inside a block and finds nothing;
+    # the sampled scan reports the first sampled input with x == 4
+    pytest.param(_SPECIAL_CAP_RULE, Budget(),
+                 {"kind": "refuted", "seed": 0, "counterexample": {
+                     "consts": {"C1": "0x0", "C2": "0x1"}, "widths": {},
+                     "inputs": {"x": "0x4", "y": "0x1b", "z": "0x9"},
+                     "lhs": "0x1", "rhs": "0x0"}},
+                 id="special-pass-cap-inside-block"),
 ])
 def test_scan_order_pins_reported_counterexample(text, budget, expected):
     # which counterexample a scan reports is decided by the order it visits
