@@ -822,20 +822,31 @@ def storage_dtype(ty):
 
 def unravel_chunk(types: list, start: int, end: int) -> list:
     """The bit patterns of `types` at flat indices [start, end) of their
-    joint space, last type fastest, each in its storage dtype.
+    joint space, last type fastest, each in its storage dtype."""
+    bits = [space_of(ty).bit_length() - 1 for ty in types]
+    idx = np.arange(start, end, dtype=index_dtype(sum(bits)))
+    return slice_digits(idx, bits, [storage_dtype(ty) for ty in types])
+
+
+def index_dtype(bits: int):
+    """The dtype of flat indices into a space of 2**bits points."""
+    return np.uint32 if bits <= 32 else np.uint64
+
+
+def slice_digits(idx: np.ndarray, bits: list, dtypes: list) -> list:
+    """The mixed-radix digits of flat indices `idx` (of `index_dtype`), digit
+    i of radix 2**bits[i], last digit fastest, digit i in dtypes[i].
 
     Every radix is a power of two, so each digit is a shift and a mask of
-    the index; the index is uint32 when the whole space fits 32 bits.
+    the index.
     """
-    bits = [space_of(ty).bit_length() - 1 for ty in types]
     total = sum(bits)
-    idx = np.arange(start, end, dtype=np.uint32 if total <= 32 else np.uint64)
     shifted = np.empty_like(idx)
     out = []
     shift = total
-    for ty, b in zip(types, bits):
+    for b, dtype in zip(bits, dtypes):
         shift -= b
-        digit = np.empty(len(idx), dtype=storage_dtype(ty))
+        digit = np.empty(len(idx), dtype=dtype)
         # the leading digit needs no mask and the trailing one no shift
         if shift + b == total:
             np.right_shift(idx, idx.dtype.type(shift), out=digit,

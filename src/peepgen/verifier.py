@@ -1,19 +1,27 @@
 """Bounded refinement checking, strictly-weaker precondition testing, and
 recursive width/precision reduction.
 
-The joint (constants, inputs) space is enumerated exhaustively when it fits
-the budget.  Above the limit, a special-value pass first crosses the
-satisfying special constant tuples with special inputs; then the sampled
-scan checks satisfying constant assignments (enumerated and subsampled, or
-drawn by rejection sampling) against sampled inputs with a special-value set
-mixed in.  Every check runs through one scan loop (`_scan`) over
-(inputs, constants, shape) blocks: the exhaustive check and the special pass
-loop over the smaller of the constant and input axes and vectorise the
-larger; the sampled scan loops over its constants.  A block is a column of
-consecutive looped entries x the vectorised row (about `_BLOCK` points), and
-its first violation is taken in row-major order, the order of looping one
-entry at a time.  Grids are enumerated by bit slicing the flat index
-(`engine.unravel_chunk`).  Every satisfying constant set is built by one
+The joint (constants, inputs) space is checked exhaustively when it fits
+the budget.  Each free constant of at most `_NARROW_SPACE` patterns is first
+narrowed to the sorted patterns that satisfy the const-only conjuncts naming
+it alone (`_FreeSpace`); the narrowed space is walked (`_walk`) until the
+satisfying tuples found make the check sampled for certain, in a seeded
+order of its flat indices (`_permute`) when that bound is below the space,
+so that the first finds are the sample.  A walk that reaches the end sorts
+its finds back to index order, so exhaustive verdicts and counterexamples
+do not depend on the walk.  A space too large to walk is sampled by
+rejection (`sample_satisfying_consts`).  Above the limit, a special-value
+pass first crosses the satisfying special constant tuples with special
+inputs; then the sampled scan checks the sampled constants against sampled
+inputs with a special-value set mixed in.  Every check runs through one
+scan loop (`_scan`) over (inputs, constants, shape) blocks: the exhaustive
+check and the special pass loop over the smaller of the constant and input
+axes and vectorise the larger; the sampled scan loops over its constants.
+A block is a column of consecutive looped entries x the vectorised row
+(about `_BLOCK` points), and its first violation is taken in row-major
+order, the order of looping one entry at a time.  Grids are enumerated by
+bit slicing the flat index (`engine.unravel_chunk`,
+`engine.slice_digits`).  Every satisfying constant set is built by one
 filter (`_satisfying`).  Every Refuted verdict carries a counterexample that
 is re-checked with the scalar evaluator before being returned
 (self-validation).
@@ -40,10 +48,13 @@ _SPECIAL_LOOP_CAP = 512
 _CHUNK = 1 << 22
 # a scan evaluates about this many points at once when its rows are short
 _BLOCK = 1 << 16
-# constant assignments are materialized for exhaustive scans; above this cap
-# memory would blow up, so the sampled path takes over even when the budget
-# would nominally allow enumeration
+# a walk can materialize every constant assignment of the space it filters;
+# above this cap memory would blow up, so rejection sampling takes over even
+# when the budget would nominally allow a walk
 _ENUM_CAP = 1 << 26
+# a free constant with at most this many patterns is narrowed to those that
+# satisfy the const-only conjuncts naming it alone
+_NARROW_SPACE = 1 << 16
 
 
 class ReplayMismatch(PeepError):
@@ -153,7 +164,7 @@ def replay_counterexample(rule: Rule, cx: Counterexample) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Constant-space enumeration and sampling
+# Constant-space walk and sampling
 
 
 def _space(decls) -> int:
@@ -223,11 +234,124 @@ def _join(resolved: Rule, batches: list) -> dict:
             for name, ty in resolved.sym_consts}
 
 
+class _FreeSpace:
+    """The free constants' space, each constant narrowed by its own
+    conjuncts.
+
+    `allowed[i]` holds the sorted patterns of free constant i that satisfy
+    every const-only conjunct naming that constant alone, or None (all of
+    its patterns) when no such conjunct exists or its type has more than
+    `_NARROW_SPACE` patterns.  Digit i of a flat index picks from
+    `allowed[i]`; its radix is the count rounded up to a power of two, so
+    grids are still bit-sliced, and a digit past the count is padding that
+    names no tuple.  The lists are sorted, so flat index order is the
+    lexicographic order of the tuples, the order of the unnarrowed product.
+    `rest` holds the const-only conjuncts not folded into a digit.
+    """
+
+    def __init__(self, free: list, const_only: list):
+        self.free = free
+        self.allowed, self.bits = [], []
+        folded = set()
+        for name, ty in free:
+            size = engine.space_of(ty)
+            own = [i for i, c in enumerate(const_only)
+                   if pred_const_names(c) == {name}]
+            allowed = None
+            if own and size <= _NARROW_SPACE:
+                pats = np.arange(size, dtype=engine.storage_dtype(ty))
+                keep = engine.eval_pred_vec(
+                    [const_only[i] for i in own], {},
+                    {name: (_digits_to_data(pats, ty), ty)})
+                allowed = pats[np.broadcast_to(np.asarray(keep, dtype=bool),
+                                               (size,))]
+                size = len(allowed)
+                folded.update(own)
+            self.allowed.append(allowed)
+            self.bits.append(max(size - 1, 0).bit_length())
+        self.rest = [c for i, c in enumerate(const_only) if i not in folded]
+
+    @property
+    def size(self) -> int:
+        """Flat indices in the space, padding included."""
+        return 1 << sum(self.bits)
+
+    @property
+    def empty(self) -> bool:
+        """Some constant has no allowed pattern."""
+        return any(a is not None and not len(a) for a in self.allowed)
+
+    def satisfying(self, idx: np.ndarray, defs: list) -> dict:
+        """`_satisfying` over the tuples at flat indices `idx`, in that
+        order, padding skipped."""
+        digits = engine.slice_digits(
+            idx, self.bits, [engine.storage_dtype(ty) for _, ty in self.free])
+        valid = None
+        for d, allowed, b in zip(digits, self.allowed, self.bits):
+            if allowed is not None and len(allowed) < 1 << b:
+                ok = d < len(allowed)
+                valid = ok if valid is None else valid & ok
+        n = len(idx)
+        if valid is not None:
+            digits = [d[valid] for d in digits]
+            n = int(np.count_nonzero(valid))
+        patterns = [d if allowed is None else allowed[d]
+                    for d, allowed in zip(digits, self.allowed)]
+        return _satisfying(self.free, defs, self.rest, patterns, n)
+
+
+def _permute(idx: np.ndarray, bits: int, seed: int) -> np.ndarray:
+    """Flat indices `idx` (uint32) under a seeded bijection of
+    [0, 2**bits): an odd multiplier plus a seed-derived offset, then an
+    xorshift and a second odd multiplier, each modulo 2**bits."""
+    u = np.uint32
+    m = u((1 << bits) - 1)
+    offset = u((seed * 0x85EBCA6B + 0x6A09E667) & 0xFFFFFFFF)
+    x = (idx * u(0x9E3779B1) + offset) & m
+    x ^= x >> u((bits + 1) // 2)
+    return (x * u(0xC2B2AE35)) & m
+
+
+def _walk(resolved: Rule, space: _FreeSpace, defs: list,
+          stop: Optional[int], seed: int) -> tuple:
+    """Filter the free space until `stop` satisfying tuples are found (None:
+    no bound) or every flat index was visited.
+
+    Returns (name -> (array, Type), complete).  A bound below the space
+    walks a seeded bijection of the flat indices (`_permute`) in blocks
+    that double from `stop`, so an early stop yields its tuples in that
+    seeded order; a complete walk sorts them back to index order.  Without
+    a bound below the space the walk is in index order.
+    """
+    total = space.size
+    permuted = stop is not None and stop < total
+    dtype = engine.index_dtype(sum(space.bits))
+    step = stop if permuted else _CHUNK
+    batches, found, start = [], 0, 0
+    while start < total and (stop is None or found < stop):
+        end = min(start + min(step, _CHUNK), total)
+        idx = np.arange(start, end, dtype=dtype)
+        if permuted:
+            idx = _permute(idx, sum(space.bits), seed)
+        batches.append(space.satisfying(idx, defs))
+        found += _const_count(batches[-1])
+        start, step = end, 2 * step
+    const_map = _join(resolved, batches)
+    complete = start == total
+    if complete and permuted:
+        # index order is the lexicographic order of the free patterns
+        order = np.lexsort([const_map[name][0].view(engine.storage_dtype(ty))
+                            for name, ty in reversed(space.free)])
+        const_map = {name: (arr[order], ty)
+                     for name, (arr, ty) in const_map.items()}
+    return const_map, complete
+
+
 def enumerate_satisfying_consts(resolved: Rule, free: list, defs: list,
                                 const_only) -> dict:
-    """All satisfying constant assignments; returns name -> (array, Type)."""
-    return _join(resolved, [_satisfying(free, defs, const_only, digits, n)
-                            for digits, n in _digit_chunks(free)])
+    """All satisfying constant assignments in index order (a complete walk
+    of the narrowed space); returns name -> (array, Type)."""
+    return _walk(resolved, _FreeSpace(free, const_only), defs, None, 0)[0]
 
 
 def _type_pools(types: list) -> list:
@@ -515,13 +639,21 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
 
     const_only = [c for c in resolved.pre if not pred_param_refs(c)]
     free, defs = typed_const_defs(resolved)
-
-    cspace = _space(free)
+    space = _FreeSpace(free, const_only)
+    if space.empty:
+        return Inconclusive("NoSatisfyingConstants",
+                            "no constant assignment satisfies the precondition")
     pspace = _space(resolved.lhs.params)
 
-    const_map = None  # None: too many constants to enumerate, sample them
-    if cspace <= min(budget.exhaustive_limit, _ENUM_CAP):
-        const_map = enumerate_satisfying_consts(resolved, free, defs, const_only)
+    const_map = None  # None: too many constants to walk, sample them
+    if space.size <= min(budget.exhaustive_limit, _ENUM_CAP):
+        # past this many satisfying tuples the check is sampled, and the
+        # first `constant_sample_count` of them are its sample
+        stop = (max(budget.exhaustive_limit // pspace,
+                    budget.constant_sample_count) + 1
+                if budget.sample_count else None)
+        const_map, complete = _walk(resolved, space, defs, stop,
+                                    budget.rng_seed)
         sat = _const_count(const_map)
         if sat == 0:
             return Inconclusive("NoSatisfyingConstants",
@@ -538,10 +670,16 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
                 "BudgetExceeded",
                 f"joint satisfying space {sat}x{pspace} exceeds "
                 f"{budget.exhaustive_limit} and sampling is disabled")
+        if complete:
+            const_map = _choose_consts(const_map,
+                                       budget.constant_sample_count, rng)
+        else:
+            const_map = {name: (arr[:budget.constant_sample_count], ty)
+                         for name, (arr, ty) in const_map.items()}
     elif budget.sample_count == 0:
         return Inconclusive(
             "BudgetExceeded",
-            f"constant space {cspace} exceeds {budget.exhaustive_limit} "
+            f"constant space {space.size} exceeds {budget.exhaustive_limit} "
             "and sampling is disabled")
 
     # the special-value pass, then the sampled scan
@@ -556,9 +694,7 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
             return Inconclusive("NoSatisfyingConstants",
                                 f"no satisfying constants in {REJECTION_CAP} draws")
     else:
-        const_map = _concat_const_maps(
-            _choose_consts(const_map, budget.constant_sample_count, rng),
-            specials)
+        const_map = _concat_const_maps(const_map, specials)
     return _scan_sampled(resolved, widths, const_map, budget, rng)
 
 

@@ -6,14 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from peepgen import semantics, textfmt, verifier
 from peepgen.ir import (CBin, CConst, CInt, Function, Instr, IntType, Literal,
-                        Local, Param, PCmp, PPow2, Rule, SymConst, validate)
+                        Local, Param, PCmp, PNot, PPow2, Rule, SymConst,
+                        bind_consts, validate)
 from peepgen.verifier import (Budget, EquivalentOrIncomparable, Inconclusive,
                               Refuted, StrictlyWeaker, Verified,
                               check_refinement, check_strictly_weaker,
                               reduce_widths, replay_counterexample,
                               verdict_to_json, verify_with_reduction)
 
-from conftest import oracle_check_refinement, parse
+from conftest import (FIXTURES, POISON, oracle_check_refinement, oracle_eval,
+                      oracle_pre, parse)
 
 SMALL_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
              "udiv", "urem", "smin", "umax", "neg", "not", "ctpop", "cttz"]
@@ -195,6 +197,134 @@ def test_exhaustive_counterexample_is_first_violation(rule, sizes):
         assert (cx.consts, cx.inputs) == violation
     else:
         assert violation is None
+
+
+@st.composite
+def narrowed_rules(draw):
+    """1-3 constants at i2-i6 (fewer at the wider widths, so the brute-force
+    oracle stays cheap) under single-constant conjuncts whose allowed sets
+    are mostly not powers of two, and at most one conjunct relating two
+    constants, which narrowing leaves to the walk's filter."""
+    w = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    ty = IntType(w)
+    top = (1 << w) - 1
+    names = [f"C{i + 1}" for i in range(
+        draw(st.integers(1, {2: 3, 3: 3, 4: 2, 5: 1, 6: 1}[w])))]
+    pre = []
+    for name in names:
+        c = CConst(name)
+        pre += draw(st.lists(st.sampled_from([
+            PPow2(c), PNot(PPow2(c)),
+            PCmp("ult", c, CInt(draw(st.integers(1, top)))),
+            PCmp("uge", c, CInt(draw(st.integers(0, top)))),
+            PCmp("ne", c, CInt(draw(st.integers(0, top))))]), max_size=2))
+    if len(names) > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(names))[:2]
+        pre.append(PCmp(draw(st.sampled_from(["ne", "ult"])),
+                        CConst(a), CConst(b)))
+    pre = draw(st.permutations(pre))
+    return _draw_rule(draw, ty, tuple((n, ty) for n in names), pre)
+
+
+def _oracle_violations(rule) -> list:
+    """Every (consts, inputs) violation of a rule over one input, in the
+    brute-force oracle's order: constants outer, inputs inner."""
+    (x, ty), = rule.lhs.params
+    out = []
+    for values in itertools.product(*(range(1 << t.width)
+                                      for _, t in rule.sym_consts)):
+        consts = dict(zip((n for n, _ in rule.sym_consts), values))
+        inst = bind_consts(rule, {n: (consts[n], t)
+                                  for n, t in rule.sym_consts})
+        for v in range(1 << ty.width):
+            if not oracle_pre(rule, consts, {x: v}):
+                continue
+            lv = oracle_eval(inst.lhs, {x: v})
+            rv = oracle_eval(inst.rhs, {x: v})
+            if lv != POISON and (rv == POISON or rv != lv):
+                out.append((consts, {x: v}))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrowed_rules(),
+       st.sampled_from([(1, 1 << 22), (5, 4), (1 << 16, 8)]),
+       st.booleans())
+def test_narrowed_exhaustive_verdicts_match_oracle(rule, sizes, tight):
+    # a tight budget puts the walk's stop bound just past the satisfying
+    # count, so it walks a seeded permutation of the narrowed space to the
+    # end and sorts its finds back to index order
+    sat = _satisfying_count(rule)
+    w = rule.lhs.params[0][1].width
+    budget = Budget(exhaustive_limit=1 << 20)
+    if tight:
+        free, _ = verifier.typed_const_defs(rule)
+        size = verifier._FreeSpace(free, list(rule.pre)).size
+        budget = Budget(exhaustive_limit=max(max(sat, 1) << w, size),
+                        constant_sample_count=0)
+    saved = verifier._BLOCK, verifier._CHUNK
+    verifier._BLOCK, verifier._CHUNK = sizes
+    try:
+        verdict = check_refinement(rule, {}, budget)
+    finally:
+        verifier._BLOCK, verifier._CHUNK = saved
+    if sat == 0:
+        assert verdict.kind == "inconclusive"
+        assert verdict.reason == "NoSatisfyingConstants"
+        return
+    violations = _oracle_violations(rule)
+    assert violations[:1] == ([oracle_check_refinement(rule)]
+                              if violations else [])
+    assert verdict.kind != "inconclusive"
+    if isinstance(verdict, Verified):
+        assert verdict.mode == "exhaustive" and not violations
+        assert verdict.space == f"{sat} constants x {1 << w} inputs"
+        return
+    # the scan loops inputs when more constants than inputs satisfy the
+    # precondition, so its first violation is then the first in input order
+    if sat > 1 << w:
+        violations.sort(key=lambda v: (tuple(v[1].values()),
+                                       tuple(v[0].values())))
+    cx = verdict.counterexample
+    assert (cx.consts, cx.inputs) == violations[0]
+
+
+def test_walk_permutation_is_a_seeded_bijection():
+    for bits in range(21):
+        idx = np.arange(1 << bits, dtype=np.uint32)
+        for seed in (0, 1):
+            assert np.array_equal(np.sort(verifier._permute(idx, bits, seed)),
+                                  idx)
+    idx = np.arange(1 << 12, dtype=np.uint32)
+    assert not np.array_equal(verifier._permute(idx, 12, 0),
+                              verifier._permute(idx, 12, 1))
+
+
+def test_sampled_walk_stops_early_with_a_spread_sample(monkeypatch):
+    # all 2^24 tuples of xor_and's free constants satisfy its precondition:
+    # the walk stops after 65537 of them (the exhaustive bound at 256
+    # inputs) instead of filtering the whole space, and its 256 constants
+    # come from a seeded permutation, not the first 256 in index order
+    rule = parse((FIXTURES / "rules" / "xor_and_distribute.peep").read_text())
+    filtered, scanned = [], []
+    satisfying, scan_sampled = verifier._satisfying, verifier._scan_sampled
+
+    def count(free, defs, const_only, patterns, n):
+        filtered.append(n)
+        return satisfying(free, defs, const_only, patterns, n)
+
+    def keep(resolved, widths, const_map, budget, rng):
+        scanned.append(const_map)
+        return scan_sampled(resolved, widths, const_map, budget, rng)
+
+    monkeypatch.setattr(verifier, "_satisfying", count)
+    monkeypatch.setattr(verifier, "_scan_sampled", keep)
+    verdict = check_refinement(rule, {}, Budget())
+    assert verdict_to_json(verdict)["space"] == (
+        "4352 sampled constants x 256 inputs (full grid)")
+    assert sum(filtered) <= 1 << 18
+    for name in ("C1", "C2", "C3"):
+        assert len(np.unique(scanned[0][name][0][:256])) >= 128
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,11 +1,14 @@
-"""Print the verifier's throughput, in points per second, on three fixed
-kernels, so that a change to the engine or the scan loop can be measured
-layer by layer:
+"""Print the verifier's throughput, in points per second, on four fixed
+kernels, so that a change to the engine, the constant walk or the scan loop
+can be measured layer by layer:
 
-  enumerate  build and filter the 2^24-tuple free-constant space of
+  enumerate  walk and filter the whole 2^24-tuple free-constant space of
              fixtures/rules/xor_and_distribute.peep
   xor_and    check_refinement on that rule (4352 sampled constants x the
-             full 256-input grid, constant enumeration included)
+             full 256-input grid, the constant walk included)
+  narrow     check_refinement on cttz_concrete's generalization at W=12
+             (C1 derived, C2 narrowed to its 12 powers of two; 78 constants
+             x 4096 inputs, exhaustive)
   clamp      check_refinement on fixtures/rules/clamp_range.peep (256
              sampled constants x the full 65536-input grid)
 
@@ -28,6 +31,27 @@ from peepgen.ir import pred_param_refs  # noqa: E402
 RUNS = 5
 
 
+# cttz_concrete's final rule with its width variable W fixed at 12
+CTTZ_W12 = """
+rule "cttz_w12" {
+  const C1: i12;
+  const C2: i12;
+  const C3: i12;
+  pre: PowerOfTwo(C1) && PowerOfTwo(C2) && C1 == C2 >>u C3;
+  lhs fn(x: i12) -> i1 {
+    %0 = shl i12 C1, %x;
+    %1 = and i12 C2, %0;
+    %2 = icmp.ne i12 %1, 0;
+    ret %2
+  }
+  rhs fn(x: i12) -> i1 {
+    %0 = icmp.eq i12 %x, C3;
+    ret %0
+  }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -44,13 +68,11 @@ def enumerate_kernel():
     return run
 
 
-def refinement_kernel(name: str, space: str):
-    rule = _rule(name)
-
+def refinement_kernel(rule, space: str):
     def run() -> int:
         verdict = verifier.check_refinement(rule)
         if verdict.kind != "verified" or verdict.space != space:
-            raise SystemExit(f"{name}: unexpected verdict "
+            raise SystemExit(f"{rule.name}: unexpected verdict "
                              f"{verifier.verdict_to_json(verdict)}")
         return verdict.points
     return run
@@ -59,9 +81,13 @@ def refinement_kernel(name: str, space: str):
 KERNELS = (
     ("enumerate", enumerate_kernel()),
     ("xor_and", refinement_kernel(
-        "xor_and_distribute", "4352 sampled constants x 256 inputs (full grid)")),
+        _rule("xor_and_distribute"),
+        "4352 sampled constants x 256 inputs (full grid)")),
+    ("narrow", refinement_kernel(
+        textfmt.parse_rule(CTTZ_W12), "78 constants x 4096 inputs")),
     ("clamp", refinement_kernel(
-        "clamp_range", "256 sampled constants x 65536 inputs (full grid)")),
+        _rule("clamp_range"),
+        "256 sampled constants x 65536 inputs (full grid)")),
 )
 
 
