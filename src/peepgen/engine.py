@@ -99,7 +99,7 @@ def _por(a, b):
 # Population counts and friends (on uint64 inputs)
 
 
-def _popcount64(v):
+def popcount64(v):
     v = v.astype(np.uint64, copy=True)
     v -= (v >> np.uint64(1)) & np.uint64(0x5555555555555555)
     v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
@@ -109,7 +109,7 @@ def _popcount64(v):
 
 def _cttz64(v, width: int):
     low = v & (~v + np.uint64(1))
-    r = _popcount64(low - np.uint64(1))
+    r = popcount64(low - np.uint64(1))
     return np.where(v == 0, np.uint64(width), r)
 
 
@@ -117,11 +117,16 @@ def _ctlz64(v, width: int):
     s = v.astype(np.uint64, copy=True)
     for k in (1, 2, 4, 8, 16, 32):
         s |= s >> np.uint64(k)
-    return np.uint64(width) - _popcount64(s)
+    return np.uint64(width) - popcount64(s)
 
 
 # ---------------------------------------------------------------------------
 # Integer instruction kernels
+#
+# Each kernel computes only the result its opcode names (and, for `exact`,
+# the remainder that decides poison).
+
+_BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
 
 
 def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
@@ -130,9 +135,8 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
     av, bv = a.data, b.data
     poison = _por(a.poison, b.poison)
 
-    if op in ("and", "or", "xor"):
-        r = {"and": av & bv, "or": av | bv, "xor": av ^ bv}[op]
-        return VVal(r, poison, a.ty)
+    if op in _BITWISE:
+        return VVal(_BITWISE[op](av, bv), poison, a.ty)
 
     if op in ("add", "sub"):
         r = _wrap(av + bv if op == "add" else av - bv, w)
@@ -179,13 +183,12 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
     if op in ("udiv", "urem"):
         zero = bv == 0
         safe = np.where(zero, dt(1), bv)
-        q, rem = av // safe, av % safe
         poison = _por(poison, zero)
-        if op == "udiv":
-            if "exact" in flags:
-                poison = _por(poison, rem != 0)
-            return VVal(q, poison, a.ty)
-        return VVal(rem, poison, a.ty)
+        if op == "urem":
+            return VVal(av % safe, poison, a.ty)
+        if "exact" in flags:
+            poison = _por(poison, av % safe != 0)
+        return VVal(av // safe, poison, a.ty)
 
     if op in ("sdiv", "srem"):
         sa, sb = _signed(av, w), _signed(bv, w)
@@ -196,13 +199,14 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
         int_min = dt(1 << (w - 1)) if w < 64 else np.uint64(1 << 63)
         minneg = (av == _wrap(np.asarray(int_min), w)) & (_wrap(bv, w) == dt(mask(w)))
         safe = np.where(zero, dt(1), mb)
-        q, rem = ma // safe, ma % safe
         poison = _por(poison, zero | minneg)
         if op == "sdiv":
+            q = ma // safe
             qs = np.where(na ^ nb, _wrap((~q.astype(dt)) + dt(1), w), q)
             if "exact" in flags:
-                poison = _por(poison, rem != 0)
+                poison = _por(poison, ma % safe != 0)
             return VVal(_wrap(qs, w), poison, a.ty)
+        rem = ma % safe
         rs = np.where(na, _wrap((~rem.astype(dt)) + dt(1), w), rem)
         return VVal(_wrap(rs, w), poison, a.ty)
 
@@ -231,12 +235,11 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
         return VVal(r, poison, a.ty)
 
     if op in ("smin", "smax", "umin", "umax"):
-        if op[0] == "s":
-            ka, kb = _signed(av, w), _signed(bv, w)
-        else:
-            ka, kb = av, bv
-        pick_a = ka <= kb if op.endswith("min") else ka >= kb
-        return VVal(np.where(pick_a, av, bv), poison, a.ty)
+        pick = np.minimum if op.endswith("min") else np.maximum
+        if op[0] == "u":
+            return VVal(pick(av, bv), poison, a.ty)
+        r = pick(_signed(av, w), _signed(bv, w)).view(dt)
+        return VVal(_wrap(r, w), poison, a.ty)
 
     raise UnsupportedConstruct(f"integer binop {op}")
 
@@ -257,7 +260,7 @@ def _int_unop_vec(op: str, flags, a: VVal) -> VVal:
         return VVal(_wrap(~av, w), poison, a.ty)
     v64 = av.astype(np.uint64)
     if op == "ctpop":
-        return VVal(_popcount64(v64).astype(dt), poison, a.ty)
+        return VVal(popcount64(v64).astype(dt), poison, a.ty)
     if op == "cttz":
         return VVal(_cttz64(v64, w).astype(dt), poison, a.ty)
     if op == "ctlz":
@@ -496,7 +499,7 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
                 return CVal(_wrap((~av.astype(udtype(w))) + udtype(w)(1), w), w, None, a.ok)
             v64 = av.astype(np.uint64)
             if e.op == "popcount":
-                return CVal(_popcount64(v64).astype(udtype(w)), w, None, a.ok)
+                return CVal(popcount64(v64).astype(udtype(w)), w, None, a.ok)
             if e.op == "cttz":
                 return CVal(_cttz64(v64, w).astype(udtype(w)), w, None, a.ok)
             if e.op == "ctlz":

@@ -17,11 +17,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from . import semantics, textfmt, verifier
+import numpy as np
+
+from . import engine, semantics, textfmt, verifier
 from .ir import (
     CBin, CCast, CConst, CInt, CUn, Function, IntType, Literal, Local, PCmp,
     PeepError, PPow2, PRange, Rule, SymConst, abstract_local,
-    guards_partial_op, map_rule, to_signed,
+    guards_partial_op, map_rule, to_signed, to_unsigned,
 )
 
 
@@ -181,35 +183,148 @@ def symbolize_literals(instance: Rule):
 
 # ---------------------------------------------------------------------------
 # Heuristic template search (stage 1)
+#
+# The equality screen asks, for each constant C, which expressions over the
+# other constants evaluate to C's value.  The expressions form a lattice of
+# three depths over the k other constants ("atoms"), in this order:
+#
+#   depth 1   the k atoms
+#   depth 2   each unary operator on each atom (3k), then each binary
+#             operator on each ordered pair of atoms (7k^2)
+#   depth 3   for each binary operator, for each depth-2 expression e, for
+#             each side, for each atom a: `e op a` then `a op e` (14k per
+#             depth-2 expression); then each unary operator on each depth-2
+#             expression
+#
+# The whole lattice is evaluated as numpy lanes, one operation per operator
+# per depth.  A lane carries its bit pattern (uint64), its width and an `ok`
+# flag, and follows the scalar evaluator (`semantics.eval_constexpr`)
+# exactly: operands of different widths, `<<` by the width or more and log2
+# of a non-power are errors (the template does not hold); `>>u` by the
+# width or more gives 0; cttz(0) is the width.  `C == e` holds when e
+# evaluates and its value equals C's read as unsigned or read as signed
+# (equal patterns when the widths agree).  Only the lanes that hold are
+# decoded into `PCmp` objects, in lattice order.
 
 _TEMPLATE_BINOPS = ("&", "|", "^", "+", "-", "<<", ">>u")
 _TEMPLATE_UNOPS = ("log2", "cttz", "popcount")
+_MASKS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
+_ONE = np.uint64(1)
 
 
-def _candidate_exprs(others: list):
-    """Constant expressions over `others`, up to two nested operators."""
-    atoms = [CConst(n) for n in others]
-    depth1 = list(atoms)
-    depth2 = []
-    for u in _TEMPLATE_UNOPS:
-        depth2.extend(CUn(u, a) for a in atoms)
-    for b in _TEMPLATE_BINOPS:
-        depth2.extend(CBin(b, a1, a2) for a1 in atoms for a2 in atoms)
-    out = depth1 + depth2
-    for b in _TEMPLATE_BINOPS:
-        for inner in depth2:
-            out.extend(CBin(b, inner, a) for a in atoms)
-            out.extend(CBin(b, a, inner) for a in atoms)
-    for u in _TEMPLATE_UNOPS:
-        out.extend(CUn(u, inner) for inner in depth2)
+def _lane_binop(op: str, a: tuple, b: tuple) -> tuple:
+    (av, aw, aok), (bv, bw, bok) = a, b
+    ok = aok & bok & (aw == bw)
+    m = _MASKS[aw]
+    if op == "&":
+        r = av & bv
+    elif op == "|":
+        r = av | bv
+    elif op == "^":
+        r = av ^ bv
+    elif op == "+":
+        r = (av + bv) & m
+    elif op == "-":
+        r = (av - bv) & m
+    else:
+        inside = bv < aw
+        amt = np.where(inside, bv, np.uint64(0))
+        if op == "<<":
+            r = (av << amt) & m
+            ok = ok & inside
+        else:  # >>u past the width shifts every bit out
+            r = np.where(inside, av >> amt, np.uint64(0))
+    return r, np.broadcast_to(aw, ok.shape), ok
+
+
+def _lane_unop(op: str, a: tuple) -> tuple:
+    v, w, ok = a
+    if op == "popcount":
+        return engine.popcount64(v), w, ok
+    # cttz and log2 (of a power of two) both count the trailing zeros
+    r = engine.popcount64((v & (~v + _ONE)) - _ONE)
+    if op == "log2":
+        return r, w, ok & (engine.popcount64(v) == _ONE)
+    return np.where(v == 0, w, r), w, ok
+
+
+def _concat(blocks: list) -> tuple:
+    return tuple(np.concatenate([blk[i].ravel() for blk in blocks])
+                 for i in range(3))
+
+
+def _template_lanes(values: np.ndarray, widths: np.ndarray) -> tuple:
+    """(pattern, width, ok) lanes of the template lattice over the atoms."""
+    d1 = (values, widths, np.ones(len(values), dtype=bool))
+    col = tuple(x[:, None] for x in d1)
+    row = tuple(x[None, :] for x in d1)
+    d2 = _concat([_lane_unop(u, d1) for u in _TEMPLATE_UNOPS]
+                 + [_lane_binop(b, col, row) for b in _TEMPLATE_BINOPS])
+    # depth 3 binary lanes as (depth-2 expression, side, atom)
+    shape = (len(d2[0]), len(values))
+    inner = [np.broadcast_to(x[:, None], shape) for x in d2]
+    atom = [np.broadcast_to(x[None, :], shape) for x in d1]
+    lhs = tuple(np.stack([i, a], axis=1) for i, a in zip(inner, atom))
+    rhs = tuple(np.stack([a, i], axis=1) for i, a in zip(inner, atom))
+    return _concat([d1, d2]
+                   + [_lane_binop(b, lhs, rhs) for b in _TEMPLATE_BINOPS]
+                   + [_lane_unop(u, d2) for u in _TEMPLATE_UNOPS])
+
+
+def _sext64(v, w):
+    """Sign-extend `w`-bit patterns to 64 bits (still as uint64)."""
+    negative = (v >> (w - _ONE)) & _ONE
+    return np.where(negative == _ONE, v | ~_MASKS[w], v)
+
+
+def _template_expr(i: int, atoms: list):
+    """The lattice expression at lane `i` (the order `_template_lanes`
+    evaluates)."""
+    k = len(atoms)
+    n2 = 3 * k + 7 * k * k
+
+    def depth2(j: int):
+        if j < 3 * k:
+            u, a = divmod(j, k)
+            return CUn(_TEMPLATE_UNOPS[u], atoms[a])
+        b, pair = divmod(j - 3 * k, k * k)
+        a1, a2 = divmod(pair, k)
+        return CBin(_TEMPLATE_BINOPS[b], atoms[a1], atoms[a2])
+
+    if i < k:
+        return atoms[i]
+    i -= k
+    if i < n2:
+        return depth2(i)
+    i -= n2
+    if i < 14 * k * n2:
+        b, rest = divmod(i, 2 * k * n2)
+        inner, rest = divmod(rest, 2 * k)
+        right, a = divmod(rest, k)
+        pair = (atoms[a], depth2(inner)) if right else (depth2(inner), atoms[a])
+        return CBin(_TEMPLATE_BINOPS[b], *pair)
+    u, inner = divmod(i - 14 * k * n2, n2)
+    return CUn(_TEMPLATE_UNOPS[u], depth2(inner))
+
+
+def template_equalities(consts: dict) -> list:
+    """`C == e` for every constant C and lattice expression e over the
+    other constants that holds on `consts` (name -> (pattern, IntType)),
+    constants in `consts` order, each one's expressions in lattice order."""
+    names = list(consts)
+    widths = np.array([consts[n][1].width for n in names], dtype=np.uint64)
+    values = np.array([to_unsigned(consts[n][0], consts[n][1].width)
+                       for n in names], dtype=np.uint64)
+    out = []
+    for t, name in enumerate(names):
+        others = [j for j in range(len(names)) if j != t]
+        val, wid, ok = _template_lanes(values[others], widths[others])
+        tv, tw = values[t], widths[t]
+        holds = ok & ((val == tv) | (_sext64(val, wid) == _sext64(tv, tw)))
+        atoms = [CConst(names[j]) for j in others]
+        out.extend(PCmp("eq", CConst(name), _template_expr(int(i), atoms))
+                   for i in np.flatnonzero(holds))
     return out
-
-
-def _holds(conj, consts: dict) -> bool:
-    try:
-        return semantics.eval_predicate((conj,), {}, consts, {})
-    except (semantics.EvalError, semantics.ConstEvalError):
-        return False
 
 
 def _probe_budget(budget: verifier.Budget) -> verifier.Budget:
@@ -223,6 +338,12 @@ def _probe_budget(budget: verifier.Budget) -> verifier.Budget:
 def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
                             budget: Optional[verifier.Budget] = None) -> list:
     """Symbolize literals and search templates for precondition conjuncts.
+
+    The templates are, per constant, a pin (`C <=u k && C >=u k`), the
+    `PowerOfTwo` atoms of C, C + 1 and C - 1 that hold, and the equalities
+    `C == e` that hold on the instance (`template_equalities`, screened as
+    numpy lanes under the scalar evaluator's semantics).  Starting from all
+    of them, conjuncts are dropped greedily while a probe check stays green.
 
     Returns a list of (assignment, conjunct tuple) candidates; the
     symbolized rule itself is `symbolize_literals(instance)[0]`.
@@ -240,7 +361,6 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
 
     pins: list = []
     pow2s: list = []
-    equalities: list = []
     for name in names:
         pattern, ty = consts[name]
         pins.append(PCmp("ule", CConst(name), CInt(pattern)))
@@ -248,15 +368,9 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
         for delta in (0, 1, -1):
             e = CConst(name) if delta == 0 else CBin("+", CConst(name), CInt(delta))
             conj = PPow2(e)
-            if _holds(conj, consts):
+            if semantics.eval_predicate(conj, {}, consts, {}):
                 pow2s.append(conj)
-        others = [n for n in names if n != name]
-        seen = set()
-        for expr in _candidate_exprs(others):
-            conj = PCmp("eq", CConst(name), expr)
-            if _holds(conj, consts) and conj not in seen:
-                seen.add(conj)
-                equalities.append(conj)
+    equalities = template_equalities(consts)
 
     # start pinned (trivially verified: the rule is the instance itself),
     # then greedily drop conjuncts while the probe check stays green

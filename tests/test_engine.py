@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peepgen import engine, semantics, verifier
-from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CConst, CInt,
-                        FloatType, Function, Instr, IntType, Local, Param,
-                        PCmp, mask, opcode_arity)
+from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CBin, CCast,
+                        CConst, CInt, CUn, FloatType, Function, Instr,
+                        IntType, Local, Param, PCmp, PPow2, mask,
+                        iter_expr, opcode_arity, pred_const_names)
 from peepgen.semantics import Bits, FloatBits, POISON
 
 from conftest import parse
@@ -51,6 +53,61 @@ def test_vector_matches_scalar_int(op, w, data):
     flags = (data.draw(st.sets(st.sampled_from(allowed), max_size=2))
              if allowed else set())
     _run_both(op, w, args, flags)
+
+
+def _flag_sets(op):
+    allowed = FLAG_POOL.get(op, [])
+    return [frozenset(c) for n in range(len(allowed) + 1)
+            for c in itertools.combinations(allowed, n)]
+
+
+def _lane_values(w):
+    full = mask(w)
+    return sorted({0, 1, 2 & full, 3 & full, full, full >> 1,
+                   1 << (w - 1), (1 << (w - 1)) + 1 & full, 0x5a5a & full,
+                   w & full})
+
+
+@pytest.mark.parametrize("w", [1, 3, 8, 16, 32, 64])
+@pytest.mark.parametrize("op", INT_BINOPS)
+def test_binop_kernels_match_scalar_on_block_shapes(op, w):
+    # the verifier feeds kernels a (k,1) constant column against a (1,m)
+    # input row, and literals as numpy scalars; every lane must agree with
+    # the scalar evaluator, poison included
+    ty = IntType(w)
+    dt = engine.udtype(w)
+    vals = _lane_values(w)
+    col = np.array(vals, dtype=dt).reshape(-1, 1)
+    row = np.array(vals[::-1], dtype=dt).reshape(1, -1)
+    mid = vals[len(vals) // 2]
+    shapes = [(col, row), (dt(vals[-1]), row.reshape(-1)),
+              (col.reshape(-1), dt(mid)), (dt(mid), dt(vals[-1]))]
+    for flags in _flag_sets(op):
+        fn = Function("lhs", (("p0", ty), ("p1", ty)),
+                      (Instr(op, (Param("p0"), Param("p1")), ty, flags,
+                             None),),
+                      Local(0))
+        for a, b in shapes:
+            vec = engine.eval_function_vec(
+                fn, {"p0": engine.VVal(a, None, ty),
+                     "p1": engine.VVal(b, None, ty)}, {})
+            shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+            data = np.broadcast_to(np.asarray(vec.data), shape)
+            assert data.dtype == dt
+            poison = np.broadcast_to(
+                np.asarray(False if vec.poison is None else vec.poison),
+                shape)
+            for idx in np.ndindex(*shape):
+                av = np.broadcast_to(a, shape)[idx]
+                bv = np.broadcast_to(b, shape)[idx]
+                scalar = semantics.eval_function(
+                    fn, [Bits(w, int(av)), Bits(w, int(bv))])
+                lane = (op, sorted(flags), int(av), int(bv))
+                if scalar is POISON:
+                    assert poison[idx], lane
+                else:
+                    assert not poison[idx], lane
+                    assert int(data[idx]) == scalar.value, lane
 
 
 @settings(max_examples=1000, deadline=None)
@@ -185,3 +242,114 @@ def test_split_const_defs_breaks_a_cycle():
     # the first constant in declaration order is freed, the other derived
     assert [n for n, _ in free] == ["C1"]
     assert [n for n, _ in defs] == ["C2"]
+
+
+# Constant expressions: the engine against the scalar evaluator on random
+# well-typed trees over i1-i8 constants, several constant tuples per tree.
+
+CEXPR_BINOPS = ("+", "-", "*", "/", "&", "|", "^", "<<", ">>u", ">>s")
+CEXPR_UNOPS = ("neg", "popcount", "cttz", "ctlz", "log2")
+CMP_PREDS = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
+LANES = 12
+
+
+@st.composite
+def _cexpr(draw, w, depth):
+    """An expression of width `w`: constants A<w> and B<w>, literal right
+    operands (shift amounts past the width included) and casts from other
+    widths."""
+    kinds = ["const", "un", "bin", "bin_lit", "cast"] if depth else ["const"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return CConst(draw(st.sampled_from([f"A{w}", f"B{w}"])))
+    if kind == "un":
+        return CUn(draw(st.sampled_from(CEXPR_UNOPS)),
+                   draw(_cexpr(w, depth - 1)))
+    if kind == "cast":
+        return CCast(draw(st.sampled_from(("zext", "sext", "trunc"))),
+                     draw(_cexpr(draw(st.integers(1, 8)), depth - 1)), w)
+    b = (CInt(draw(st.integers(0, 9))) if kind == "bin_lit"
+         else draw(_cexpr(w, depth - 1)))
+    return CBin(draw(st.sampled_from(CEXPR_BINOPS)),
+                draw(_cexpr(w, depth - 1)), b)
+
+
+@st.composite
+def _cpred_lanes(draw):
+    """A predicate over a constant-expression tree, and LANES values of
+    each constant it names."""
+    w = draw(st.integers(1, 8))
+    a = draw(_cexpr(w, 3))
+    if draw(st.booleans()):
+        pred = PPow2(a)
+    else:
+        w2 = draw(st.sampled_from([w, draw(st.integers(1, 8))]))
+        pred = PCmp(draw(st.sampled_from(CMP_PREDS)), a, draw(_cexpr(w2, 2)))
+    lanes = {}
+    for n in sorted(pred_const_names(pred)):
+        width = int(n[1:])
+        lanes[n] = (draw(st.lists(st.integers(0, mask(width)),
+                                  min_size=LANES, max_size=LANES)),
+                    IntType(width))
+    return pred, lanes
+
+
+def _big_right_shift(pred, consts: dict) -> bool:
+    """Whether evaluating `pred` shifts right (`>>u`, `>>s`) by the width
+    or more somewhere."""
+    for e in iter_expr(pred):
+        if isinstance(e, CBin) and e.op in (">>u", ">>s"):
+            try:
+                a = semantics.eval_constexpr(e.a, consts, {})
+                b = semantics.eval_constexpr(e.b, consts, {})
+            except semantics.ConstEvalError:
+                continue
+            if (b.value if isinstance(b, Bits) else b) >= a.width:
+                return True
+    return False
+
+
+def _compare_lanes(pred, lanes: dict):
+    """(scalar result, engine result, big right shift) for every lane."""
+    vector = engine.eval_pred_vec(pred, {}, {
+        n: (np.array(v, dtype=engine.udtype(ty.width)), ty)
+        for n, (v, ty) in lanes.items()})
+    vector = np.broadcast_to(np.asarray(vector, dtype=bool), (LANES,))
+    out = []
+    for i in range(LANES):
+        consts = {n: (v[i], ty) for n, (v, ty) in lanes.items()}
+        out.append((semantics.eval_predicate(pred, {}, consts, {}),
+                    bool(vector[i]),
+                    _big_right_shift(pred, consts)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cpred_lanes())
+def test_constexpr_vec_matches_scalar(case):
+    pred, lanes = case
+    for scalar, vector, big in _compare_lanes(pred, lanes):
+        if not big:  # those lanes are the xfail test below
+            assert vector == scalar
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "engine.eval_constexpr_vec treats >>u/>>s by the width or more as out "
+    "of domain (the atom is false); semantics.eval_constexpr gives 0 or "
+    "the sign fill"))
+def test_constexpr_vec_matches_scalar_on_right_shifts_past_the_width():
+    # the lanes the test above leaves out; collected under hypothesis and
+    # asserted after it, so the expected failure is one plain assertion
+    big_lanes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_cpred_lanes())
+    def collect(case):
+        big_lanes.extend((case[0], scalar, vector) for scalar, vector, big
+                         in _compare_lanes(*case) if big)
+
+    collect()
+    assert big_lanes
+    mismatches = [lane for lane in big_lanes if lane[1] != lane[2]]
+    assert not mismatches, f"{len(mismatches)} lanes differ, e.g. {mismatches[0]}"

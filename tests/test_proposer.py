@@ -3,16 +3,18 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from peepgen import textfmt, verifier
-from peepgen.ir import PeepError
+from peepgen import proposer, semantics, textfmt, verifier
+from peepgen.ir import CBin, CConst, CUn, IntType, PCmp, PeepError, mask
 from peepgen.proposer import (FeedbackItem, HeuristicBackend, LLMBackend,
                               Proposal, ProposalRequest, ProposerError,
                               RecordingBackend, ReplayBackend, Structural,
                               SymbolicConstants, WeakenPrecondition,
                               WidthPredicate, extract_fenced,
                               heuristic_fit_constants, propose, render_prompt,
-                              request_hash, symbolize_literals)
+                              request_hash, symbolize_literals,
+                              template_equalities)
 from peepgen.verifier import Budget
 
 from conftest import FIXTURES, parse
@@ -53,6 +55,91 @@ def test_heuristic_generalizes_clamp_concrete():
     # define the constants instead of leaving them to rejection sampling
     rule = parse((FIXTURES / "int" / "clamp_concrete.peep").read_text())
     assert heuristic_fit_constants(rule, {}, Budget())
+
+
+# The scalar template screen that `template_equalities` replaces, kept as its
+# oracle: every template is built as an expression object and evaluated on
+# its own by the scalar evaluator.
+
+ORACLE_BINOPS = ("&", "|", "^", "+", "-", "<<", ">>u")
+ORACLE_UNOPS = ("log2", "cttz", "popcount")
+
+
+def oracle_candidate_exprs(others: list) -> list:
+    """Constant expressions over `others`, up to two nested operators."""
+    atoms = [CConst(n) for n in others]
+    depth2 = [CUn(u, a) for u in ORACLE_UNOPS for a in atoms]
+    depth2 += [CBin(b, a1, a2) for b in ORACLE_BINOPS
+               for a1 in atoms for a2 in atoms]
+    out = atoms + depth2
+    for b in ORACLE_BINOPS:
+        for inner in depth2:
+            out.extend(CBin(b, inner, a) for a in atoms)
+            out.extend(CBin(b, a, inner) for a in atoms)
+    for u in ORACLE_UNOPS:
+        out.extend(CUn(u, inner) for inner in depth2)
+    return out
+
+
+def oracle_holds(conj, consts: dict) -> bool:
+    try:
+        return semantics.eval_predicate((conj,), {}, consts, {})
+    except (semantics.EvalError, semantics.ConstEvalError):
+        return False
+
+
+def oracle_equalities(consts: dict) -> list:
+    out = []
+    for name in consts:
+        seen = set()
+        for expr in oracle_candidate_exprs([n for n in consts if n != name]):
+            conj = PCmp("eq", CConst(name), expr)
+            if oracle_holds(conj, consts) and conj not in seen:
+                seen.add(conj)
+                out.append(conj)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_template_lanes_decode_in_oracle_order(k):
+    names = [f"C{i}" for i in range(1, k + 1)]
+    exprs = oracle_candidate_exprs(names)
+    atoms = [CConst(n) for n in names]
+    assert [proposer._template_expr(i, atoms)
+            for i in range(len(exprs))] == exprs
+
+
+@pytest.mark.parametrize("path", sorted((FIXTURES / "int").glob("*.peep")),
+                         ids=lambda p: p.stem)
+def test_template_screen_matches_oracle_on_fixtures(path):
+    skeleton, assignment = symbolize_literals(parse(path.read_text()))
+    types = dict(skeleton.sym_consts)
+    consts = {n: (v, types[n]) for n, v in assignment.items()}
+    assert template_equalities(consts) == oracle_equalities(consts)
+
+
+@st.composite
+def _screen_consts(draw):
+    n = draw(st.integers(1, 4))
+    width = st.sampled_from([1, 2, 3, 4, 5, 8, 16])
+    widths = ([draw(width)] * n if draw(st.booleans())
+              else [draw(width) for _ in range(n)])
+    consts = {}
+    for i, w in enumerate(widths):
+        # small values make coincidences and shift amounts past the width
+        value = draw(st.one_of(
+            st.integers(0, min(20, mask(w))), st.integers(0, mask(w)),
+            st.sampled_from([1 << j for j in range(w)]), st.just(mask(w))))
+        consts[f"C{i + 1}"] = (value, IntType(w))
+    return consts
+
+
+@settings(max_examples=40, deadline=None)
+@given(_screen_consts())
+def test_template_screen_matches_scalar_oracle(consts):
+    # element for element and in order: mixed widths, `<<` and `>>u` by
+    # the width or more, log2 of non-powers and cttz(0) all included
+    assert template_equalities(consts) == oracle_equalities(consts)
 
 
 def test_pinned_probes_do_not_exhaust_the_rejection_cap(monkeypatch):

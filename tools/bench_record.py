@@ -5,17 +5,22 @@ Each run file holds the standard output of one `perfbench/run.py` run: its
 the run's JSON result.  Untraced runs give, per workload and end-to-end
 metric, the median and quartiles of the parent's and the change's runs and
 how many same-seed pairs the change won; traced runs give the per-layer
-metrics of one seed.  The two kernel tables are the output of
-`tools/kernel_rate.py` on each side.  Stdlib only.
+metrics of one seed.  The kernel tables are the output of
+`tools/kernel_rate.py` on each side; with several tables per side (runs
+alternated between the sides) each figure is their median.  The optional
+Tier-1 files hold each side's saved pytest output; its final summary line
+gives the test counts and the wall time.  Stdlib only.
 
-    python3 tools/bench_record.py --out BENCH_6.json \\
-        --parent-commit 0677874 \\
+    python3 tools/bench_record.py --out BENCH_7.json \\
+        --parent-commit cfaa51e \\
         --parent-runs runs/parent/*.out --change-runs runs/change/*.out \\
-        --parent-kernels kr-parent.txt --change-kernels kr-change.txt
+        --parent-kernels kr/p*.txt --change-kernels kr/c*.txt \\
+        --parent-tier1 t1-parent.txt --change-tier1 t1-change.txt
 """
 import argparse
 import json
 import pathlib
+import re
 import statistics
 import sys
 
@@ -31,14 +36,38 @@ def read_run(path: pathlib.Path) -> dict:
     return {"context": context, "result": json.loads(lines[-1])}
 
 
-def read_kernels(path: pathlib.Path) -> dict:
-    """The rows of a kernel_rate table: kernel -> points, median_s, rate."""
-    rows = {}
-    for line in path.read_text().splitlines()[1:]:
-        name, points, median, rate = line.split()
-        rows[name] = {"points": int(points), "median_s": float(median),
-                      "points_per_s": float(rate)}
+def read_kernels(paths: list) -> dict:
+    """kernel -> points and the median, over the given kernel_rate tables,
+    of each table's median_s and points/s."""
+    rows: dict = {}
+    for path in paths:
+        for line in path.read_text().splitlines()[1:]:
+            name, points, median, rate = line.split()
+            row = rows.setdefault(name, {"points": int(points), "median_s": [],
+                                         "points_per_s": []})
+            row["median_s"].append(float(median))
+            row["points_per_s"].append(float(rate))
+    for row in rows.values():
+        row["tables"] = len(row["median_s"])
+        row["median_s"] = statistics.median(row["median_s"])
+        row["points_per_s"] = statistics.median(row["points_per_s"])
     return rows
+
+
+_OUTCOME = re.compile(r"(\d+) (passed|failed|error|skipped|xfailed|xpassed)s?\b")
+_WALL = re.compile(r" in ([0-9.]+)s\b")
+
+
+def read_tier1(path: pathlib.Path) -> dict:
+    """Test counts and wall time from the last pytest summary line, e.g.
+    `289 passed, 1 xfailed, 5 warnings in 151.20s (0:02:31)`."""
+    for line in reversed(path.read_text().splitlines()):
+        wall = _WALL.search(line)
+        counts = {kind: int(n) for n, kind in _OUTCOME.findall(line)}
+        if wall and counts:
+            return {"summary": line.strip(" ="), "wall_s": float(wall.group(1)),
+                    "passed": 0, "failed": 0, **counts}
+    raise SystemExit(f"{path}: no pytest summary line")
 
 
 def summary(values: list) -> dict:
@@ -96,8 +125,12 @@ def main() -> None:
                     type=pathlib.Path)
     ap.add_argument("--change-runs", nargs="+", required=True,
                     type=pathlib.Path)
-    ap.add_argument("--parent-kernels", required=True, type=pathlib.Path)
-    ap.add_argument("--change-kernels", required=True, type=pathlib.Path)
+    ap.add_argument("--parent-kernels", nargs="+", required=True,
+                    type=pathlib.Path)
+    ap.add_argument("--change-kernels", nargs="+", required=True,
+                    type=pathlib.Path)
+    ap.add_argument("--parent-tier1", type=pathlib.Path)
+    ap.add_argument("--change-tier1", type=pathlib.Path)
     args = ap.parse_args()
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -126,6 +159,10 @@ def main() -> None:
         "kernel_rate": {"parent": read_kernels(args.parent_kernels),
                         "change": read_kernels(args.change_kernels)},
     }
+    if args.parent_tier1 or args.change_tier1:
+        record["tier1"] = {side: read_tier1(path) for side, path in
+                           (("parent", args.parent_tier1),
+                            ("change", args.change_tier1)) if path}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
 

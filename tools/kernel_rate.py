@@ -1,4 +1,4 @@
-"""Print the verifier's throughput, in points per second, on four fixed
+"""Print the verifier's throughput, in points per second, on five fixed
 kernels, so that a change to the engine, the constant walk or the scan loop
 can be measured layer by layer:
 
@@ -11,6 +11,10 @@ can be measured layer by layer:
              x 4096 inputs, exhaustive)
   clamp      check_refinement on fixtures/rules/clamp_range.peep (256
              sampled constants x the full 65536-input grid)
+  divrem     check_refinement on `(x urem C) udiv C` => `and x, 0` at i16
+             under C != 0 (287 sampled constants, special values
+             included, x the full 65536-input grid): the udiv and urem
+             kernels
 
 Each kernel runs 5 times; the rate is its point count over the median
 time.  Stdlib and numpy only (numpy through peepgen).
@@ -46,6 +50,24 @@ rule "cttz_w12" {
   }
   rhs fn(x: i12) -> i1 {
     %0 = icmp.eq i12 %x, C3;
+    ret %0
+  }
+}
+"""
+
+
+# a quotient of a remainder by the same divisor is always 0
+DIVREM_I16 = """
+rule "divrem_i16" {
+  const C1: i16;
+  pre: C1 != 0;
+  lhs fn(x: i16) -> i16 {
+    %0 = urem i16 %x, C1;
+    %1 = udiv i16 %0, C1;
+    ret %1
+  }
+  rhs fn(x: i16) -> i16 {
+    %0 = and i16 %x, 0;
     ret %0
   }
 }
@@ -88,6 +110,9 @@ KERNELS = (
     ("clamp", refinement_kernel(
         _rule("clamp_range"),
         "256 sampled constants x 65536 inputs (full grid)")),
+    ("divrem", refinement_kernel(
+        textfmt.parse_rule(DIVREM_I16),
+        "287 sampled constants x 65536 inputs (full grid)")),
 )
 
 
