@@ -6,10 +6,18 @@ concrete types (width variables already resolved).  Integer values are kept
 as unsigned bit patterns in the narrowest ufunc dtype that fits; floats are
 kept in their native dtype and compared by bit pattern.
 
-Poison is tracked as a parallel boolean mask per value.  Partial constant
-operations (log2 of a non-power, division by zero) are tracked as per-lane
-"domain" masks that make the enclosing predicate atom false, mirroring the
-scalar evaluator.
+Poison is tracked as a parallel boolean mask per value.
+
+Each constant-expression operator is the instruction it names and runs
+through that instruction's kernel: `+ - * / & | ^ << >>u >>s` are `add sub
+mul udiv and or xor shl lshr ashr`, `neg popcount cttz ctlz` are `neg ctpop
+cttz ctlz`, float `+ - * /` are `fadd fsub fmul fdiv`, and `log2` is `cttz`
+on powers of two.  A lane where that instruction is poison (division by
+zero, a shift by the width or more, log2 of a non-power) is out of domain,
+and the enclosing predicate atom is false there, as in the scalar
+evaluator.  The one difference from the scalar evaluator is `>>u`/`>>s` by
+the width or more, which it defines as 0 or the sign fill (the strict xfail
+`test_constexpr_vec_matches_scalar_on_right_shifts_past_the_width`).
 """
 from __future__ import annotations
 
@@ -123,20 +131,19 @@ def _ctlz64(v, width: int):
 # ---------------------------------------------------------------------------
 # Integer instruction kernels
 #
-# Each kernel computes only the result its opcode names (and, for `exact`,
+# Each kernel takes operand arrays and the width, and returns the result
+# and the lanes the operation itself makes poison (None when it makes
+# none); it computes only the result its opcode names (and, for `exact`,
 # the remainder that decides poison).
 
 _BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
 
 
-def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
-    w = a.width
-    dt = udtype(w)
-    av, bv = a.data, b.data
-    poison = _por(a.poison, b.poison)
+def _int_binop_vec(op: str, flags, av, bv, w: int):
+    poison = None
 
     if op in _BITWISE:
-        return VVal(_BITWISE[op](av, bv), poison, a.ty)
+        return _BITWISE[op](av, bv), poison
 
     if op in ("add", "sub"):
         r = _wrap(av + bv if op == "add" else av - bv, w)
@@ -150,7 +157,7 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
         if "nuw" in flags:
             ovf = r < av if op == "add" else av < bv
             poison = _por(poison, ovf)
-        return VVal(r, poison, a.ty)
+        return r, poison
 
     if op == "mul":
         if w <= 32:
@@ -162,33 +169,37 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
                 ws = _signed(av, w).astype(np.int64) * _signed(bv, w).astype(np.int64)
                 poison = _por(poison, (ws < -(1 << (w - 1))) | (ws > (1 << (w - 1)) - 1))
         else:
-            r = av * bv
+            wide = av * bv  # the product modulo 2**64
+            r = _wrap(wide, w)
             if "nuw" in flags:
                 # divide-back overflow check: sound because when a*b wraps,
-                # r // a is strictly below b
+                # wide // a is strictly below b
                 safe = np.where(av == 0, np.uint64(1), av)
-                poison = _por(poison, (av != 0) & (r // safe != bv))
+                poison = _por(poison, ((av != 0) & (wide // safe != bv))
+                              | (wide > np.uint64(mask(w))))
             if "nsw" in flags:
                 sa, sb = _signed(av, w), _signed(bv, w)
                 na, nb = sa < 0, sb < 0
-                ma = np.where(na, (~av) + np.uint64(1), av)
-                mb = np.where(nb, (~bv) + np.uint64(1), bv)
+                ma = _wrap(np.where(na, (~av) + np.uint64(1), av), w)
+                mb = _wrap(np.where(nb, (~bv) + np.uint64(1), bv), w)
                 prod = ma * mb
                 safe = np.where(ma == 0, np.uint64(1), ma)
                 ovf_u = (ma != 0) & (prod // safe != mb)
-                limit = np.uint64((1 << 63) - 1) + (na ^ nb).astype(np.uint64)
+                # |a*b| may reach 2**(w-1) only when the product is negative
+                limit = np.uint64((1 << (w - 1)) - 1) + (na ^ nb).astype(np.uint64)
                 poison = _por(poison, ovf_u | (prod > limit))
-        return VVal(r, poison, a.ty)
+        return r, poison
 
+    dt = udtype(w)
     if op in ("udiv", "urem"):
         zero = bv == 0
         safe = np.where(zero, dt(1), bv)
-        poison = _por(poison, zero)
+        poison = zero
         if op == "urem":
-            return VVal(av % safe, poison, a.ty)
+            return av % safe, poison
         if "exact" in flags:
             poison = _por(poison, av % safe != 0)
-        return VVal(av // safe, poison, a.ty)
+        return av // safe, poison
 
     if op in ("sdiv", "srem"):
         sa, sb = _signed(av, w), _signed(bv, w)
@@ -199,21 +210,21 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
         int_min = dt(1 << (w - 1)) if w < 64 else np.uint64(1 << 63)
         minneg = (av == _wrap(np.asarray(int_min), w)) & (_wrap(bv, w) == dt(mask(w)))
         safe = np.where(zero, dt(1), mb)
-        poison = _por(poison, zero | minneg)
+        poison = zero | minneg
         if op == "sdiv":
             q = ma // safe
             qs = np.where(na ^ nb, _wrap((~q.astype(dt)) + dt(1), w), q)
             if "exact" in flags:
                 poison = _por(poison, ma % safe != 0)
-            return VVal(_wrap(qs, w), poison, a.ty)
+            return _wrap(qs, w), poison
         rem = ma % safe
         rs = np.where(na, _wrap((~rem.astype(dt)) + dt(1), w), rem)
-        return VVal(_wrap(rs, w), poison, a.ty)
+        return _wrap(rs, w), poison
 
     if op in ("shl", "lshr", "ashr"):
         big = bv >= dt(w)
         amt = np.where(big, dt(0), bv)
-        poison = _por(poison, big)
+        poison = big
         if op == "shl":
             r = _wrap(av << amt, w)
             if "nsw" in flags:
@@ -221,50 +232,46 @@ def _int_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
                 poison = _por(poison, back != _signed(av, w))
             if "nuw" in flags:
                 poison = _por(poison, (r >> amt) != av)
-            return VVal(r, poison, a.ty)
+            return r, poison
         if op == "lshr":
             r = av >> amt
-            if "exact" in flags:
-                lost = av & _wrap((dt(1) << amt) - dt(1), w)
-                poison = _por(poison, lost != 0)
-            return VVal(r, poison, a.ty)
-        r = _wrap(_signed(av, w) >> _signed(amt, w), w)
+        else:
+            r = _wrap(_signed(av, w) >> _signed(amt, w), w)
         if "exact" in flags:
             lost = av & _wrap((dt(1) << amt) - dt(1), w)
             poison = _por(poison, lost != 0)
-        return VVal(r, poison, a.ty)
+        return r, poison
 
     if op in ("smin", "smax", "umin", "umax"):
         pick = np.minimum if op.endswith("min") else np.maximum
         if op[0] == "u":
-            return VVal(pick(av, bv), poison, a.ty)
+            return pick(av, bv), poison
         r = pick(_signed(av, w), _signed(bv, w)).view(dt)
-        return VVal(_wrap(r, w), poison, a.ty)
+        return _wrap(r, w), poison
 
     raise UnsupportedConstruct(f"integer binop {op}")
 
 
-def _int_unop_vec(op: str, flags, a: VVal) -> VVal:
-    w = a.width
+def _int_unop_vec(op: str, flags, av, w: int):
     dt = udtype(w)
-    av = np.asarray(a.data, dtype=dt)
-    poison = a.poison
+    av = np.asarray(av, dtype=dt)
+    poison = None
     if op == "neg":
         r = _wrap((~av) + dt(1), w)
         if "nsw" in flags:
             poison = _por(poison, av == _wrap(np.asarray(dt(1) << dt(w - 1)), w))
         if "nuw" in flags:
             poison = _por(poison, av != 0)
-        return VVal(r, poison, a.ty)
+        return r, poison
     if op == "not":
-        return VVal(_wrap(~av, w), poison, a.ty)
+        return _wrap(~av, w), poison
     v64 = av.astype(np.uint64)
     if op == "ctpop":
-        return VVal(popcount64(v64).astype(dt), poison, a.ty)
+        return popcount64(v64).astype(dt), poison
     if op == "cttz":
-        return VVal(_cttz64(v64, w).astype(dt), poison, a.ty)
+        return _cttz64(v64, w).astype(dt), poison
     if op == "ctlz":
-        return VVal(_ctlz64(v64, w).astype(dt), poison, a.ty)
+        return _ctlz64(v64, w).astype(dt), poison
     raise UnsupportedConstruct(f"integer unop {op}")
 
 
@@ -298,22 +305,15 @@ def _float_flag_poison(flags, poison, *arrs):
     return poison
 
 
-def _float_binop_vec(op: str, flags, a: VVal, b: VVal) -> VVal:
-    poison = _por(a.poison, b.poison)
-    poison = _float_flag_poison(flags, poison, a.data, b.data)
+_FLOAT_BINOPS = {"fadd": np.add, "fsub": np.subtract, "fmul": np.multiply,
+                 "fdiv": np.divide}
+
+
+def _float_binop_vec(op: str, flags, fa, fb):
+    poison = _float_flag_poison(flags, None, fa, fb)
     with np.errstate(all="ignore"):
-        if op == "fadd":
-            r = a.data + b.data
-        elif op == "fsub":
-            r = a.data - b.data
-        elif op == "fmul":
-            r = a.data * b.data
-        elif op == "fdiv":
-            r = a.data / b.data
-        else:
-            raise UnsupportedConstruct(f"float binop {op}")
-    poison = _float_flag_poison(flags, poison, r)
-    return VVal(r, poison, a.ty)
+        r = _FLOAT_BINOPS[op](fa, fb)
+    return r, _float_flag_poison(flags, poison, r)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +329,7 @@ def lit_vval(lit: Literal) -> VVal:
     raise UnsupportedConstruct("literal with unresolved width")
 
 
-def _operand_vval(fn: Function, opnd, params: dict, locals_: list,
-                  consts: dict) -> VVal:
+def _operand_vval(opnd, params: dict, locals_: list, consts: dict) -> VVal:
     if isinstance(opnd, Param):
         return params[opnd.name]
     if isinstance(opnd, Local):
@@ -388,11 +387,17 @@ def eval_instr_vec(instr: Instr, args: list) -> VVal:
         (a,) = args
         poison = _float_flag_poison(instr.flags, a.poison, a.data)
         return VVal(-np.asarray(a.data), poison, a.ty)
-    if op in ("fadd", "fsub", "fmul", "fdiv"):
-        return _float_binop_vec(op, instr.flags, args[0], args[1])
-    if len(args) == 2:
-        return _int_binop_vec(op, instr.flags, args[0], args[1])
-    return _int_unop_vec(op, instr.flags, args[0])
+    a = args[0]
+    if op in _FLOAT_BINOPS:
+        data, poison = _float_binop_vec(op, instr.flags, a.data, args[1].data)
+    elif len(args) == 2:
+        data, poison = _int_binop_vec(op, instr.flags, a.data, args[1].data,
+                                      a.width)
+    else:
+        data, poison = _int_unop_vec(op, instr.flags, a.data, a.width)
+    for v in args:
+        poison = _por(v.poison, poison)
+    return VVal(data, poison, a.ty)
 
 
 def _ucmp(base: str, a, b):
@@ -407,9 +412,9 @@ def eval_function_vec(fn: Function, params: dict, consts: dict) -> VVal:
     """
     locals_: list = []
     for instr in fn.body:
-        args = [_operand_vval(fn, o, params, locals_, consts) for o in instr.operands]
+        args = [_operand_vval(o, params, locals_, consts) for o in instr.operands]
         locals_.append(eval_instr_vec(instr, args))
-    return _operand_vval(fn, fn.ret, params, locals_, consts)
+    return _operand_vval(fn.ret, params, locals_, consts)
 
 
 def values_equal_vec(a: VVal, b: VVal):
@@ -428,13 +433,14 @@ def values_equal_vec(a: VVal, b: VVal):
 @dataclass
 class CVal:
     """Const-expr value: integer patterns with a width, floats, or
-    width-polymorphic Python ints; `ok` masks lanes outside partial-op
-    domains."""
+    width-polymorphic Python ints; `poison` masks the lanes that are out of
+    domain (an operator's instruction gave poison there, or a value
+    reference is bound to poison)."""
 
     data: object  # ndarray | int | float
     width: Optional[int]  # None for poly ints and floats
     prec: Optional[int]
-    ok: Optional[np.ndarray]
+    poison: Optional[np.ndarray]
 
     @property
     def is_float(self) -> bool:
@@ -445,12 +451,10 @@ def _poly(v) -> CVal:
     return CVal(v, None, None, None)
 
 
-def _ok_and(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a & b
+def _ref_cval(v: VVal) -> CVal:
+    if isinstance(v.ty, FloatType):
+        return CVal(v.data, None, v.ty.bits, v.poison)
+    return CVal(v.data, v.ty.width, None, v.poison)
 
 
 def _as_width(v: CVal, width: int):
@@ -458,6 +462,26 @@ def _as_width(v: CVal, width: int):
     if isinstance(v.data, (int, np.integer)) and v.width is None:
         return udtype(width)(to_unsigned(int(v.data), width))
     return np.asarray(v.data)
+
+
+def _as_floats(a: CVal, b: CVal):
+    """Both operands as floats of the precision of the float one (f64 when
+    neither has one), and that precision."""
+    prec = a.prec or b.prec or 64
+    dt = _FLOAT[prec]
+    return [np.asarray(v.data) if v.is_float else np.asarray(v.data, dtype=dt)
+            for v in (a, b)], prec
+
+
+def _is_pow2(v64):
+    return (v64 != 0) & ((v64 & (v64 - np.uint64(1))) == 0)
+
+
+# the instruction each constant operator is (see the module docstring)
+_CBIN_INT = {"+": "add", "-": "sub", "*": "mul", "/": "udiv", "&": "and",
+             "|": "or", "^": "xor", "<<": "shl", ">>u": "lshr", ">>s": "ashr"}
+_CUN_INT = {"neg": "neg", "popcount": "ctpop", "cttz": "cttz", "ctlz": "ctlz"}
+_CBIN_FLOAT = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv"}
 
 
 def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
@@ -474,41 +498,30 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
                 return CVal(data, None, ty.bits, None)
             return CVal(data, ty.width, None, None)
         if isinstance(e, CRef):
-            v = params[e.name]
-            ok = None if v.poison is None else ~v.poison
-            if isinstance(v.ty, FloatType):
-                return CVal(v.data, None, v.ty.bits, ok)
-            return CVal(v.data, v.ty.width, None, ok)
+            return _ref_cval(params[e.name])
         if isinstance(e, CUn):
             a = ev(e.a)
             if a.is_float or isinstance(a.data, float):
                 if e.op == "neg":
                     return CVal(-np.asarray(a.data) if a.is_float else -a.data,
-                                a.width, a.prec, a.ok)
+                                a.width, a.prec, a.poison)
                 raise UnsupportedConstruct(f"{e.op} on float constant")
             if a.width is None:
                 # poly scalar: reuse the scalar evaluator's semantics
                 try:
                     r = semantics.eval_constexpr(CUn(e.op, CInt(int(a.data))), {}, {})
                 except semantics.ConstEvalError:
-                    return CVal(0, None, None, np.zeros(1, bool))
+                    return CVal(0, None, None, np.ones(1, bool))
                 return _poly(int(r))
             w = a.width
-            av = np.asarray(a.data)
-            if e.op == "neg":
-                return CVal(_wrap((~av.astype(udtype(w))) + udtype(w)(1), w), w, None, a.ok)
-            v64 = av.astype(np.uint64)
-            if e.op == "popcount":
-                return CVal(popcount64(v64).astype(udtype(w)), w, None, a.ok)
-            if e.op == "cttz":
-                return CVal(_cttz64(v64, w).astype(udtype(w)), w, None, a.ok)
-            if e.op == "ctlz":
-                return CVal(_ctlz64(v64, w).astype(udtype(w)), w, None, a.ok)
             if e.op == "log2":
-                ispow = (v64 != 0) & ((v64 & (v64 - np.uint64(1))) == 0)
-                lg = _cttz64(v64, w).astype(udtype(w))
-                return CVal(lg, w, None, _ok_and(a.ok, ispow))
-            raise UnsupportedConstruct(f"constant operator {e.op}")
+                lg, _ = _int_unop_vec("cttz", (), a.data, w)
+                ispow = _is_pow2(np.asarray(a.data).astype(np.uint64))
+                return CVal(lg, w, None, _por(a.poison, ~ispow))
+            if e.op not in _CUN_INT:
+                raise UnsupportedConstruct(f"constant operator {e.op}")
+            data, poison = _int_unop_vec(_CUN_INT[e.op], (), a.data, w)
+            return CVal(data, w, None, _por(a.poison, poison))
         if isinstance(e, CCast):
             a = ev(e.a)
             if a.is_float:
@@ -517,17 +530,21 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
             if not isinstance(w, int):
                 raise UnsupportedConstruct(f"unresolved width variable {w}")
             if a.width is None:
-                return CVal(udtype(w)(to_unsigned(int(a.data), w)), w, None, a.ok)
+                return CVal(udtype(w)(to_unsigned(int(a.data), w)), w, None, a.poison)
             av = np.asarray(a.data)
             if e.kind == "sext":
                 return CVal(_wrap(_signed(av, a.width).astype(_SINT[storage_bits(w)]), w),
-                            w, None, a.ok)
-            return CVal(_wrap(av, w), w, None, a.ok)
+                            w, None, a.poison)
+            return CVal(_wrap(av, w), w, None, a.poison)
         if isinstance(e, CBin):
             a, b = ev(e.a), ev(e.b)
-            ok = _ok_and(a.ok, b.ok)
+            poison = _por(a.poison, b.poison)
             if a.is_float or b.is_float or isinstance(a.data, float) or isinstance(b.data, float):
-                return _cbin_float_vec(e.op, a, b, ok)
+                if e.op not in _CBIN_FLOAT:
+                    raise UnsupportedConstruct(f"operator {e.op} on float constants")
+                (fa, fb), prec = _as_floats(a, b)
+                data, _ = _float_binop_vec(_CBIN_FLOAT[e.op], (), fa, fb)
+                return CVal(data, None, prec, poison)
             if a.width is not None and b.width is not None and a.width != b.width:
                 raise UnsupportedConstruct(
                     f"width mismatch i{a.width} vs i{b.width} in constant expression")
@@ -537,10 +554,15 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
                     r = semantics.eval_constexpr(
                         CBin(e.op, CInt(int(a.data)), CInt(int(b.data))), {}, {})
                 except semantics.ConstEvalError:
-                    return CVal(0, None, None, np.zeros(1, bool))
-                return CVal(int(r), None, None, ok)
-            av, bv = _as_width(a, w), _as_width(b, w)
-            return _cbin_int_vec(e.op, av, bv, w, ok)
+                    return CVal(0, None, None, np.ones(1, bool))
+                return CVal(int(r), None, None, poison)
+            if e.op not in _CBIN_INT:
+                raise UnsupportedConstruct(f"constant operator {e.op}")
+            dt = udtype(w)
+            data, out = _int_binop_vec(
+                _CBIN_INT[e.op], (), np.asarray(_as_width(a, w), dtype=dt),
+                np.asarray(_as_width(b, w), dtype=dt), w)
+            return CVal(data, w, None, _por(poison, out))
         raise UnsupportedConstruct(f"constant expression {e!r}")
 
     # ev refers to itself through its closure; without the del, each call
@@ -550,58 +572,6 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
         return ev(e)
     finally:
         del ev
-
-
-def _cbin_int_vec(op: str, av, bv, w: int, ok) -> CVal:
-    dt = udtype(w)
-    av = np.asarray(av, dtype=dt)
-    bv = np.asarray(bv, dtype=dt)
-    if op == "+":
-        return CVal(_wrap(av + bv, w), w, None, ok)
-    if op == "-":
-        return CVal(_wrap(av - bv, w), w, None, ok)
-    if op == "*":
-        return CVal(_wrap(av * bv, w), w, None, ok)
-    if op == "/":
-        zero = bv == 0
-        safe = np.where(zero, dt(1), bv)
-        return CVal(av // safe, w, None, _ok_and(ok, ~zero))
-    if op == "&":
-        return CVal(av & bv, w, None, ok)
-    if op == "|":
-        return CVal(av | bv, w, None, ok)
-    if op == "^":
-        return CVal(av ^ bv, w, None, ok)
-    if op in ("<<", ">>u", ">>s"):
-        big = bv >= dt(w)
-        amt = np.where(big, dt(0), bv)
-        if op == "<<":
-            r = _wrap(av << amt, w)
-            return CVal(r, w, None, _ok_and(ok, ~big))
-        if op == ">>u":
-            return CVal(av >> amt, w, None, _ok_and(ok, ~big))
-        r = _wrap(_signed(av, w) >> _signed(amt, w), w)
-        return CVal(r, w, None, _ok_and(ok, ~big))
-    raise UnsupportedConstruct(f"constant operator {op}")
-
-
-def _cbin_float_vec(op: str, a: CVal, b: CVal, ok) -> CVal:
-    prec = a.prec if a.prec is not None else (b.prec if b.prec is not None else 64)
-    dt = _FLOAT[prec]
-    fa = np.asarray(a.data, dtype=dt) if not a.is_float else np.asarray(a.data)
-    fb = np.asarray(b.data, dtype=dt) if not b.is_float else np.asarray(b.data)
-    with np.errstate(all="ignore"):
-        if op == "+":
-            r = fa + fb
-        elif op == "-":
-            r = fa - fb
-        elif op == "*":
-            r = fa * fb
-        elif op == "/":
-            r = fa / fb
-        else:
-            raise UnsupportedConstruct(f"operator {op} on float constants")
-    return CVal(r, None, prec, ok)
 
 
 def _interp_vec(v: CVal, signed: bool):
@@ -615,15 +585,12 @@ def _interp_vec(v: CVal, signed: bool):
     return data.astype(np.uint64)
 
 
-def _cmp_vec(pred: str, a: CVal, b: CVal, shape):
+def _cmp_vec(pred: str, a: CVal, b: CVal):
     # ult/ule/ugt/uge name both an integer and a float predicate; the
     # operands decide which one is meant
     if pred in _FCMP_PREDS and (pred not in _ICMP_PREDS
                                 or a.is_float or b.is_float):
-        prec = a.prec if a.prec is not None else (b.prec if b.prec is not None else 64)
-        dt = _FLOAT[prec]
-        fa = np.asarray(a.data) if a.is_float else np.asarray(a.data, dtype=dt)
-        fb = np.asarray(b.data) if b.is_float else np.asarray(b.data, dtype=dt)
+        (fa, fb), _ = _as_floats(a, b)
         return _fcmp_vec(pred, fa, fb)
     if pred in ("eq", "ne"):
         if (a.width is not None and b.width is not None and a.width == b.width):
@@ -674,18 +641,11 @@ def eval_pred_vec(p, params: dict, consts: dict):
     if isinstance(p, PAnd):
         return eval_pred_vec(p.a, params, consts) & eval_pred_vec(p.b, params, consts)
 
-    def ref_cval(name: str) -> CVal:
-        v = params[name]
-        ok = None if v.poison is None else ~v.poison
-        if isinstance(v.ty, FloatType):
-            return CVal(v.data, None, v.ty.bits, ok)
-        return CVal(v.data, v.ty.width, None, ok)
-
     if isinstance(p, PCmp):
         a = eval_constexpr_vec(p.a, consts, params)
         b = eval_constexpr_vec(p.b, consts, params)
-        r = _cmp_vec(p.pred, a, b, None)
-        return _apply_ok(r, a.ok, b.ok)
+        r = _cmp_vec(p.pred, a, b)
+        return _in_domain(r, a.poison, b.poison)
     if isinstance(p, PPow2):
         a = eval_constexpr_vec(p.e, consts, params)
         if a.is_float:
@@ -693,41 +653,40 @@ def eval_pred_vec(p, params: dict, consts: dict):
         if a.width is None:
             v = int(a.data)
             return np.asarray(v > 0 and v & (v - 1) == 0)
-        v64 = np.asarray(a.data).astype(np.uint64)
-        r = (v64 != 0) & ((v64 & (v64 - np.uint64(1))) == 0)
-        return _apply_ok(r, a.ok)
+        return _in_domain(_is_pow2(np.asarray(a.data).astype(np.uint64)), a.poison)
     if isinstance(p, PKnownBits):
-        v = ref_cval(p.ref)
+        v = _ref_cval(params[p.ref])
         z = eval_constexpr_vec(p.zeros, consts, params)
         o = eval_constexpr_vec(p.ones, consts, params)
         vd = np.asarray(v.data).astype(np.uint64)
         zd = np.asarray(_as_width(z, v.width)).astype(np.uint64)
         od = np.asarray(_as_width(o, v.width)).astype(np.uint64)
         r = ((vd & zd) == 0) & ((vd & od) == od)
-        return _apply_ok(r, v.ok, z.ok, o.ok)
+        return _in_domain(r, v.poison, z.poison, o.poison)
     if isinstance(p, PRange):
-        v = ref_cval(p.ref)
+        v = _ref_cval(params[p.ref])
         lo = eval_constexpr_vec(p.lo, consts, params)
         hi = eval_constexpr_vec(p.hi, consts, params)
         r = _num_cmp("le", lo, v, p.signed) & _num_cmp("le", v, hi, p.signed)
-        return _apply_ok(r, v.ok, lo.ok, hi.ok)
+        return _in_domain(r, v.poison, lo.poison, hi.poison)
     if isinstance(p, PLowBitsZero):
-        v = ref_cval(p.ref)
+        v = _ref_cval(params[p.ref])
         k = eval_constexpr_vec(p.k, consts, params)
         kv = _interp_vec(k, False)
         kv = np.minimum(np.asarray(kv, dtype=np.uint64), np.uint64(v.width))
         m = np.where(kv >= 64, np.uint64(mask(64)),
                      (np.uint64(1) << kv) - np.uint64(1))
         r = (np.asarray(v.data).astype(np.uint64) & m) == 0
-        return _apply_ok(r, v.ok, k.ok)
+        return _in_domain(r, v.poison, k.poison)
     raise UnsupportedConstruct(f"predicate {p!r}")
 
 
-def _apply_ok(r, *oks):
+def _in_domain(r, *poisons):
+    """`r` with the lanes that are out of domain in any operand false."""
     r = np.asarray(r, dtype=bool)
-    for ok in oks:
-        if ok is not None:
-            r = r & ok
+    for poison in poisons:
+        if poison is not None:
+            r = r & ~poison
     return r
 
 

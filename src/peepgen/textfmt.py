@@ -119,6 +119,11 @@ _CMP_TOKENS = {
 
 _CONST_FUNCS = ("popcount", "cttz", "ctlz", "log2")
 
+# binary constant operators by binding strength, as in C; the parser and the
+# printer both read it
+_PREC = {"|": 1, "^": 2, "&": 3, "<<": 4, ">>u": 4, ">>s": 4,
+         "+": 5, "-": 5, "*": 6, "/": 6}
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -350,14 +355,12 @@ class _Parser:
         return tuple(conjuncts)
 
     def parse_pred_or(self):
-        p = self.parse_pred_and()
+        # && binds only inside parentheses (parse_pred_atom); at the top
+        # level it splits conjuncts
+        p = self.parse_pred_atom()
         while self.accept("punct", "||"):
-            p = POr(p, self.parse_pred_and())
+            p = POr(p, self.parse_pred_atom())
         return p
-
-    def parse_pred_and(self):
-        # only inside parentheses; top-level && splits into conjuncts
-        return self.parse_pred_atom()
 
     def parse_pred_atom(self):
         t = self.peek()
@@ -437,55 +440,19 @@ class _Parser:
         # later by validate(), not here
         return self.expect("pct").text[1:]
 
-    # -- constant expressions, C precedence (| ^ & shift +- */)
+    # -- constant expressions, C precedence (_PREC)
 
-    def parse_cexpr(self):
-        e = self.parse_cexpr_xor()
-        while self.accept("punct", "|"):
-            e = CBin("|", e, self.parse_cexpr_xor())
-        return e
-
-    def parse_cexpr_xor(self):
-        e = self.parse_cexpr_and()
-        while self.accept("punct", "^"):
-            e = CBin("^", e, self.parse_cexpr_and())
-        return e
-
-    def parse_cexpr_and(self):
-        e = self.parse_cexpr_shift()
-        while self.accept("punct", "&"):
-            e = CBin("&", e, self.parse_cexpr_shift())
-        return e
-
-    def parse_cexpr_shift(self):
-        e = self.parse_cexpr_add()
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text in ("<<", ">>u", ">>s"):
-                self.next()
-                e = CBin(t.text, e, self.parse_cexpr_add())
-            else:
-                return e
-
-    def parse_cexpr_add(self):
-        e = self.parse_cexpr_mul()
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text in ("+", "-"):
-                self.next()
-                e = CBin(t.text, e, self.parse_cexpr_mul())
-            else:
-                return e
-
-    def parse_cexpr_mul(self):
+    def parse_cexpr(self, prec: int = 1):
+        """Precedence climbing: binary operators binding at least `prec`
+        (left-associative) over unary operands."""
         e = self.parse_cexpr_unary()
         while True:
             t = self.peek()
-            if t.kind == "punct" and t.text in ("*", "/"):
-                self.next()
-                e = CBin(t.text, e, self.parse_cexpr_unary())
-            else:
+            p = _PREC.get(t.text) if t.kind == "punct" else None
+            if p is None or p < prec:
                 return e
+            self.next()
+            e = CBin(t.text, e, self.parse_cexpr(p + 1))
 
     def parse_cexpr_unary(self):
         t = self.peek()
@@ -570,9 +537,6 @@ def parse_conjuncts(src: str, consts: Optional[dict] = None,
 # Printer
 
 _CMP_TEXT = {v: k for k, v in _CMP_TOKENS.items()}
-
-_PREC = {"|": 1, "^": 2, "&": 3, "<<": 4, ">>u": 4, ">>s": 4,
-         "+": 5, "-": 5, "*": 6, "/": 6}
 
 
 def print_cexpr(e, prec: int = 0) -> str:

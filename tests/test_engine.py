@@ -14,7 +14,7 @@ from peepgen.semantics import Bits, FloatBits, POISON
 
 from conftest import parse
 
-WIDTHS = [1, 3, 8, 16, 32, 64]
+WIDTHS = [1, 3, 8, 16, 32, 33, 40, 63, 64]
 FLAG_POOL = {"add": ["nsw", "nuw"], "sub": ["nsw", "nuw"],
              "mul": ["nsw", "nuw"], "shl": ["nsw", "nuw"],
              "udiv": ["exact"], "sdiv": ["exact"],
@@ -68,7 +68,7 @@ def _lane_values(w):
                    w & full})
 
 
-@pytest.mark.parametrize("w", [1, 3, 8, 16, 32, 64])
+@pytest.mark.parametrize("w", [1, 3, 8, 16, 32, 33, 40, 63, 64])
 @pytest.mark.parametrize("op", INT_BINOPS)
 def test_binop_kernels_match_scalar_on_block_shapes(op, w):
     # the verifier feeds kernels a (k,1) constant column against a (1,m)
@@ -245,12 +245,15 @@ def test_split_const_defs_breaks_a_cycle():
 
 
 # Constant expressions: the engine against the scalar evaluator on random
-# well-typed trees over i1-i8 constants, several constant tuples per tree.
+# well-typed trees over i1-i8 and a few wider constants, several constant
+# tuples per tree.
 
 CEXPR_BINOPS = ("+", "-", "*", "/", "&", "|", "^", "<<", ">>u", ">>s")
 CEXPR_UNOPS = ("neg", "popcount", "cttz", "ctlz", "log2")
 CMP_PREDS = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
 LANES = 12
+CEXPR_WIDTHS = st.one_of(st.integers(1, 8),
+                         st.sampled_from([13, 16, 32, 33, 64]))
 
 
 @st.composite
@@ -267,7 +270,7 @@ def _cexpr(draw, w, depth):
                    draw(_cexpr(w, depth - 1)))
     if kind == "cast":
         return CCast(draw(st.sampled_from(("zext", "sext", "trunc"))),
-                     draw(_cexpr(draw(st.integers(1, 8)), depth - 1)), w)
+                     draw(_cexpr(draw(CEXPR_WIDTHS), depth - 1)), w)
     b = (CInt(draw(st.integers(0, 9))) if kind == "bin_lit"
          else draw(_cexpr(w, depth - 1)))
     return CBin(draw(st.sampled_from(CEXPR_BINOPS)),
@@ -278,12 +281,12 @@ def _cexpr(draw, w, depth):
 def _cpred_lanes(draw):
     """A predicate over a constant-expression tree, and LANES values of
     each constant it names."""
-    w = draw(st.integers(1, 8))
+    w = draw(CEXPR_WIDTHS)
     a = draw(_cexpr(w, 3))
     if draw(st.booleans()):
         pred = PPow2(a)
     else:
-        w2 = draw(st.sampled_from([w, draw(st.integers(1, 8))]))
+        w2 = draw(st.sampled_from([w, draw(CEXPR_WIDTHS)]))
         pred = PCmp(draw(st.sampled_from(CMP_PREDS)), a, draw(_cexpr(w2, 2)))
     lanes = {}
     for n in sorted(pred_const_names(pred)):
@@ -353,3 +356,35 @@ def test_constexpr_vec_matches_scalar_on_right_shifts_past_the_width():
     assert big_lanes
     mismatches = [lane for lane in big_lanes if lane[1] != lane[2]]
     assert not mismatches, f"{len(mismatches)} lanes differ, e.g. {mismatches[0]}"
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_constant_operators_match_scalar_on_lane_pairs(w):
+    # every constant operator on a column of corner values against a row of
+    # them: the value where the scalar evaluator defines one, out of domain
+    # where it raises (the right shifts past the width are the xfail above)
+    ty = IntType(w)
+    vals = _lane_values(w)
+    col = np.array(vals, dtype=engine.udtype(w)).reshape(-1, 1)
+    consts = {"A": (col, ty), "B": (col.reshape(1, -1), ty)}
+    exprs = ([CBin(op, CConst("A"), CConst("B")) for op in CEXPR_BINOPS]
+             + [CUn(op, CConst("A")) for op in CEXPR_UNOPS])
+    shape = (len(vals), len(vals))
+    for e in exprs:
+        vec = engine.eval_constexpr_vec(e, consts)
+        data = np.broadcast_to(np.asarray(vec.data), shape)
+        poison = np.broadcast_to(
+            np.asarray(False if vec.poison is None else vec.poison), shape)
+        for i, j in np.ndindex(*shape):
+            a, b = vals[i], vals[j]
+            if e.op in (">>u", ">>s") and b >= w:
+                continue
+            lane = (e, a, b)
+            try:
+                scalar = semantics.eval_constexpr(
+                    e, {"A": (a, ty), "B": (b, ty)}, {})
+            except semantics.ConstEvalError:
+                assert poison[i, j], lane
+                continue
+            assert not poison[i, j], lane
+            assert int(data[i, j]) == scalar.value, lane

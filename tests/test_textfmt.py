@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peepgen import textfmt
-from peepgen.ir import (CConst, CInt, Function, Instr, IntType, Literal,
-                        Local, Param, PCmp, PPow2, Rule, SymConst, validate)
+from peepgen import engine, textfmt
+from peepgen.ir import (CAST_OPS, CBIN_OPS, CUN_OPS, FLOAT_BINOPS,
+                        INT_BINOPS, INT_UNOPS, CBin, CCast, CConst, CFloat,
+                        CInt, CRef, CUn, CWidth, Function, Instr, IntType,
+                        Literal, Local, Param, PCmp, PPow2, Rule, SymConst,
+                        validate)
 from peepgen.textfmt import ParseError
 
 from conftest import parse
@@ -101,3 +104,54 @@ def test_parse_conjuncts_standalone():
                                    {"C1": IntType(8)})
     assert len(conj) == 2
     assert textfmt.print_pred(conj[0]) == "PowerOfTwo(C1)"
+
+
+CEXPR_CONSTS = {"C1": IntType(8), "C2": IntType(16)}
+CEXPR_LEAVES = st.one_of(
+    st.sampled_from([CConst("C1"), CConst("C2"), CRef("x"), CWidth("W")]),
+    st.integers(-300, 1 << 40).map(CInt),
+    st.floats(allow_nan=False, width=32).map(CFloat))
+
+
+@st.composite
+def cexprs(draw, depth):
+    """A constant-expression tree over every operator, function and cast;
+    the tree need not type-check, the parser does not check types."""
+    kinds = ["leaf", "bin", "un", "cast"] if depth else ["leaf"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        return draw(CEXPR_LEAVES)
+    if kind == "bin":
+        return CBin(draw(st.sampled_from(CBIN_OPS)),
+                    draw(cexprs(depth - 1)), draw(cexprs(depth - 1)))
+    a = draw(cexprs(depth - 1))
+    if kind == "cast":
+        return CCast(draw(st.sampled_from(CAST_OPS)), a,
+                     draw(st.sampled_from([1, 8, 33, 64, "W"])))
+    op = draw(st.sampled_from(CUN_OPS))
+    if op == "neg" and isinstance(a, (CInt, CFloat)):
+        # the parser folds `-` of a literal into the literal
+        draw(st.nothing())
+    return CUn(op, a)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(["eq", "ne", "ult", "ule", "ugt", "uge",
+                        "slt", "sle", "sgt", "sge"]),
+       cexprs(4), cexprs(3))
+def test_constexpr_round_trip(pred, a, b):
+    for p in (PCmp(pred, a, b), PPow2(a)):
+        text = textfmt.print_pred(p)
+        assert textfmt.parse_conjuncts(text, CEXPR_CONSTS, ["W"]) == (p,), text
+
+
+def test_constant_operators_are_defined_once():
+    # the IR's operator lists, the precedence table that parses and prints
+    # them and the instructions the engine evaluates them with agree
+    assert set(CBIN_OPS) == set(textfmt._PREC) == set(engine._CBIN_INT)
+    assert set(engine._CBIN_FLOAT) < set(CBIN_OPS)
+    assert set(CUN_OPS) == set(engine._CUN_INT) | {"log2"}
+    assert set(CUN_OPS) == set(textfmt._CONST_FUNCS) | {"neg"}
+    assert set(engine._CBIN_INT.values()) <= set(INT_BINOPS)
+    assert set(engine._CUN_INT.values()) <= set(INT_UNOPS)
+    assert set(engine._CBIN_FLOAT.values()) <= set(FLOAT_BINOPS)

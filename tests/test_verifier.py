@@ -441,6 +441,28 @@ rule "t" {
     assert replay_counterexample(rule, verdict.counterexample)
 
 
+def test_wide_mul_wraps_at_its_width():
+    # at i40, x * 2 drops bit 39 (x = 2**39 gives lhs 0 and rhs 2); a product
+    # kept modulo 2**64 instead of 2**40 makes the rule look sound
+    rule = parse("""
+rule "mul_i40" {
+  lhs fn(x: i40) -> i40 {
+    %0 = mul i40 %x, 2;
+    %1 = udiv i40 %0, 549755813888;
+    ret %1
+  }
+  rhs fn(x: i40) -> i40 {
+    %0 = lshr i40 %x, 38;
+    %1 = and i40 %0, 3;
+    ret %1
+  }
+}
+""")
+    verdict = check_refinement(rule, {}, Budget())
+    assert verdict.kind == "refuted"
+    assert replay_counterexample(rule, verdict.counterexample)
+
+
 def test_refuted_counterexamples_replay(fixture_corpus):
     # strip the precondition from each generalized fixture; every resulting
     # refutation must replay under the scalar evaluator

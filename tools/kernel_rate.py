@@ -1,4 +1,4 @@
-"""Print the verifier's throughput, in points per second, on five fixed
+"""Print the verifier's throughput, in points per second, on seven fixed
 kernels, so that a change to the engine, the constant walk or the scan loop
 can be measured layer by layer:
 
@@ -15,9 +15,16 @@ can be measured layer by layer:
              under C != 0 (287 sampled constants, special values
              included, x the full 65536-input grid): the udiv and urem
              kernels
+  filter64, filter65536
+             one engine.eval_pred_vec call on xor_and_distribute's
+             constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
+             64 or 65536 seeded random constant tuples: the constant
+             operators and the constant filter, one call at a time
 
-Each kernel runs 5 times; the rate is its point count over the median
-time.  Stdlib and numpy only (numpy through peepgen).
+Each kernel runs 5 times (a filter kernel 5 batches of many calls);
+median_s is the median time of one call (for a filter kernel, times 1e6 it
+is microseconds per call), and the rate is the points of one call over it.
+Stdlib and numpy only (numpy through peepgen).
 
 Run from anywhere:  python3 tools/kernel_rate.py
 """
@@ -26,10 +33,12 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from peepgen import textfmt, verifier  # noqa: E402
+from peepgen import engine, textfmt, verifier  # noqa: E402
 from peepgen.ir import pred_param_refs  # noqa: E402
 
 RUNS = 5
@@ -100,32 +109,49 @@ def refinement_kernel(rule, space: str):
     return run
 
 
+def filter_kernel(lanes: int):
+    rule = _rule("xor_and_distribute")
+    (conj,) = [c for c in rule.pre if not pred_param_refs(c)]
+    rng = np.random.default_rng(0)
+    consts = {name: (rng.integers(0, 256, size=lanes, dtype=np.uint8), ty)
+              for name, ty in rule.sym_consts}
+
+    def run() -> int:
+        engine.eval_pred_vec(conj, {}, consts)
+        return lanes
+    return run
+
+
+# (name, kernel, calls timed together)
 KERNELS = (
-    ("enumerate", enumerate_kernel()),
+    ("enumerate", enumerate_kernel(), 1),
     ("xor_and", refinement_kernel(
         _rule("xor_and_distribute"),
-        "4352 sampled constants x 256 inputs (full grid)")),
+        "4352 sampled constants x 256 inputs (full grid)"), 1),
     ("narrow", refinement_kernel(
-        textfmt.parse_rule(CTTZ_W12), "78 constants x 4096 inputs")),
+        textfmt.parse_rule(CTTZ_W12), "78 constants x 4096 inputs"), 1),
     ("clamp", refinement_kernel(
         _rule("clamp_range"),
-        "256 sampled constants x 65536 inputs (full grid)")),
+        "256 sampled constants x 65536 inputs (full grid)"), 1),
     ("divrem", refinement_kernel(
         textfmt.parse_rule(DIVREM_I16),
-        "287 sampled constants x 65536 inputs (full grid)")),
+        "287 sampled constants x 65536 inputs (full grid)"), 1),
+    ("filter64", filter_kernel(64), 2000),
+    ("filter65536", filter_kernel(65536), 50),
 )
 
 
 def main() -> None:
     print(f"{'kernel':10s} {'points':>10s} {'median_s':>9s} {'points/s':>12s}")
-    for name, run in KERNELS:
+    for name, run, calls in KERNELS:
         times = []
         for _ in range(RUNS):
             start = time.perf_counter()
-            points = run()
-            times.append(time.perf_counter() - start)
+            for _ in range(calls):
+                points = run()
+            times.append((time.perf_counter() - start) / calls)
         median = statistics.median(times)
-        print(f"{name:10s} {points:10d} {median:9.4f} {points / median:12.4g}")
+        print(f"{name:10s} {points:10d} {median:9.4g} {points / median:12.4g}")
 
 
 if __name__ == "__main__":
