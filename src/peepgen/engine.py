@@ -21,6 +21,7 @@ the width or more, which it defines as 0 or the sign fill (the strict xfail
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,6 +102,11 @@ def _por(a, b):
     if b is None:
         return a
     return a | b
+
+
+# the comparison each predicate names, without its u/s/o prefix
+_CMP = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+        "le": operator.le, "gt": operator.gt, "ge": operator.ge}
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +292,7 @@ def _fcmp_vec(pred: str, fa, fb):
             return ~unordered
         if pred == "uno":
             return unordered
-        base = pred[1:]
-        cmp = {
-            "eq": fa == fb, "ne": fa != fb,
-            "lt": fa < fb, "le": fa <= fb, "gt": fa > fb, "ge": fa >= fb,
-        }[base]
+        cmp = _CMP[pred[1:]](fa, fb)
     if pred.startswith("o"):
         return cmp & ~unordered
     return cmp | unordered
@@ -356,13 +358,10 @@ def eval_instr_vec(instr: Instr, args: list) -> VVal:
         return VVal(data, _por(cond.poison, arm_p), instr.ty)
     if op == "icmp":
         a, b = args
-        w = a.width
-        if instr.pred in ("eq", "ne"):
-            r = a.data == b.data if instr.pred == "eq" else a.data != b.data
-        elif instr.pred[0] == "u":
-            r = _ucmp(instr.pred[1:], a.data, b.data)
-        else:
-            r = _ucmp(instr.pred[1:], _signed(a.data, w), _signed(b.data, w))
+        av, bv = a.data, b.data
+        if instr.pred[0] == "s":
+            av, bv = _signed(av, a.width), _signed(bv, a.width)
+        r = _CMP[instr.pred[-2:]](av, bv)
         return VVal(r.astype(np.uint8), _por(a.poison, b.poison), instr.ty)
     if op == "fcmp":
         a, b = args
@@ -398,10 +397,6 @@ def eval_instr_vec(instr: Instr, args: list) -> VVal:
     for v in args:
         poison = _por(v.poison, poison)
     return VVal(data, poison, a.ty)
-
-
-def _ucmp(base: str, a, b):
-    return {"lt": a < b, "le": a <= b, "gt": a > b, "ge": a >= b}[base]
 
 
 def eval_function_vec(fn: Function, params: dict, consts: dict) -> VVal:
@@ -581,8 +576,8 @@ def _interp_vec(v: CVal, signed: bool):
         return int(v.data)
     data = np.asarray(v.data)
     if signed:
-        return _signed(data, v.width).astype(np.int64)
-    return data.astype(np.uint64)
+        return _signed(data, v.width).astype(np.int64, copy=False)
+    return data.astype(np.uint64, copy=False)
 
 
 def _cmp_vec(pred: str, a: CVal, b: CVal):
@@ -604,24 +599,17 @@ def _cmp_vec(pred: str, a: CVal, b: CVal):
 
 def _num_cmp(base: str, a: CVal, b: CVal, signed: bool):
     av, bv = _interp_vec(a, signed), _interp_vec(b, signed)
-    # mixed-sign compares against python ints are resolved without promotion
-    for x, y, flip in ((av, bv, False), (bv, av, True)):
-        if isinstance(y, int) and not isinstance(x, int):
-            if x.dtype == np.uint64 and y < 0:
-                const = {"eq": False, "lt": False, "le": False,
-                         "gt": True, "ge": True}[base if not flip else _flip(base)]
-                return np.full(np.shape(x), const, dtype=bool)
-            if x.dtype == np.uint64 and y > mask(64):
-                const = {"eq": False, "lt": True, "le": True,
-                         "gt": False, "ge": False}[base if not flip else _flip(base)]
-                return np.full(np.shape(x), const, dtype=bool)
+    # a python int outside [0, 2**64) against uint64 lanes is resolved
+    # without promotion: it lies below (or above) every lane, so each lane
+    # compares with it as 0 with -1 (or with 1)
+    for x, y, y_right in ((av, bv, True), (bv, av, False)):
+        if (isinstance(y, int) and not isinstance(x, int)
+                and x.dtype == np.uint64 and not 0 <= y <= mask(64)):
+            pair = (0, -1 if y < 0 else 1)
+            const = _CMP[base](*(pair if y_right else pair[::-1]))
+            return np.full(np.shape(x), const, dtype=bool)
     with np.errstate(all="ignore"):
-        return {"eq": av == bv, "lt": av < bv, "le": av <= bv,
-                "gt": av > bv, "ge": av >= bv}[base]
-
-
-def _flip(base: str) -> str:
-    return {"eq": "eq", "lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}[base]
+        return _CMP[base](av, bv)
 
 
 def eval_pred_vec(p, params: dict, consts: dict):

@@ -19,7 +19,11 @@ check and the special pass loop over the smaller of the constant and input
 axes and vectorise the larger; the sampled scan loops over its constants.
 A block is a column of consecutive looped entries x the vectorised row
 (about `_BLOCK` points), and its first violation is taken in row-major
-order, the order of looping one entry at a time.  Grids are enumerated by
+order, the order of looping one entry at a time.  A block evaluates the
+parameter precondition first; when it admits at most half of the block,
+lhs and rhs run only on the admitted points, gathered in row-major order
+(`_admitted`), so the first violation is the same point.  The point count
+covers every scanned point, admitted or not.  Grids are enumerated by
 bit slicing the flat index (`engine.unravel_chunk`,
 `engine.slice_digits`).  Every satisfying constant set is built by one
 filter (`_satisfying`).  Every Refuted verdict carries a counterexample that
@@ -29,7 +33,7 @@ is re-checked with the scalar evaluator before being returned
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -39,7 +43,7 @@ from .ir import (
     CBin, CInt, CUn, FloatType, Function, IntType, Literal, PeepError, Rule,
     VarWidthType, bind_consts, iter_expr, literal_fits, map_rule,
     pred_const_names, pred_exprs, pred_param_refs, resolve_predicate,
-    resolve_widths, retype_float_literal, to_signed, to_unsigned,
+    resolve_widths, retype_float_literal, rule_types, to_signed, to_unsigned,
 )
 
 REJECTION_CAP = 10 ** 6
@@ -86,6 +90,7 @@ class Verified:
     points: int
     space: str
     seed: int
+    reduced: str = ""  # the types it was checked at instead, "i16 to i8"
 
     @property
     def kind(self) -> str:
@@ -96,6 +101,7 @@ class Verified:
 class Refuted:
     counterexample: Counterexample
     seed: int
+    reduced: str = ""
 
     @property
     def kind(self) -> str:
@@ -106,6 +112,7 @@ class Refuted:
 class Inconclusive:
     reason: str  # BudgetExceeded | NoSatisfyingConstants | UnsupportedConstruct
     detail: str = ""
+    reduced: str = ""
 
     @property
     def kind(self) -> str:
@@ -117,11 +124,11 @@ Verdict = Union[Verified, Refuted, Inconclusive]
 
 def verdict_to_json(v: Verdict) -> dict:
     if isinstance(v, Verified):
-        return {"kind": "verified", "mode": v.mode, "points": v.points,
+        data = {"kind": "verified", "mode": v.mode, "points": v.points,
                 "space": v.space, "seed": v.seed}
-    if isinstance(v, Refuted):
+    elif isinstance(v, Refuted):
         cx = v.counterexample
-        return {
+        data = {
             "kind": "refuted", "seed": v.seed,
             "counterexample": {
                 "consts": {k: hex(p) for k, p in cx.consts.items()},
@@ -131,7 +138,11 @@ def verdict_to_json(v: Verdict) -> dict:
                 "rhs": "poison" if cx.rhs_poison else hex(cx.rhs_value),
             },
         }
-    return {"kind": "inconclusive", "reason": v.reason, "detail": v.detail}
+    else:
+        data = {"kind": "inconclusive", "reason": v.reason, "detail": v.detail}
+    if v.reduced:
+        data["reduced"] = v.reduced
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +579,21 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
     param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
     checked = 0
     for params, consts, shape in slices:
+        checked += math.prod(shape)
+        pre = None
+        if param_conjs:
+            try:
+                pre = np.broadcast_to(np.asarray(engine.eval_pred_vec(
+                    param_conjs, params, consts), dtype=bool), shape)
+            except Exception:
+                # a fault in lhs or rhs is reported before one in the
+                # precondition
+                engine.eval_function_vec(resolved.lhs, params, consts)
+                engine.eval_function_vec(resolved.rhs, params, consts)
+                raise
+            if 2 * np.count_nonzero(pre) <= pre.size:
+                params, consts, shape = _admitted(params, consts, pre)
+                pre = None
         lv = engine.eval_function_vec(resolved.lhs, params, consts)
         rv = engine.eval_function_vec(resolved.rhs, params, consts)
         viol = ~np.asarray(engine.values_equal_vec(lv, rv), dtype=bool)
@@ -575,10 +601,8 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
             viol = viol | rv.poison
         if lv.poison is not None:
             viol = viol & ~lv.poison
-        if param_conjs:
-            pre = engine.eval_pred_vec(param_conjs, params, consts)
-            viol = viol & np.asarray(pre, dtype=bool)
-        checked += math.prod(shape)
+        if pre is not None:
+            viol = viol & pre
         hit = _first_true(viol, shape)
         if hit is not None:
             cx = _extract_point(resolved, widths, params, consts, lv, rv,
@@ -590,10 +614,35 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
     return None, checked
 
 
+def _admitted(params: dict, consts: dict, pre: np.ndarray) -> tuple:
+    """The block's params and constants at the points `pre` (of the block's
+    shape) admits, as 1-D arrays in C order, and their shape."""
+    flat = np.flatnonzero(pre)
+    at = np.unravel_index(flat, pre.shape)
+
+    def take(data):
+        # a block's array varies along one of its axes (the looped or the
+        # vectorised one), along all of them, or along none
+        a = np.asarray(data)
+        axes = [i for i, n in enumerate(a.shape, pre.ndim - a.ndim) if n > 1]
+        if not axes:
+            return a.reshape(())
+        return a.reshape(-1)[flat if len(axes) == pre.ndim else at[axes[0]]]
+
+    params = {name: engine.VVal(take(v.data),
+                                None if v.poison is None else take(v.poison),
+                                v.ty)
+              for name, v in params.items()}
+    consts = {name: (take(data), ty) for name, (data, ty) in consts.items()}
+    return params, consts, flat.shape
+
+
 def _first_true(viol, shape: tuple) -> Optional[int]:
     """The flat C-order index of the first True in `viol` broadcast to
     `shape`, or None."""
     v = np.broadcast_to(np.asarray(viol, dtype=bool), shape).ravel()
+    if not v.size:
+        return None
     i = int(v.argmax())
     return i if v[i] else None
 
@@ -993,20 +1042,38 @@ def verify_with_reduction(rule: Rule, widths: Optional[dict] = None,
                           budget: Optional[Budget] = None):
     """check_refinement with recursive width reduction on BudgetExceeded.
 
-    Returns (verdict, final rule, final width assignment).
+    Returns (verdict, final rule, final width assignment).  A verdict
+    reached after reduction names it in `reduced` (`_reduction`).
     """
     widths = dict(widths or {})
     budget = budget or Budget()
-    current = rule
+    current, used = rule, widths
     while True:
-        verdict = check_refinement(current, widths, budget)
+        verdict = check_refinement(current, used, budget)
         if not (isinstance(verdict, Inconclusive)
                 and verdict.reason == "BudgetExceeded"):
-            return verdict, current, widths
-        reduced = reduce_widths(current, widths)
+            break
+        reduced = reduce_widths(current, used)
         if isinstance(reduced, ReductionBlocked):
-            return (Inconclusive("BudgetExceeded",
-                                 f"still over budget; reduction blocked: "
-                                 f"{reduced.reason}"),
-                    current, widths)
-        current, widths = reduced
+            verdict = Inconclusive("BudgetExceeded",
+                                   f"still over budget; reduction blocked: "
+                                   f"{reduced.reason}")
+            break
+        current, used = reduced
+    if current is not rule:
+        verdict = replace(verdict,
+                          reduced=_reduction(rule, widths, current, used))
+    return verdict, current, used
+
+
+def _reduction(rule: Rule, widths: dict, reduced: Rule,
+               reduced_widths: dict) -> str:
+    """Each concrete type and width variable that reduction changed, in
+    order of first appearance: "i16 to i8, W=32 to W=16"."""
+    changes = dict.fromkeys(
+        f"{a} to {b}" for a, b in zip(rule_types(rule), rule_types(reduced))
+        if a != b)
+    changes.update(dict.fromkeys(
+        f"{var}={w} to {var}={reduced_widths[var]}"
+        for var, w in widths.items() if reduced_widths[var] != w))
+    return ", ".join(changes)

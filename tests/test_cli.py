@@ -48,6 +48,38 @@ def test_verify_refuted_rule(tmp_path):
     jsonschema.validate(data, _schema("verdict.schema.json"))
 
 
+XOR_XOR_I16 = """
+rule "xor_xor" {
+  lhs fn(x: i16, y: i16) -> i16 {
+    %0 = xor i16 %x, %y;
+    %1 = xor i16 %0, %y;
+    ret %1
+  }
+  rhs fn(x: i16, y: i16) -> i16 { ret %x }
+}
+"""
+
+
+def test_verify_names_width_reduction(tmp_path):
+    # 2^32 inputs exceed the exhaustive budget and sampling is off, so the
+    # rule is checked at i8; the verdict says so
+    path = tmp_path / "xor_xor.peep"
+    path.write_text(XOR_XOR_I16)
+    proc = run_cli("verify", str(path), "--budget-exhaustive", "65536",
+                   "--budget-samples", "0")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data == {"kind": "verified", "mode": "exhaustive", "points": 65536,
+                    "space": "1 constants x 65536 inputs", "seed": 0,
+                    "reduced": "i16 to i8", "widths": {}}
+    jsonschema.validate(data, _schema("verdict.schema.json"))
+    # checked at its own width, a verdict names no reduction
+    proc = run_cli("verify", str(path))
+    data = json.loads(proc.stdout)
+    assert (data["kind"], data["mode"]) == ("verified", "sampled")
+    assert "reduced" not in data
+
+
 def test_verify_parse_error(tmp_path):
     path = tmp_path / "broken.peep"
     path.write_text("rule { nonsense")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peepgen import engine, semantics, verifier
-from peepgen.ir import (FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CBin, CCast,
-                        CConst, CInt, CUn, FloatType, Function, Instr,
+from peepgen.ir import (FCMP_PREDS, FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CBin,
+                        CCast, CConst, CInt, CUn, FloatType, Function, Instr,
                         IntType, Local, Param, PCmp, PPow2, mask,
                         iter_expr, opcode_arity, pred_const_names)
 from peepgen.semantics import Bits, FloatBits, POISON
@@ -388,3 +388,83 @@ def test_constant_operators_match_scalar_on_lane_pairs(w):
                 continue
             assert not poison[i, j], lane
             assert int(data[i, j]) == scalar.value, lane
+
+
+def _float_lanes(prec):
+    # the special patterns (both zeros, both infinities, NaN, ±1, 0.5, the
+    # smallest subnormal, the largest finite value) plus a negative NaN and
+    # a value between 1 and 2
+    return sorted(set(engine.special_float_patterns(prec).tolist())
+                  | {semantics.CANONICAL_NAN[prec] | 1 << (prec - 1),
+                     semantics.float_to_bits(1.5, prec)})
+
+
+@pytest.mark.parametrize("prec", [16, 32, 64])
+@pytest.mark.parametrize("flags", [frozenset(), frozenset({"nnan", "ninf"})])
+def test_fcmp_matches_scalar_on_corner_lane_pairs(prec, flags):
+    # every fcmp predicate on a column of corner floats against a row of
+    # them, NaN, ±0 and ±inf included
+    ty = FloatType(prec)
+    pats = _float_lanes(prec)
+    col = np.array(pats, dtype=engine._FUINT[prec]).view(engine._FLOAT[prec])
+    params = {"a": engine.VVal(col.reshape(-1, 1), None, ty),
+              "b": engine.VVal(col.reshape(1, -1), None, ty)}
+    shape = (len(pats), len(pats))
+    for pred in FCMP_PREDS:
+        fn = Function("lhs", (("a", ty), ("b", ty)),
+                      (Instr("fcmp", (Param("a"), Param("b")), IntType(1),
+                             flags, pred),),
+                      Local(0))
+        vec = engine.eval_function_vec(fn, params, {})
+        data = np.broadcast_to(np.asarray(vec.data), shape)
+        poison = np.broadcast_to(
+            np.asarray(False if vec.poison is None else vec.poison), shape)
+        for i, j in np.ndindex(*shape):
+            scalar = semantics.eval_function(
+                fn, [FloatBits(prec, pats[i]), FloatBits(prec, pats[j])])
+            lane = (pred, sorted(flags), hex(pats[i]), hex(pats[j]))
+            if scalar is POISON:
+                assert poison[i, j], lane
+            else:
+                assert not poison[i, j], lane
+                assert int(data[i, j]) == scalar.value, lane
+
+
+# width-less literals on both sides of the uint64 range, which compare
+# against 64-bit lanes without numpy promotion
+_POLY_LITERALS = [-(1 << 64), -(1 << 63) - 1, -(1 << 63), -1, 0, 1, 127,
+                  (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 70]
+
+
+@pytest.mark.parametrize("wa, wb", [(8, 8), (64, 64), (1, 8), (8, 16),
+                                    (33, 64), (64, 16), (64, None),
+                                    (8, None), (33, None)])
+def test_pcmp_matches_scalar_on_corner_lane_pairs(wa, wb):
+    # every integer comparison, both ways round, between a column of corner
+    # values A and a row of corner values B of the same or another width,
+    # or (wb None) each width-less literal
+    ta = IntType(wa)
+    col = _lane_values(wa)
+    consts = {"A": (np.array(col, dtype=engine.udtype(wa)).reshape(-1, 1), ta)}
+    if wb is None:
+        tb, row = None, _POLY_LITERALS
+        others = [(CInt(v), [v]) for v in row]
+    else:
+        tb, row = IntType(wb), _lane_values(wb)
+        consts["B"] = (np.array(row, dtype=engine.udtype(wb)).reshape(1, -1),
+                       tb)
+        others = [(CConst("B"), row)]
+    for pred in CMP_PREDS:
+        for other, values in others:
+            for conj in (PCmp(pred, CConst("A"), other),
+                         PCmp(pred, other, CConst("A"))):
+                vec = np.broadcast_to(np.asarray(
+                    engine.eval_pred_vec(conj, {}, consts), dtype=bool),
+                    (len(col), len(values)))
+                for i, j in np.ndindex(*vec.shape):
+                    scalar_consts = {"A": (col[i], ta)}
+                    if tb is not None:
+                        scalar_consts["B"] = (values[j], tb)
+                    scalar = semantics.eval_predicate(conj, {}, scalar_consts,
+                                                      {})
+                    assert bool(vec[i, j]) == scalar, (conj, col[i], values[j])

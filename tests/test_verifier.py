@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from peepgen import semantics, textfmt, verifier
-from peepgen.ir import (CBin, CConst, CInt, Function, Instr, IntType, Literal,
-                        Local, Param, PCmp, PNot, PPow2, Rule, SymConst,
-                        bind_consts, validate)
+from peepgen.ir import (CBin, CConst, CInt, CRef, Function, Instr, IntType,
+                        Literal, Local, Param, PCmp, PKnownBits,
+                        PLowBitsZero, PNot, POr, PPow2, PRange, Rule,
+                        SymConst, bind_consts, pred_param_refs, validate)
 from peepgen.verifier import (Budget, EquivalentOrIncomparable, Inconclusive,
                               Refuted, StrictlyWeaker, Verified,
                               check_refinement, check_strictly_weaker,
@@ -152,10 +153,12 @@ def test_derived_constants_keep_verdicts_complete(rule):
 
 
 def _satisfying_count(rule) -> int:
-    # every conjunct is constant-only: count with the scalar evaluator
+    # the constant assignments that satisfy the constant-only conjuncts,
+    # counted with the scalar evaluator
+    pre = [c for c in rule.pre if not pred_param_refs(c)]
     return sum(
-        semantics.eval_predicate(rule.pre, {}, {n: (v, ty) for (n, ty), v in
-                                                zip(rule.sym_consts, values)}, {})
+        semantics.eval_predicate(pre, {}, {n: (v, ty) for (n, ty), v in
+                                           zip(rule.sym_consts, values)}, {})
         for values in itertools.product(*(range(1 << ty.width)
                                           for _, ty in rule.sym_consts)))
 
@@ -177,11 +180,59 @@ def constant_looping_rules(draw):
     return rule
 
 
+@st.composite
+def param_precondition_rules(draw):
+    """`constant_looping_rules` with 1-2 parameter conjuncts as well:
+    RangeU/RangeS, KnownBits, LowBitsZero and comparisons on %x, with
+    literal or constant bounds, some under `!` and `||`."""
+    w = draw(st.sampled_from([2, 3, 4]))
+    ty = IntType(w)
+    names = [f"C{i + 1}" for i in range(draw(st.integers(0, 2)))]
+    pre = [draw(st.sampled_from([
+        PPow2(CConst(n)),
+        PCmp("ult", CConst(n), CInt(draw(st.integers(1, (1 << w) - 1))))]))
+        for n in names if draw(st.booleans())]
+    def term(lo, hi):
+        lit = st.integers(lo, hi).map(CInt)
+        return lit | st.sampled_from(names).map(CConst) if names else lit
+
+    bound = term(-(1 << (w - 1)), (1 << w) - 1)
+    x = st.just("x")
+    atom = st.one_of(
+        st.builds(PRange, x, bound, bound, st.booleans()),
+        st.builds(PKnownBits, x, bound, bound),
+        st.builds(PLowBitsZero, x, term(0, w + 1)),
+        st.builds(PCmp, st.sampled_from(["eq", "ne", "ult", "sge"]),
+                  st.just(CRef("x")), bound))
+    pre += draw(st.lists(atom | st.builds(PNot, atom)
+                         | st.builds(POr, atom, atom), min_size=1, max_size=2))
+    rule = _draw_rule(draw, ty, tuple((n, ty) for n in names),
+                      draw(st.permutations(pre)))
+    assume(_satisfying_count(rule) <= 1 << w)
+    return rule
+
+
+# (verifier._BLOCK, verifier._CHUNK) pairs that split small scans into many
+# blocks and, below the input grid's size, stream the grid in chunks
+_SCAN_SIZES = st.sampled_from([(1, 1 << 22), (3, 1 << 22), (1 << 16, 1 << 22),
+                               (5, 4), (1 << 16, 8)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(constant_looping_rules(),
-       st.sampled_from([(1, 1 << 22), (3, 1 << 22), (1 << 16, 1 << 22),
-                        (5, 4), (1 << 16, 8)]))
+@given(constant_looping_rules(), _SCAN_SIZES)
 def test_exhaustive_counterexample_is_first_violation(rule, sizes):
+    _assert_first_violation(rule, sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(param_precondition_rules(), _SCAN_SIZES)
+def test_compacted_scan_counterexample_is_first_violation(rule, sizes):
+    # a sparse parameter precondition makes each block evaluate lhs and rhs
+    # on its admitted points only; the first violation must not move
+    _assert_first_violation(rule, sizes)
+
+
+def _assert_first_violation(rule, sizes):
     # shrinking the block and chunk sizes splits these small scans into
     # many blocks (and streams the input grid once it exceeds a chunk);
     # none of that may change which violation is reported first
@@ -415,6 +466,34 @@ rule "r" {
     assert final.lhs.params[0][1] == IntType(16)
 
 
+def test_reduced_verdicts_name_the_reduction():
+    rule = parse("""
+rule "r" {
+  lhs fn(x: i64) -> i64 { %0 = xor i64 %x, %x; ret %0 }
+  rhs fn(x: i64) -> i64 { %0 = and i64 %x, 0; ret %0 }
+}
+""")
+    budget = Budget(exhaustive_limit=1 << 16, sample_count=0)
+    verdict, _, _ = verify_with_reduction(rule, {}, budget)
+    assert verdict_to_json(verdict)["reduced"] == "i64 to i16"
+    # a width variable is reduced in the assignment, and a refutation found
+    # at the reduced width says which width its counterexample is at
+    rule = parse("""
+rule "r" {
+  widthvar W;
+  lhs fn(x: iW, y: iW) -> iW { %0 = add iW %x, %y; ret %0 }
+  rhs fn(x: iW, y: iW) -> iW { %0 = or iW %x, %y; ret %0 }
+}
+""")
+    verdict, _, widths = verify_with_reduction(rule, {"W": 16}, budget)
+    assert widths == {"W": 8}
+    assert isinstance(verdict, Refuted)
+    assert verdict_to_json(verdict)["reduced"] == "W=16 to W=8"
+    # nothing to reduce: no field
+    verdict, _, _ = verify_with_reduction(rule, {"W": 4}, budget)
+    assert "reduced" not in verdict_to_json(verdict)
+
+
 def test_special_cross_catches_corner_violation():
     # sound only with the trailing bound; dropping it leaves violations in a
     # narrow large-constant corner that plain random draws can miss
@@ -645,8 +724,65 @@ def _refuted(c1, x, lhs, rhs):
                      "inputs": {"x": "0x4", "y": "0x1b", "z": "0x9"},
                      "lhs": "0x1", "rhs": "0x0"}},
                  id="special-pass-cap-inside-block"),
+    # a sparse parameter precondition: lhs and rhs run on the admitted
+    # points of each block only, and the first of those that violates is
+    # the first violation in row-major order
+    pytest.param(_or_for_add_rule("i8", "i8", "C1 >u 199 && RangeU(%x, 16, 40)"),
+                 Budget(), _refuted("0xc8", "0x18", "0xe0", "0xd8"),
+                 id="sparse-pre-exhaustive-loops-constants"),
+    pytest.param(_or_for_add_rule("i8", "i4", "C1 >u 17 && RangeU(%x, 5, 6)"),
+                 Budget(), _refuted("0x13", "0x5", "0x18", "0x17"),
+                 id="sparse-pre-exhaustive-loops-inputs"),
+    pytest.param(_or_for_add_rule("i32", "i8",
+                                  "C1 >u 1001 && LowBitsZero(%x, 2)"),
+                 Budget(), _refuted("0x3ff", "0x4", "0x403", "0x3ff"),
+                 id="sparse-pre-special-pass"),
+    pytest.param(_residue_rule("i32", "C1 >u 1001 && RangeU(%x, 10000, 3000000)"),
+                 Budget(), _refuted("0x3ea", "0xe97f", "0x1", "0x0"),
+                 id="sparse-pre-sampled"),
+    # 1552 of each 65536-point block admitted, the violation in block 7
+    pytest.param(_sum_rule("i12", "i12", 7200, "C1 >=u 3000 && "
+                           "(RangeU(%x, 4000, 4095) || %x == 17)"), Budget(),
+                 _refuted("0xc21", "0xfff", "0x1", "0x0"),
+                 id="sparse-pre-past-first-block"),
+    pytest.param(_or_for_add_rule("i8", "i8", "C1 >u 199 && RangeU(%x, 0, 255)"),
+                 Budget(), _refuted("0xc8", "0x8", "0xd0", "0xc8"),
+                 id="pre-admits-whole-block"),
+    # every scanned point counts, admitted or not
+    pytest.param(_or_for_add_rule("i8", "i8", "C1 >u 199 && RangeU(%x, 1, 0)"),
+                 Budget(),
+                 {"kind": "verified", "mode": "exhaustive", "points": 14336,
+                  "space": "56 constants x 256 inputs", "seed": 0},
+                 id="pre-admits-no-point"),
 ])
 def test_scan_order_pins_reported_counterexample(text, budget, expected):
     # which counterexample a scan reports is decided by the order it visits
     # (constant, input) points and by the order of its random draws
     assert verdict_to_json(check_refinement(parse(text), {}, budget)) == expected
+
+
+@pytest.mark.parametrize("ty, cmp, pre", [
+    # lhs and rhs still run, on empty arrays, in a block whose precondition
+    # admits no point: the unsupported width is a property of the rule
+    ("i8", "icmp.eq", "RangeU(%x, 1, 0)"),
+    # the precondition is evaluated first, but an unsupported construct in
+    # lhs is still reported before its own
+    ("f32", "fcmp.oeq", "PowerOfTwo(%x)"),
+])
+def test_unsupported_construct_is_reported_before_the_precondition(ty, cmp,
+                                                                   pre):
+    rule = parse(f"""
+rule "wide" {{
+  pre: {pre};
+  lhs fn(x: {ty}) -> i8 {{
+    %0 = {cmp} {ty} %x, %x;
+    %1 = zext i1 %0 to i128;
+    %2 = trunc i128 %1 to i8;
+    ret %2
+  }}
+  rhs fn(x: {ty}) -> i8 {{ ret 0 }}
+}}
+""")
+    assert verdict_to_json(check_refinement(rule, {}, Budget())) == {
+        "kind": "inconclusive", "reason": "UnsupportedConstruct",
+        "detail": "integer width 128 exceeds 64"}

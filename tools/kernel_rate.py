@@ -1,4 +1,4 @@
-"""Print the verifier's throughput, in points per second, on seven fixed
+"""Print the verifier's throughput, in points per second, on eight fixed
 kernels, so that a change to the engine, the constant walk or the scan loop
 can be measured layer by layer:
 
@@ -15,6 +15,11 @@ can be measured layer by layer:
              under C != 0 (287 sampled constants, special values
              included, x the full 65536-input grid): the udiv and urem
              kernels
+  range_pre  check_refinement on negate_lshr_or's final rule, whose
+             parameter conjunct RangeU(%V, 0, zext(C1, 64)) admits a few
+             percent of each constant's sampled i64 inputs (256 sampled
+             constants x 65664 sampled inputs): the parameter precondition
+             and the scan of the points it admits
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
              constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
@@ -83,6 +88,27 @@ rule "divrem_i16" {
 """
 
 
+# negate_lshr_or's generalization (the bench's final rule)
+NEGATE_LSHR_OR = """
+rule "negate_lshr_or" {
+  const C1: i32;
+  const C2: i64;
+  pre: PowerOfTwo(C1 + 1) && popcount(C1) <=u C2 && C2 <=u 64 - popcount(C1) && RangeU(%V, 0, zext(C1, 64));
+  lhs fn(V: i64) -> i64 {
+    %0 = sub i64 0, %V;
+    %1 = lshr i64 %0, C2;
+    %2 = or i64 %1, %0;
+    ret %2
+  }
+  rhs fn(V: i64) -> i64 {
+    %0 = icmp.ne i64 %V, 0;
+    %1 = sext i1 %0 to i64;
+    ret %1
+  }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -136,6 +162,9 @@ KERNELS = (
     ("divrem", refinement_kernel(
         textfmt.parse_rule(DIVREM_I16),
         "287 sampled constants x 65536 inputs (full grid)"), 1),
+    ("range_pre", refinement_kernel(
+        textfmt.parse_rule(NEGATE_LSHR_OR),
+        "256 sampled constants x sampled inputs"), 1),
     ("filter64", filter_kernel(64), 2000),
     ("filter65536", filter_kernel(65536), 50),
 )

@@ -1,13 +1,15 @@
-"""Print one sha256 per backend over everything `peepgen bench fixtures/`
-writes at seed 0: stdout, stderr and every `--report-dir` report.
+"""Print one sha256 per backend and seed over everything `peepgen bench
+fixtures/` writes: stdout, stderr and every `--report-dir` report.
 
 Two checkouts whose digests match produce byte-identical bench output, so a
 refactor that must not change behaviour is checked by running this script on
 the old and the new commit and comparing the printed lines.  Stdlib only.
 
-Run from anywhere:  python3 tools/output_digest.py [backend ...]
-(default backends: heuristic and replay:fixtures/replay)
+Run from anywhere:  python3 tools/output_digest.py [--seed N ...] [backend ...]
+(default backends: heuristic and replay:fixtures/replay; `--seed` repeats,
+default 0).  A line ends with `seed N` when N is not 0.
 """
+import argparse
 import hashlib
 import os
 import pathlib
@@ -19,12 +21,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BACKENDS = ("heuristic", "replay:fixtures/replay")
 
 
-def digest(backend: str) -> str:
+def digest(backend: str, seed: int) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as reports:
         proc = subprocess.run(
             [sys.executable, "-m", "peepgen.cli", "bench", "fixtures/",
-             "--seed", "0", "--backend", backend, "--report-dir", reports],
+             "--seed", str(seed), "--backend", backend, "--report-dir", reports],
             cwd=ROOT, env=env, capture_output=True, check=False)
         h = hashlib.sha256()
         for label, data in (("exit", str(proc.returncode).encode()),
@@ -37,8 +39,14 @@ def digest(backend: str) -> str:
 
 
 def main() -> None:
-    for backend in sys.argv[1:] or BACKENDS:
-        print(f"{digest(backend)}  {backend}", flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, action="append")
+    parser.add_argument("backends", nargs="*", default=list(BACKENDS))
+    args = parser.parse_args()
+    for seed in args.seed or [0]:
+        for backend in args.backends:
+            suffix = f"  seed {seed}" if seed else ""
+            print(f"{digest(backend, seed)}  {backend}{suffix}", flush=True)
 
 
 if __name__ == "__main__":
