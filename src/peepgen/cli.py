@@ -17,7 +17,7 @@ import click
 from . import cost as costmod
 from . import pipeline as pipemod
 from . import pruner, textfmt, verifier
-from .ir import PeepError, validate
+from .ir import PeepError, rule_types, validate
 from .proposer import HeuristicBackend, LLMBackend, ReplayBackend
 from .semantics import EvalError
 
@@ -145,9 +145,15 @@ def cmd_verify(rule_file, widths, budget_exhaustive, budget_samples, seed):
     """Check LHS-to-RHS refinement of a rule file."""
     rule = _load_rule(rule_file)
     budget = _budget({}, budget_exhaustive, budget_samples, seed)
-    verdict, _rule, used = verifier.verify_with_reduction(
+    verdict, final, used = verifier.verify_with_reduction(
         rule, _parse_widths(widths), budget)
     data = verifier.verdict_to_json(verdict)
+    # a check made after width reduction names the types it was made at
+    reduced = ", ".join(dict.fromkeys(
+        f"{a} to {b}" for a, b in zip(rule_types(rule), rule_types(final))
+        if a != b))
+    if reduced:
+        data["reduced"] = reduced
     data["widths"] = dict(used)
     _emit(data)
     sys.exit(_VERDICT_EXIT[verdict.kind])

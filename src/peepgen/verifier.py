@@ -33,7 +33,7 @@ is re-checked with the scalar evaluator before being returned
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -43,7 +43,7 @@ from .ir import (
     CBin, CInt, CUn, FloatType, Function, IntType, Literal, PeepError, Rule,
     VarWidthType, bind_consts, iter_expr, literal_fits, map_rule,
     pred_const_names, pred_exprs, pred_param_refs, resolve_predicate,
-    resolve_widths, retype_float_literal, rule_types, to_signed, to_unsigned,
+    resolve_widths, retype_float_literal, to_signed, to_unsigned,
 )
 
 REJECTION_CAP = 10 ** 6
@@ -90,7 +90,6 @@ class Verified:
     points: int
     space: str
     seed: int
-    reduced: str = ""  # the types it was checked at instead, "i16 to i8"
 
     @property
     def kind(self) -> str:
@@ -101,7 +100,6 @@ class Verified:
 class Refuted:
     counterexample: Counterexample
     seed: int
-    reduced: str = ""
 
     @property
     def kind(self) -> str:
@@ -112,7 +110,6 @@ class Refuted:
 class Inconclusive:
     reason: str  # BudgetExceeded | NoSatisfyingConstants | UnsupportedConstruct
     detail: str = ""
-    reduced: str = ""
 
     @property
     def kind(self) -> str:
@@ -124,11 +121,11 @@ Verdict = Union[Verified, Refuted, Inconclusive]
 
 def verdict_to_json(v: Verdict) -> dict:
     if isinstance(v, Verified):
-        data = {"kind": "verified", "mode": v.mode, "points": v.points,
+        return {"kind": "verified", "mode": v.mode, "points": v.points,
                 "space": v.space, "seed": v.seed}
-    elif isinstance(v, Refuted):
+    if isinstance(v, Refuted):
         cx = v.counterexample
-        data = {
+        return {
             "kind": "refuted", "seed": v.seed,
             "counterexample": {
                 "consts": {k: hex(p) for k, p in cx.consts.items()},
@@ -138,11 +135,7 @@ def verdict_to_json(v: Verdict) -> dict:
                 "rhs": "poison" if cx.rhs_poison else hex(cx.rhs_value),
             },
         }
-    else:
-        data = {"kind": "inconclusive", "reason": v.reason, "detail": v.detail}
-    if v.reduced:
-        data["reduced"] = v.reduced
-    return data
+    return {"kind": "inconclusive", "reason": v.reason, "detail": v.detail}
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +584,8 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
                 engine.eval_function_vec(resolved.lhs, params, consts)
                 engine.eval_function_vec(resolved.rhs, params, consts)
                 raise
+            # gathering a point costs several elementwise operations: a
+            # denser block is cheaper to evaluate whole and mask
             if 2 * np.count_nonzero(pre) <= pre.size:
                 params, consts, shape = _admitted(params, consts, pre)
                 pre = None
@@ -618,16 +613,16 @@ def _admitted(params: dict, consts: dict, pre: np.ndarray) -> tuple:
     """The block's params and constants at the points `pre` (of the block's
     shape) admits, as 1-D arrays in C order, and their shape."""
     flat = np.flatnonzero(pre)
-    at = np.unravel_index(flat, pre.shape)
+    # (row, column) of each point of a 2-D block; a 1-D block is one row
+    at = np.divmod(flat, pre.shape[1]) if pre.ndim == 2 else (flat, flat)
 
     def take(data):
-        # a block's array varies along one of its axes (the looped or the
-        # vectorised one), along all of them, or along none
+        # a block's array is a scalar, a row along its last axis or a
+        # column along its first
         a = np.asarray(data)
-        axes = [i for i, n in enumerate(a.shape, pre.ndim - a.ndim) if n > 1]
-        if not axes:
+        if a.size == 1:
             return a.reshape(())
-        return a.reshape(-1)[flat if len(axes) == pre.ndim else at[axes[0]]]
+        return a.reshape(-1)[at[1] if a.shape[-1] > 1 else at[0]]
 
     params = {name: engine.VVal(take(v.data),
                                 None if v.poison is None else take(v.poison),
@@ -1042,38 +1037,20 @@ def verify_with_reduction(rule: Rule, widths: Optional[dict] = None,
                           budget: Optional[Budget] = None):
     """check_refinement with recursive width reduction on BudgetExceeded.
 
-    Returns (verdict, final rule, final width assignment).  A verdict
-    reached after reduction names it in `reduced` (`_reduction`).
+    Returns (verdict, final rule, final width assignment).
     """
     widths = dict(widths or {})
     budget = budget or Budget()
-    current, used = rule, widths
+    current = rule
     while True:
-        verdict = check_refinement(current, used, budget)
+        verdict = check_refinement(current, widths, budget)
         if not (isinstance(verdict, Inconclusive)
                 and verdict.reason == "BudgetExceeded"):
-            break
-        reduced = reduce_widths(current, used)
+            return verdict, current, widths
+        reduced = reduce_widths(current, widths)
         if isinstance(reduced, ReductionBlocked):
-            verdict = Inconclusive("BudgetExceeded",
-                                   f"still over budget; reduction blocked: "
-                                   f"{reduced.reason}")
-            break
-        current, used = reduced
-    if current is not rule:
-        verdict = replace(verdict,
-                          reduced=_reduction(rule, widths, current, used))
-    return verdict, current, used
-
-
-def _reduction(rule: Rule, widths: dict, reduced: Rule,
-               reduced_widths: dict) -> str:
-    """Each concrete type and width variable that reduction changed, in
-    order of first appearance: "i16 to i8, W=32 to W=16"."""
-    changes = dict.fromkeys(
-        f"{a} to {b}" for a, b in zip(rule_types(rule), rule_types(reduced))
-        if a != b)
-    changes.update(dict.fromkeys(
-        f"{var}={w} to {var}={reduced_widths[var]}"
-        for var, w in widths.items() if reduced_widths[var] != w))
-    return ", ".join(changes)
+            return (Inconclusive("BudgetExceeded",
+                                 f"still over budget; reduction blocked: "
+                                 f"{reduced.reason}"),
+                    current, widths)
+        current, widths = reduced

@@ -60,6 +60,22 @@ rule "xor_xor" {
 """
 
 
+ADD_OR_I16 = """
+rule "add_or" {
+  lhs fn(x: i16, y: i16) -> i16 { %0 = add i16 %x, %y; ret %0 }
+  rhs fn(x: i16, y: i16) -> i16 { %0 = or i16 %x, %y; ret %0 }
+}
+"""
+
+ADD_OR_W = """
+rule "add_or" {
+  widthvar W;
+  lhs fn(x: iW, y: iW) -> iW { %0 = add iW %x, %y; ret %0 }
+  rhs fn(x: iW, y: iW) -> iW { %0 = or iW %x, %y; ret %0 }
+}
+"""
+
+
 def test_verify_names_width_reduction(tmp_path):
     # 2^32 inputs exceed the exhaustive budget and sampling is off, so the
     # rule is checked at i8; the verdict says so
@@ -78,6 +94,22 @@ def test_verify_names_width_reduction(tmp_path):
     data = json.loads(proc.stdout)
     assert (data["kind"], data["mode"]) == ("verified", "sampled")
     assert "reduced" not in data
+    # a counterexample found after reduction is at the reduced type
+    path.write_text(ADD_OR_I16)
+    proc = run_cli("verify", str(path), "--budget-exhaustive", "65536",
+                   "--budget-samples", "0")
+    assert proc.returncode == 1, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["reduced"], data["counterexample"]["inputs"]) == (
+        "i16 to i8", {"x": "0x1", "y": "0x1"})
+    jsonschema.validate(data, _schema("verdict.schema.json"))
+    # a reduced width variable is reported by the final `widths` alone
+    path.write_text(ADD_OR_W)
+    proc = run_cli("verify", str(path), "--width", "W=16",
+                   "--budget-exhaustive", "65536", "--budget-samples", "0")
+    assert proc.returncode == 1, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["widths"] == {"W": 8} and "reduced" not in data
 
 
 def test_verify_parse_error(tmp_path):

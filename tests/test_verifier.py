@@ -466,34 +466,6 @@ rule "r" {
     assert final.lhs.params[0][1] == IntType(16)
 
 
-def test_reduced_verdicts_name_the_reduction():
-    rule = parse("""
-rule "r" {
-  lhs fn(x: i64) -> i64 { %0 = xor i64 %x, %x; ret %0 }
-  rhs fn(x: i64) -> i64 { %0 = and i64 %x, 0; ret %0 }
-}
-""")
-    budget = Budget(exhaustive_limit=1 << 16, sample_count=0)
-    verdict, _, _ = verify_with_reduction(rule, {}, budget)
-    assert verdict_to_json(verdict)["reduced"] == "i64 to i16"
-    # a width variable is reduced in the assignment, and a refutation found
-    # at the reduced width says which width its counterexample is at
-    rule = parse("""
-rule "r" {
-  widthvar W;
-  lhs fn(x: iW, y: iW) -> iW { %0 = add iW %x, %y; ret %0 }
-  rhs fn(x: iW, y: iW) -> iW { %0 = or iW %x, %y; ret %0 }
-}
-""")
-    verdict, _, widths = verify_with_reduction(rule, {"W": 16}, budget)
-    assert widths == {"W": 8}
-    assert isinstance(verdict, Refuted)
-    assert verdict_to_json(verdict)["reduced"] == "W=16 to W=8"
-    # nothing to reduce: no field
-    verdict, _, _ = verify_with_reduction(rule, {"W": 4}, budget)
-    assert "reduced" not in verdict_to_json(verdict)
-
-
 def test_special_cross_catches_corner_violation():
     # sound only with the trailing bound; dropping it leaves violations in a
     # narrow large-constant corner that plain random draws can miss
