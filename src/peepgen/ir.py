@@ -616,7 +616,7 @@ def _check_function(fn: Function, path: str, width_vars: set,
     _check_operand(fn, fn.ret, len(fn.body), f"{path}.ret", rule, diags)
 
 
-def _check_constexpr(e: ConstExpr, path: str, rule: Rule, params: set,
+def _check_constexpr(e: ConstExpr, path: str, rule: Rule, params: dict,
                      diags: list) -> None:
     if isinstance(e, CConst):
         if rule.sym_const_type(e.name) is None:
@@ -644,13 +644,19 @@ def _check_constexpr(e: ConstExpr, path: str, rule: Rule, params: set,
         _check_constexpr(e.a, path, rule, params, diags)
 
 
-def _check_predicate(p: Predicate, path: str, rule: Rule, params: set,
+def _check_predicate(p: Predicate, path: str, rule: Rule, params: dict,
                      diags: list) -> None:
     if isinstance(p, PTrue):
         return
     if isinstance(p, (PKnownBits, PRange, PLowBitsZero)):
         if p.ref not in params:
             diags.append(Diag(path, f"unknown value reference {p.ref}"))
+        elif isinstance(params[p.ref], FloatType):
+            diags.append(Diag(path, f"bit predicate on %{p.ref} of "
+                                    f"non-integer type {params[p.ref]}"))
+    if (isinstance(p, PLowBitsZero) and isinstance(p.k, CInt)
+            and p.k.value < 0):
+        diags.append(Diag(path, f"negative LowBitsZero count {p.k.value}"))
     if isinstance(p, PCmp) and p.pred not in PCMP_INT_PREDS + FCMP_PREDS:
         diags.append(Diag(path, f"bad comparison predicate {p.pred}"))
     if isinstance(p, PNot):
@@ -687,7 +693,7 @@ def validate(rule: Rule) -> list:
     if lret is not None and rret is not None and lret != rret:
         diags.append(Diag("rhs.ret", "return type mismatch with lhs"))
 
-    params = {name for name, _ in rule.lhs.params}
+    params = dict(rule.lhs.params)
     for i, conj in enumerate(rule.pre):
         _check_predicate(conj, f"pre[{i}]", rule, params, diags)
     return diags

@@ -25,10 +25,16 @@ lhs and rhs run only on the admitted points, gathered in row-major order
 (`_admitted`), so the first violation is the same point.  The point count
 covers every scanned point, admitted or not.  Grids are enumerated by
 bit slicing the flat index (`engine.unravel_chunk`,
-`engine.slice_digits`).  Every satisfying constant set is built by one
-filter (`_satisfying`).  Every Refuted verdict carries a counterexample that
-is re-checked with the scalar evaluator before being returned
-(self-validation).
+`engine.slice_digits`).  The sampled scan evaluates each distinct constant
+tuple and each distinct sampled input tuple once (first occurrences in
+order, compared by bit pattern): a repeated point cannot hold the first
+violation, because its first occurrence comes earlier.  Its point count
+still covers every drawn point, repeats included.  The last sampled input
+row is remembered and reused by a check whose generator is in the state it
+was drawn from (`_sampled_inputs`).  Every satisfying constant set is built
+by one filter (`_satisfying`).  Every Refuted verdict carries a
+counterexample that is re-checked with the scalar evaluator before being
+returned (self-validation).
 """
 from __future__ import annotations
 
@@ -765,20 +771,83 @@ def _special_cross_refute(resolved: Rule, widths: dict,
 def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
                   budget: Budget, rng) -> Verdict:
     """Loop over the constants, each against the full input grid when it
-    holds no more than `sample_count` points, else against sampled inputs."""
+    holds no more than `sample_count` points, else against sampled inputs.
+
+    A repeated constant tuple or sampled input tuple gives the same lhs,
+    rhs and precondition as its first occurrence, which comes first in
+    row-major order, so only first occurrences are scanned; the point count
+    is that of the drawn constants x the drawn inputs, repeats included."""
     fn = resolved.lhs
     pspace = _space(fn.params)
     full_grid = pspace <= max(budget.sample_count, 1)
     if full_grid:
-        grid = _input_grid(fn)
+        grid, inputs = _input_grid(fn), pspace
     else:
-        pats = _sampled_patterns(rng, fn.params, budget.sample_count,
-                                 _SPECIAL_CROSS_CAP)
+        pats, inputs = _sampled_inputs(rng, fn.params, budget.sample_count)
         grid = [(_vvals(fn.params, pats), len(pats[0]))]
-    refuted, checked = _scan(resolved, widths, _slices(const_map, grid), budget)
-    space = f"{_const_count(const_map)} sampled constants x " + (
+    refuted, _ = _scan(resolved, widths,
+                       _slices(_distinct_consts(const_map), grid), budget)
+    count = _const_count(const_map)
+    space = f"{count} sampled constants x " + (
         f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")
-    return refuted or Verified("sampled", checked, space, budget.rng_seed)
+    return refuted or Verified("sampled", count * inputs, space,
+                               budget.rng_seed)
+
+
+def _first_occurrences(columns: list) -> Optional[np.ndarray]:
+    """The indices of the first occurrence of each distinct row of the
+    equal-length bit-pattern `columns`, in increasing order; None when no
+    row repeats."""
+    # a stable sort puts the first occurrence of a row first in its group
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for col in columns:
+        s = col[order]
+        first[1:] |= s[1:] != s[:-1]
+    return None if first.all() else np.sort(order[first])
+
+
+def _distinct_consts(const_map: dict) -> dict:
+    """`const_map` without the repeats of its constant tuples, compared by
+    bit pattern, first occurrences in order."""
+    if not const_map:
+        return const_map
+    keep = _first_occurrences([np.asarray(arr).view(engine.storage_dtype(ty))
+                               for arr, ty in const_map.values()])
+    if keep is None:
+        return const_map
+    return {name: (arr[keep], ty) for name, (arr, ty) in const_map.items()}
+
+
+# the last sampled input row: ((parameter types, sample count, generator
+# state before the draw), its distinct tuples, the tuples drawn, generator
+# state after the draw); shared by every check in the process
+_last_inputs: Optional[tuple] = None
+
+
+def _sampled_inputs(rng, params: tuple, n: int) -> tuple:
+    """`_sampled_patterns` of `params`, without the repeats of its tuples
+    (first occurrences in order, read-only), and the number of tuples drawn.
+
+    The last row is remembered: a check with the same parameter types and
+    sample count whose generator is in the same state gets that row and
+    the generator state a draw would leave, without drawing."""
+    global _last_inputs
+    key = (tuple(ty for _, ty in params), n, rng.bit_generator.state)
+    last = _last_inputs
+    if last is not None and last[0] == key:
+        rng.bit_generator.state = last[3]
+        return last[1], last[2]
+    pats = _sampled_patterns(rng, params, n, _SPECIAL_CROSS_CAP)
+    drawn = len(pats[0])
+    keep = _first_occurrences(pats)
+    if keep is not None:
+        pats = [p[keep] for p in pats]
+    for p in pats:
+        p.setflags(write=False)
+    _last_inputs = (key, pats, drawn, rng.bit_generator.state)
+    return pats, drawn
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,24 @@ def test_verify_parse_error(tmp_path):
     assert proc.returncode == 65
 
 
+@pytest.mark.parametrize("pre, ty", [("LowBitsZero(%x, -1)", "i8"),
+                                     ("KnownBits(%x, 0, 0)", "f32")])
+def test_verify_rejects_invalid_bit_predicate(tmp_path, pre, ty):
+    # a validation error with the parse/validation exit code, no traceback
+    path = tmp_path / "bits.peep"
+    path.write_text(f"""
+rule "bits" {{
+  pre: {pre};
+  lhs fn(x: {ty}) -> {ty} {{ ret %x }}
+  rhs fn(x: {ty}) -> {ty} {{ ret %x }}
+}}
+""")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 65
+    assert proc.stderr.startswith("error: pre[0]: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_bad_width_flag():
     proc = run_cli("verify", str(FIXTURES / "rules" / "cttz_general.peep"),
                    "--width", "W")

@@ -127,3 +127,36 @@ def test_walkers_reach_references_under_connectives():
     assert pred_param_refs(conj) == {"x", "y", "z"}
     assert map_pred(conj, ref=str.upper) == conjunct(
         "!RangeU(%X, 0, 3) || KnownBits(%Y, 1, 0) || %Z == 2")
+
+
+@pytest.mark.parametrize("pre, ty, message", [
+    ("LowBitsZero(%x, -1)", "i8", "negative LowBitsZero count -1"),
+    ("KnownBits(%x, 0, 0)", "f32", "bit predicate on %x of non-integer type f32"),
+    ("LowBitsZero(%x, 2)", "f16", "bit predicate on %x of non-integer type f16"),
+    ("RangeU(%x, 0, 3)", "f64", "bit predicate on %x of non-integer type f64"),
+    ("!RangeS(%x, -1, 3)", "f32", "bit predicate on %x of non-integer type f32"),
+])
+def test_validate_rejects_bit_predicates_the_evaluators_cannot_take(pre, ty,
+                                                                     message):
+    # both evaluators raise a Python error on these instead of a verdict
+    rule = parse(f"""
+rule "bits" {{
+  pre: {pre};
+  lhs fn(x: {ty}) -> {ty} {{ ret %x }}
+  rhs fn(x: {ty}) -> {ty} {{ ret %x }}
+}}
+""")
+    assert [d.message for d in validate(rule)] == [message]
+
+
+@pytest.mark.parametrize("pre", ["LowBitsZero(%x, 0)", "KnownBits(%x, 0, 0)",
+                                 "RangeS(%x, -1, 3)"])
+def test_validate_accepts_bit_predicates_on_integers(pre):
+    rule = parse(f"""
+rule "bits" {{
+  pre: {pre};
+  lhs fn(x: i8) -> i8 {{ ret %x }}
+  rhs fn(x: i8) -> i8 {{ ret %x }}
+}}
+""")
+    assert validate(rule) == []

@@ -758,3 +758,303 @@ rule "wide" {{
     assert verdict_to_json(check_refinement(rule, {}, Budget())) == {
         "kind": "inconclusive", "reason": "UnsupportedConstruct",
         "detail": "integer width 128 exceeds 64"}
+
+
+# ---------------------------------------------------------------------------
+# Sampled scans check each distinct (constant tuple, input tuple) once
+
+
+def _reference_scan_sampled(resolved, widths, const_map, budget, rng, seen):
+    # every drawn constant tuple x every drawn input tuple, repeats
+    # included, drawn afresh: the scan the verdict must not differ from
+    fn = resolved.lhs
+    pspace = verifier._space(fn.params)
+    full_grid = pspace <= max(budget.sample_count, 1)
+    if full_grid:
+        grid = verifier._input_grid(fn)
+    else:
+        pats = verifier._sampled_patterns(rng, fn.params, budget.sample_count,
+                                          verifier._SPECIAL_CROSS_CAP)
+        grid = [(verifier._vvals(fn.params, pats), len(pats[0]))]
+    seen.append((const_map, None if full_grid else pats))
+    refuted, checked = verifier._scan(resolved, widths,
+                                      verifier._slices(const_map, grid), budget)
+    space = f"{verifier._const_count(const_map)} sampled constants x " + (
+        f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")
+    return refuted or Verified("sampled", checked, space, budget.rng_seed)
+
+
+def _reference_verdict(rule, budget):
+    """The verdict of a scan over every drawn point, and what it scanned:
+    [(constant map, sampled input patterns or None)], empty when the check
+    did not reach the sampled scan."""
+    seen = []
+    saved = verifier._scan_sampled
+    verifier._scan_sampled = lambda *args: _reference_scan_sampled(*args,
+                                                                   seen)
+    try:
+        return verdict_to_json(check_refinement(rule, {}, budget)), seen
+    finally:
+        verifier._scan_sampled = saved
+
+
+_BINARY_OPS = [op for op in SMALL_OPS if op not in UNARY]
+
+
+@st.composite
+def repeating_sampled_rules(draw):
+    """1-2 parameters of i8, i16, i32 or f16 and 0-2 constants of i8-i32,
+    each bounded to at most four values (so the sampled constants repeat),
+    maybe a parameter conjunct; lhs and rhs compare an expression of one
+    parameter against a literal."""
+    ptypes = draw(st.lists(st.sampled_from(["i8", "i16", "i32", "f16"]),
+                           min_size=1, max_size=2))
+    params = [(f"x{i}", t) for i, t in enumerate(ptypes)]
+    consts = [(f"C{i + 1}", t) for i, t in enumerate(
+        draw(st.lists(st.sampled_from(["i8", "i16", "i32"]), max_size=2)))]
+    pre = [f"{c} <=u {draw(st.integers(0, 3))}" for c, _ in consts]
+    ints = [(p, t) for p, t in params if t != "f16"]
+    if ints and draw(st.booleans()):
+        p, _ = draw(st.sampled_from(ints))
+        pre.append(draw(st.sampled_from([
+            f"RangeU(%{p}, {draw(st.integers(0, 40))}, "
+            f"{draw(st.integers(0, 300))})",
+            f"LowBitsZero(%{p}, {draw(st.integers(0, 3))})",
+            f"KnownBits(%{p}, 0, {draw(st.integers(0, 3))})"])))
+
+    def body():
+        lines = []
+        p, ty = draw(st.sampled_from(params))
+        cur = f"%{p}"
+        for _ in range(draw(st.integers(1, 2))):
+            if ty == "f16":
+                op = draw(st.sampled_from(["fadd", "fsub", "fmul", "fdiv"]))
+                b = draw(st.sampled_from(
+                    ["0.5", "1.0", "-2.0", "0.0"]
+                    + [f"%{q}" for q, t in params if t == ty]))
+            else:
+                op = draw(st.sampled_from(_BINARY_OPS))
+                b = draw(st.sampled_from(
+                    [str(draw(st.integers(0, 255)))]
+                    + [f"%{q}" for q, t in params if t == ty]
+                    + [c for c, _ in consts]))
+                cty = dict(consts).get(b)
+                if cty is not None and cty != ty:
+                    cast = "zext" if int(cty[1:]) < int(ty[1:]) else "trunc"
+                    lines.append(f"%{len(lines)} = {cast} {cty} {b} to {ty}")
+                    b = f"%{len(lines) - 1}"
+                elif cty is not None:
+                    lines.append(f"%{len(lines)} = add {ty} {b}, 0")
+                    b = f"%{len(lines) - 1}"
+            lines.append(f"%{len(lines)} = {op} {ty} {cur}, {b}")
+            cur = f"%{len(lines) - 1}"
+        if ty == "f16":
+            cmp = draw(st.sampled_from(["fcmp.olt", "fcmp.oeq", "fcmp.uno",
+                                        "fcmp.ugt"]))
+            lit = draw(st.sampled_from(["0.0", "1.0", "-0.5"]))
+        else:
+            cmp = draw(st.sampled_from(["icmp.ult", "icmp.eq", "icmp.sgt"]))
+            lit = str(draw(st.integers(0, 255)))
+        lines.append(f"%{len(lines)} = {cmp} {ty} {cur}, {lit}")
+        return "; ".join(lines) + f"; ret %{len(lines) - 1}"
+
+    sig = ", ".join(f"{p}: {t}" for p, t in params)
+    decls = "".join(f"const {c}: {t}; " for c, t in consts)
+    rhs = body() if draw(st.booleans()) else f"ret {draw(st.integers(0, 1))}"
+    text = (f'rule "rep" {{ {decls}'
+            + (f"pre: {' && '.join(pre)}; " if pre else "")
+            + f"lhs fn({sig}) -> i1 {{ {body()} }} "
+            + f"rhs fn({sig}) -> i1 {{ {rhs} }} }}")
+    rule = parse(text)
+    assume(not validate(rule))
+    return rule
+
+
+_REPEATING_BUDGETS = st.builds(
+    Budget, exhaustive_limit=st.sampled_from([1, 64]),
+    sample_count=st.sampled_from([40, 300, 1000]),
+    constant_sample_count=st.sampled_from([4, 16]),
+    rng_seed=st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_sampled_rules(), _REPEATING_BUDGETS)
+def test_sampled_scan_of_distinct_points_matches_full_scan(rule, budget):
+    # a repeated (constant tuple, input tuple) point is the same check as
+    # its first occurrence, which comes first: dropping repeats must leave
+    # the verdict, the counterexample and the point count as they are
+    expected, seen = _reference_verdict(rule, budget)
+    assume(seen)
+    assert verdict_to_json(check_refinement(rule, {}, budget)) == expected
+    # the second check finds its input row remembered
+    assert verdict_to_json(check_refinement(rule, {}, budget)) == expected
+
+
+def _sampled_case(rule, budget):
+    """The verdict, checked against its reference, and the constant map
+    and sampled inputs (None for a full grid) the reference scanned."""
+    expected, seen = _reference_verdict(rule, budget)
+    ((const_map, pats),) = seen
+    verifier._last_inputs = None
+    verdict = verdict_to_json(check_refinement(rule, {}, budget))
+    assert verdict == expected
+    return verdict, const_map, pats
+
+
+def test_sampled_scan_reports_first_violating_input_that_repeats():
+    # lhs is 1 at every odd x: the first odd sampled input is the
+    # counterexample, and it is drawn again later in the row
+    rule = parse("""
+rule "odd" {
+  lhs fn(x: i8) -> i1 { %0 = and i8 %x, 1; %1 = icmp.ne i8 %0, 0; ret %1 }
+  rhs fn(x: i8) -> i1 { ret 0 }
+}
+""")
+    verdict, _, (xs,) = _sampled_case(
+        rule, Budget(exhaustive_limit=16, sample_count=64))
+    first = int(np.flatnonzero(xs & 1)[0])
+    assert verdict["counterexample"]["inputs"] == {"x": hex(xs[first])}
+    assert xs[first] in xs[first + 1:]
+    # keeping the last occurrence of each input would report another
+    later = {int(x): i for i, x in enumerate(xs)}
+    assert min((i, x) for x, i in later.items() if x & 1)[1] != xs[first]
+
+
+def test_sampled_scan_reports_first_violating_constant_that_repeats():
+    # every drawn constant tuple violates at x == 80 - C1, which no special
+    # input reaches: the first drawn tuple is the counterexample, and it is
+    # drawn again later
+    rule = parse("""
+rule "pinned" {
+  const C1: i32;
+  pre: C1 <=u 3;
+  lhs fn(x: i8) -> i1 {
+    %0 = trunc i32 C1 to i8;
+    %1 = add i8 %x, %0;
+    %2 = icmp.eq i8 %1, 80;
+    ret %2
+  }
+  rhs fn(x: i8) -> i1 { ret 0 }
+}
+""")
+    verdict, const_map, _ = _sampled_case(rule, Budget(sample_count=256))
+    (c1s, _), = const_map.values()
+    assert verdict["counterexample"]["consts"] == {"C1": hex(c1s[0])}
+    assert verdict["counterexample"]["inputs"] == {"x": hex(80 - c1s[0])}
+    assert c1s[0] in c1s[1:]
+    # the last occurrences of the tuples come in another order
+    last = {int(c): i for i, c in enumerate(c1s)}
+    assert min(last, key=last.get) != c1s[0]
+
+
+# at seed 5 the drawn row holds +0.0 at 7 and -0.0 at 37
+_F16_SAMPLED = Budget(exhaustive_limit=16, sample_count=1000, rng_seed=5)
+
+
+def test_sampled_scan_tells_negative_zero_and_nan_patterns_apart():
+    # lhs is 1 at -0.0 only; +0.0 comes first in the drawn row, so a
+    # comparison by float value would drop -0.0 as a repeat of +0.0
+    neg_zero = parse("""
+rule "neg_zero" {
+  lhs fn(x: f16) -> i1 {
+    %0 = fdiv f16 1.0, %x;
+    %1 = fcmp.olt f16 %0, 0.0;
+    %2 = fcmp.oeq f16 %x, 0.0;
+    %3 = and i1 %1, %2;
+    ret %3
+  }
+  rhs fn(x: f16) -> i1 { ret 0 }
+}
+""")
+    verdict, _, (xs,) = _sampled_case(neg_zero, _F16_SAMPLED)
+    assert verdict["counterexample"]["inputs"] == {"x": "0x8000"}
+    assert np.flatnonzero(xs == 0)[0] < np.flatnonzero(xs == 0x8000)[0]
+    # lhs is 1 at every NaN: the first NaN pattern drawn is the
+    # counterexample, among several distinct NaN patterns
+    nan = parse("""
+rule "nan" {
+  lhs fn(x: f16) -> i1 { %0 = fcmp.uno f16 %x, %x; ret %0 }
+  rhs fn(x: f16) -> i1 { ret 0 }
+}
+""")
+    verdict, _, (xs,) = _sampled_case(nan, _F16_SAMPLED)
+    nans = xs[((xs & 0x7C00) == 0x7C00) & ((xs & 0x3FF) != 0)]
+    assert len(set(nans.tolist())) > 1
+    assert verdict["counterexample"]["inputs"] == {"x": hex(nans[0])}
+
+
+_I32_RULE = """
+rule "memo" {{
+  lhs fn(x: i32, y: {ty}) -> i1 {{ %0 = icmp.ult i32 %x, {k}; ret %0 }}
+  rhs fn(x: i32, y: {ty}) -> i1 {{ %0 = icmp.ugt i32 {k}, %x; ret %0 }}
+}}
+"""
+
+
+@pytest.fixture
+def counted_draws(monkeypatch):
+    """Counts the input rows drawn, with the remembered row cleared."""
+    draws = []
+    real = verifier._sampled_patterns
+
+    def counted(*args):
+        draws.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(verifier, "_sampled_patterns", counted)
+    monkeypatch.setattr(verifier, "_last_inputs", None)
+    return draws
+
+
+def test_equal_generator_state_reuses_the_sampled_inputs(counted_draws):
+    budget = Budget(sample_count=1000)
+    first = check_refinement(parse(_I32_RULE.format(ty="i8", k=7)), {}, budget)
+    # another rule over the same parameter types, at the same seed: the
+    # generator is in the same state when the inputs are drawn
+    rule = parse(_I32_RULE.format(ty="i8", k=1000))
+    remembered = verdict_to_json(check_refinement(rule, {}, budget))
+    assert counted_draws == [1000]
+    assert first.kind == "verified" and remembered["kind"] == "verified"
+    verifier._last_inputs = None
+    assert verdict_to_json(check_refinement(rule, {}, budget)) == remembered
+    assert counted_draws == [1000, 1000]
+
+
+@pytest.mark.parametrize("other", [
+    dict(seed=1), dict(ty="i16"), dict(sample_count=999)])
+def test_other_key_draws_the_inputs_again(counted_draws, other):
+    def check(seed=0, ty="i8", sample_count=1000):
+        check_refinement(parse(_I32_RULE.format(ty=ty, k=7)), {},
+                         Budget(sample_count=sample_count, rng_seed=seed))
+
+    check()
+    check(**other)
+    assert len(counted_draws) == 2
+
+
+def test_remembered_inputs_are_a_draw(counted_draws):
+    params = (("x", IntType(32)), ("y", IntType(8)))
+    drawn = np.random.default_rng(5)
+    pats, n = verifier._sampled_inputs(drawn, params, 500)
+    again = np.random.default_rng(5)
+    hit, hit_n = verifier._sampled_inputs(again, params, 500)
+    assert len(counted_draws) == 1
+    # the state a draw leaves, the draw's distinct tuples in order, and the
+    # count of tuples drawn, repeats included
+    fresh = np.random.default_rng(5)
+    full = verifier._sampled_patterns(fresh, params, 500,
+                                      verifier._SPECIAL_CROSS_CAP)
+    assert again.bit_generator.state == fresh.bit_generator.state
+    assert drawn.bit_generator.state == fresh.bit_generator.state
+    assert hit_n == n == len(full[0])
+    seen, rows = set(), []
+    for row in zip(*(p.tolist() for p in full)):
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
+    assert len(rows) < n
+    assert list(zip(*(p.tolist() for p in hit))) == rows
+    assert [p.dtype for p in hit] == [p.dtype for p in full]
+    for p in hit:
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 0

@@ -36,21 +36,31 @@ def read_run(path: pathlib.Path) -> dict:
     return {"context": context, "result": json.loads(lines[-1])}
 
 
+# kernel_rate columns -> record keys; tables written before scaled/s was
+# added lack that column
+KERNEL_FIGURES = {"median_s": "median_s", "points/s": "points_per_s",
+                  "scaled/s": "scaled_points_per_s"}
+
+
 def read_kernels(paths: list) -> dict:
     """kernel -> points and the median, over the given kernel_rate tables,
-    of each table's median_s and points/s."""
+    of each table's median_s, points/s and scaled/s (when present)."""
     rows: dict = {}
     for path in paths:
-        for line in path.read_text().splitlines()[1:]:
-            name, points, median, rate = line.split()
-            row = rows.setdefault(name, {"points": int(points), "median_s": [],
-                                         "points_per_s": []})
-            row["median_s"].append(float(median))
-            row["points_per_s"].append(float(rate))
+        header, *lines = path.read_text().splitlines()
+        columns = header.split()
+        for line in lines:
+            cells = dict(zip(columns, line.split()))
+            row = rows.setdefault(cells["kernel"],
+                                  {"points": int(cells["points"])})
+            for column, key in KERNEL_FIGURES.items():
+                if column in cells:
+                    row.setdefault(key, []).append(float(cells[column]))
     for row in rows.values():
         row["tables"] = len(row["median_s"])
-        row["median_s"] = statistics.median(row["median_s"])
-        row["points_per_s"] = statistics.median(row["points_per_s"])
+        for key in KERNEL_FIGURES.values():
+            if key in row:
+                row[key] = statistics.median(row[key])
     return rows
 
 

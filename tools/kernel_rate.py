@@ -1,4 +1,4 @@
-"""Print the verifier's throughput, in points per second, on eight fixed
+"""Print the verifier's throughput, in points per second, on nine fixed
 kernels, so that a change to the engine, the constant walk or the scan loop
 can be measured layer by layer:
 
@@ -20,6 +20,11 @@ can be measured layer by layer:
              percent of each constant's sampled i64 inputs (256 sampled
              constants x 65664 sampled inputs): the parameter precondition
              and the scan of the points it admits
+  dup_inputs check_refinement on negate_lshr_or's first sampled rule (x: i32,
+             no parameter precondition; 256 sampled constants, 170 of them
+             distinct, x 65600 sampled inputs, 36670 of them distinct): the
+             scan of each distinct point once, with the input row drawn on
+             the first run and remembered on the others
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
              constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
@@ -28,8 +33,12 @@ can be measured layer by layer:
 
 Each kernel runs 5 times (a filter kernel 5 batches of many calls);
 median_s is the median time of one call (for a filter kernel, times 1e6 it
-is microseconds per call), and the rate is the points of one call over it.
-Stdlib and numpy only (numpy through peepgen).
+is microseconds per call), and points/s is the points of one call over it.
+The host's speed drifts between runs and between processes, so perfbench's
+reference job (`perfbench/hostspeed.py`) is timed right before and after
+each run, and scaled/s is the rate at the host speed where that job takes
+its nominal time: each run's time is scaled by the nominal time over the
+median job time around it.  Stdlib and numpy only (numpy through peepgen).
 
 Run from anywhere:  python3 tools/kernel_rate.py
 """
@@ -42,11 +51,15 @@ import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from peepgen import engine, textfmt, verifier  # noqa: E402
 from peepgen.ir import pred_param_refs  # noqa: E402
+import hostspeed  # noqa: E402
 
 RUNS = 5
+# reference jobs timed before and after each run
+REFERENCE_JOBS = 5
 
 
 # cttz_concrete's final rule with its width variable W fixed at 12
@@ -109,6 +122,32 @@ rule "negate_lshr_or" {
 """
 
 
+# the first rule negate_lshr_or's replay run checks by sampling: its i32
+# input draws repeat many values
+DUP_INPUTS = """
+rule "negate_lshr_or" {
+  const C1: i32;
+  const C2: i64;
+  pre: C1 >=s 0 && PowerOfTwo(C1 + 1) && popcount(C1) <=u C2 && C2 <=u 32;
+  lhs fn(x: i32) -> i64 {
+    %0 = sub i32 0, %x;
+    %1 = and i32 %0, C1;
+    %2 = zext i32 %1 to i64;
+    %3 = sub.nsw i64 0, %2;
+    %4 = lshr i64 %3, C2;
+    %5 = or i64 %4, %3;
+    ret %5
+  }
+  rhs fn(x: i32) -> i64 {
+    %0 = and i32 %x, C1;
+    %1 = icmp.ne i32 %0, 0;
+    %2 = sext i1 %1 to i64;
+    ret %2
+  }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -165,22 +204,39 @@ KERNELS = (
     ("range_pre", refinement_kernel(
         textfmt.parse_rule(NEGATE_LSHR_OR),
         "256 sampled constants x sampled inputs"), 1),
+    ("dup_inputs", refinement_kernel(
+        textfmt.parse_rule(DUP_INPUTS),
+        "256 sampled constants x sampled inputs"), 1),
     ("filter64", filter_kernel(64), 2000),
     ("filter65536", filter_kernel(65536), 50),
 )
 
 
+def _reference_jobs() -> list:
+    times = []
+    for _ in range(REFERENCE_JOBS):
+        start = time.perf_counter()
+        hostspeed.reference_job()
+        times.append(time.perf_counter() - start)
+    return times
+
+
 def main() -> None:
-    print(f"{'kernel':10s} {'points':>10s} {'median_s':>9s} {'points/s':>12s}")
+    print(f"{'kernel':10s} {'points':>10s} {'median_s':>9s} {'points/s':>12s} "
+          f"{'scaled/s':>12s}")
     for name, run, calls in KERNELS:
-        times = []
+        times, scaled = [], []
         for _ in range(RUNS):
+            jobs = _reference_jobs()
             start = time.perf_counter()
             for _ in range(calls):
                 points = run()
             times.append((time.perf_counter() - start) / calls)
+            job_s = statistics.median(jobs + _reference_jobs())
+            scaled.append(times[-1] * hostspeed.NOMINAL_S / job_s)
         median = statistics.median(times)
-        print(f"{name:10s} {points:10d} {median:9.4g} {points / median:12.4g}")
+        print(f"{name:10s} {points:10d} {median:9.4g} {points / median:12.4g} "
+              f"{points / statistics.median(scaled):12.4g}")
 
 
 if __name__ == "__main__":
