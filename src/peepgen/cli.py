@@ -337,10 +337,12 @@ def _bench_one(path: Path, domain: str, config: dict, backend_spec: str,
         diags = validate(instance)
         if diags:
             return name, domain, None, None
-        verdict = verifier.check_refinement(instance, {}, budget)
-        if verdict.kind == "refuted" or not costmod.check_profitable(instance):
-            return name, domain, None, None
         cfg = _pipeline_config(config, backend_spec, budget)
+        # ingestion rejects only refuted or unprofitable instances
+        verdict = verifier.check_refinement(instance, {}, budget)
+        if (verdict.kind == "refuted"
+                or not costmod.check_profitable(instance, cfg.table)):
+            return name, domain, None, None
         report = pipemod.run_pipeline(instance, cfg).to_json()
     except (verifier.ReplayMismatch, EvalError) as e:
         # an internal alarm is a fault of peepgen, not of the instance

@@ -3,8 +3,10 @@
 Stage 1 symbolizes constants (with a feedback loop to the backend), stage 2
 abstracts preserved subexpressions into fresh inputs, stage 3 relaxes the
 precondition and instruction flags, and stage 4 generalizes bitwidths or
-float precisions.  Every accepted transition passes refinement and
-profitability; weakenings additionally pass the strictly-weaker check.
+float precisions.  Every candidate of every stage, and the final rule, is
+judged by one gate (`_gate`): refinement at the rule's own widths, never
+reduced, and profitability under the configured cost table.  Weakenings
+additionally pass the strictly-weaker check.
 """
 from __future__ import annotations
 
@@ -146,10 +148,15 @@ def _proposals(req: ProposalRequest, cfg: PipelineConfig,
         return []
 
 
-def _gate(rule: Rule, cfg: PipelineConfig, widths: Optional[dict] = None):
-    verdict, _r, _w = verifier.verify_with_reduction(rule, widths, cfg.budget)
-    profitable = costmod.check_profitable(rule, cfg.table)
-    return verdict, profitable
+def _gate(rule: Rule, cfg: PipelineConfig, co: CandidateOutcome,
+          widths: Optional[dict] = None,
+          budget: Optional[Budget] = None) -> bool:
+    """The acceptance gate: refinement at the rule's own widths (never
+    reduced) and profitability under `cfg.table`, both recorded on `co`."""
+    verdict = verifier.check_refinement(rule, widths, budget or cfg.budget)
+    co.verdict = verdict_to_json(verdict)
+    co.profitable = costmod.check_profitable(rule, cfg.table)
+    return verdict.kind == "verified" and co.profitable
 
 
 def _parse_candidate(text: str):
@@ -186,17 +193,14 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig):
                                              "; ".join(co.diagnostics), p.text))
                 new_feedback += 1
                 continue
-            verdict, profitable = _gate(cand, cfg)
-            co.verdict = verdict_to_json(verdict)
-            co.profitable = profitable
-            if verdict.kind == "verified" and profitable:
+            if _gate(cand, cfg, co):
                 passers.append((len(cand.sym_consts), idx, cand, co))
-            elif verdict.kind == "refuted":
+            elif co.verdict["kind"] == "refuted":
                 feedback.append(FeedbackItem(
                     "Counterexample", json.dumps(co.verdict["counterexample"]),
                     p.text))
                 new_feedback += 1
-            elif verdict.kind == "verified":
+            elif co.verdict["kind"] == "verified":
                 feedback.append(FeedbackItem(
                     "Unprofitable",
                     f"lhs {costmod.cost(cand.lhs, cfg.table)} vs "
@@ -238,10 +242,7 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig):
         if not params_used(cand.lhs).intersection(fresh):
             co.diagnostics.append("no fresh parameter used in lhs")
             continue
-        verdict, profitable = _gate(cand, cfg)
-        co.verdict = verdict_to_json(verdict)
-        co.profitable = profitable
-        if verdict.kind == "verified" and profitable:
+        if _gate(cand, cfg, co):
             abstracted = ((len(rule.lhs.body) + len(rule.rhs.body))
                           - (len(cand.lhs.body) + len(cand.rhs.body)))
             passers.append((abstracted, idx, cand, co))
@@ -259,27 +260,42 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig):
 # Stage 3: relaxation (remove conjuncts, weaken conjuncts, remove flags)
 
 
-def remove_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for i, conj in enumerate(rule.pre):
-            if guards_partial_op(conj, rule.pre):
-                continue
-            trial = replace(rule, pre=rule.pre[:i] + rule.pre[i + 1:])
-            co = CandidateOutcome(f"remove: {print_pred(conj)}", True)
-            verdict, profitable = _gate(trial, cfg)
-            co.verdict = verdict_to_json(verdict)
-            co.profitable = profitable
+def conjunct_removals(rule: Rule):
+    """(description, trial) for each conjunct that can be dropped."""
+    for i, conj in enumerate(rule.pre):
+        if not guards_partial_op(conj, rule.pre):
+            yield (f"remove: {print_pred(conj)}",
+                   replace(rule, pre=rule.pre[:i] + rule.pre[i + 1:]))
+
+
+def flag_removals(rule: Rule):
+    """(description, trial) for each instruction flag that can be dropped."""
+    for side in ("lhs", "rhs"):
+        fn = getattr(rule, side)
+        for index, instr in enumerate(fn.body):
+            for flag in sorted(instr.flags):
+                dropped = replace(instr, flags=instr.flags - {flag})
+                yield (f"drop flag {flag} from {side} %{index}",
+                       replace(rule, **{side: replace_instr(fn, index,
+                                                            dropped)}))
+
+
+def relax_to_fixpoint(rule: Rule, trials, cfg: PipelineConfig,
+                      outcome: StageOutcome):
+    """Apply the first of `trials(rule)` that passes the gate, then start
+    over; returns the rule no trial improves and the number applied."""
+    applied = 0
+    while True:
+        for text, trial in trials(rule):
+            co = CandidateOutcome(text, True)
             outcome.candidates.append(co)
-            if verdict.kind == "verified" and profitable:
+            if _gate(trial, cfg, co):
                 co.accepted = True
                 rule = trial
-                removed += 1
-                changed = True
+                applied += 1
                 break
-    return rule, removed
+        else:
+            return rule, applied
 
 
 def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
@@ -301,10 +317,7 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
                 continue
             new_pre = rule.pre[:i] + parsed + rule.pre[i + 1:]
             trial = replace(rule, pre=new_pre)
-            verdict, profitable = _gate(trial, cfg)
-            co.verdict = verdict_to_json(verdict)
-            co.profitable = profitable
-            if verdict.kind != "verified" or not profitable:
+            if not _gate(trial, cfg, co):
                 continue
             sw = verifier.check_strictly_weaker(rule, new_pre, {}, cfg.budget)
             co.strictly_weaker = isinstance(sw, StrictlyWeaker)
@@ -321,57 +334,16 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
     return rule, weakened
 
 
-def _drop_flag(rule: Rule, side: str, index: int, flag: str) -> Rule:
-    fn = getattr(rule, side)
-    instr = fn.body[index]
-    fn = replace_instr(fn, index, replace(instr, flags=instr.flags - {flag}))
-    return replace(rule, **{side: fn})
-
-
-def remove_flags(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for side in ("lhs", "rhs"):
-            fn = getattr(rule, side)
-            for index, instr in enumerate(fn.body):
-                for flag in sorted(instr.flags):
-                    trial = _drop_flag(rule, side, index, flag)
-                    co = CandidateOutcome(
-                        f"drop flag {flag} from {side} %{index}", True)
-                    verdict, profitable = _gate(trial, cfg)
-                    co.verdict = verdict_to_json(verdict)
-                    co.profitable = profitable
-                    outcome.candidates.append(co)
-                    if verdict.kind == "verified" and profitable:
-                        co.accepted = True
-                        rule = trial
-                        removed += 1
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    return rule, removed
-
-
 def stage3_relax(rule: Rule, cfg: PipelineConfig):
-    outcome = StageOutcome("relax", counts={"conjuncts_removed": 0,
-                                            "conjuncts_weakened": 0,
-                                            "flags_removed": 0})
-    before = rule
-    rule, removed = remove_conjuncts(rule, cfg, outcome)
+    outcome = StageOutcome("relax")
+    rule, removed = relax_to_fixpoint(rule, conjunct_removals, cfg, outcome)
     rule, weakened = weaken_conjuncts(rule, cfg, outcome)
-    rule, flags = remove_flags(rule, cfg, outcome)
-    outcome.counts.update({"conjuncts_removed": removed,
-                           "conjuncts_weakened": weakened,
-                           "flags_removed": flags})
+    rule, flags = relax_to_fixpoint(rule, flag_removals, cfg, outcome)
+    outcome.counts = {"conjuncts_removed": removed,
+                      "conjuncts_weakened": weakened, "flags_removed": flags}
     if removed or weakened or flags:
         outcome.accepted_text = print_rule(rule)
-        return outcome, rule
-    return outcome, before
+    return outcome, rule
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +448,9 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
 
     passing, failing = [], []
     for w in range(1, cfg.width_cap + 1):
-        verdict = verifier.check_refinement(erased, {var: w}, cfg.budget)
-        co = CandidateOutcome(f"width {var}={w}", True,
-                              verdict=verdict_to_json(verdict),
-                              profitable=costmod.check_profitable(erased,
-                                                                  cfg.table))
+        co = CandidateOutcome(f"width {var}={w}", True)
         outcome.candidates.append(co)
-        if verdict.kind == "verified" and co.profitable:
+        if _gate(erased, cfg, co, {var: w}):
             passing.append(w)
             co.accepted = True
         else:
@@ -540,13 +508,9 @@ def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
                 f"precision f{prec}", True,
                 diagnostics=["literal not exactly representable"]))
             continue
-        verdict = verifier.check_refinement(retyped, {}, cfg.budget)
-        profitable = costmod.check_profitable(retyped, cfg.table)
-        co = CandidateOutcome(f"precision f{prec}", True,
-                              verdict=verdict_to_json(verdict),
-                              profitable=profitable)
+        co = CandidateOutcome(f"precision f{prec}", True)
         outcome.candidates.append(co)
-        if verdict.kind == "verified" and profitable:
+        if _gate(retyped, cfg, co):
             passing.append(prec)
             co.accepted = True
     outcome.counts["precisions_passing"] = [f"f{p}" for p in passing]
@@ -585,18 +549,17 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
                    if c.accepted and c.text.startswith("width ")]
         w = max(passing) if passing else cfg.width_cap
         final_widths = {v: w for v in rule.width_vars}
-    recheck = Budget(cfg.budget.exhaustive_limit, cfg.budget.sample_count,
-                     cfg.budget.constant_sample_count, cfg.budget.rng_seed + 1)
-    verdict, _r, _w = verifier.verify_with_reduction(rule, final_widths,
-                                                     recheck)
-    final_text = print_rule(rule) if verdict.kind == "verified" else None
+    # the final rule passes the gate again, under a fresh seed
+    final = CandidateOutcome(print_rule(rule), True)
+    recheck = replace(cfg.budget, rng_seed=cfg.budget.rng_seed + 1)
+    passed = _gate(rule, cfg, final, final_widths, recheck)
     return PipelineReport(
         instance_text=print_rule(instance),
         prune_log=log.to_json(),
         pruned_text=print_rule(pruned),
         stages=stages,
-        final_text=final_text,
-        final_verdict=verdict_to_json(verdict),
+        final_text=final.text if passed else None,
+        final_verdict=final.verdict,
         final_widths=final_widths,
         lhs_cost=str(costmod.cost(rule.lhs, cfg.table)),
         rhs_cost=str(costmod.cost(rule.rhs, cfg.table)),

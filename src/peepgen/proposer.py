@@ -381,7 +381,7 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
 
     def verified(conjuncts: list) -> bool:
         rule = replace(skeleton, pre=tuple(conjuncts))
-        verdict, _r, _w = verifier.verify_with_reduction(rule, widths, probe)
+        verdict = verifier.check_refinement(rule, widths, probe)
         return verdict.kind == "verified"
 
     if not verified(keep):
@@ -466,9 +466,10 @@ def _width_pred_candidates(rule: Rule, stage: WidthPredicate) -> list:
     if not rule.width_vars or not stage.passing:
         return []
     w = rule.width_vars[0]
-    out = [f"{w} <= {max(stage.passing)}"]
-    if min(stage.passing) > 1:
-        out.append(f"{w} >= {min(stage.passing)} && {w} <= {max(stage.passing)}")
+    lo, hi = min(stage.passing), max(stage.passing)
+    out = [f"{w} <=u {hi}"]
+    if lo > 1:
+        out.append(f"{w} >=u {lo} && {w} <=u {hi}")
     return out
 
 

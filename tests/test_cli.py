@@ -112,6 +112,19 @@ def test_verify_names_width_reduction(tmp_path):
     assert data["widths"] == {"W": 8} and "reduced" not in data
 
 
+def test_generalize_never_reduces_widths(tmp_path):
+    # the same check as above: the pipeline's gate does not reduce, so it
+    # cannot check the i16 rule and says so
+    path = tmp_path / "xor_xor.peep"
+    path.write_text(XOR_XOR_I16)
+    proc = run_cli("generalize", str(path), "--budget-exhaustive", "70000",
+                   "--budget-samples", "0")
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["final"] is None
+    assert report["final_verdict"]["reason"] == "BudgetExceeded"
+
+
 def test_verify_parse_error(tmp_path):
     path = tmp_path / "broken.peep"
     path.write_text("rule { nonsense")
@@ -222,6 +235,17 @@ def test_bench_is_byte_identical(bench_runs):
     assert p1.stdout == p2.stdout
 
 
+def test_every_heuristic_proposal_parses(bench_runs):
+    # every proposal of every stage on every fixture parsed and validated
+    _, rdir = bench_runs[0]
+    reports = sorted(rdir.glob("*.json"))
+    assert len(reports) == 12
+    for path in reports:
+        for stage in json.loads(path.read_text())["stages"]:
+            for c in stage["candidates"]:
+                assert c["syntax_ok"], (path.name, c["text"], c["diagnostics"])
+
+
 def test_bench_summary_shape(bench_runs):
     proc, _ = bench_runs[0]
     summary = json.loads(proc.stdout)
@@ -252,6 +276,25 @@ def test_bench_rejects_unsound_instance(tmp_path):
     assert summary["total"] == {"instances": 1, "success": 1, "rejected": 1}
     statuses = {i["name"]: i["status"] for i in summary["instances"]}
     assert statuses == {"bad": "rejected at ingestion", "ok": "success"}
+
+
+def test_bench_ingestion_uses_the_configured_cost_table(tmp_path):
+    # mul x, 8 => shl x, 3 saves two uOps by default; with shl at 10 it
+    # costs more than it saves, so ingestion rejects it
+    ddir = tmp_path / "data" / "int"
+    ddir.mkdir(parents=True)
+    (ddir / "mul8.peep").write_text(
+        (FIXTURES / "int" / "strength_reduce_mul8.peep").read_text())
+    table = tmp_path / "slow_shl.cost"
+    table.write_text("shl = 10\n")
+    config = tmp_path / "peepgen.cfg"
+    config.write_text(f"cost_table = {table}\n")
+    for extra, status in (((), "success"),
+                          (("--config", str(config)), "rejected at ingestion")):
+        proc = run_cli("bench", str(tmp_path / "data"), *extra)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout)
+        assert [i["status"] for i in summary["instances"]] == [status]
 
 
 def test_bench_reports_internal_alarm_as_error(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 from peepgen import textfmt
-from peepgen.pipeline import (PipelineConfig, compare_generality, match_rule,
-                              remove_flags, run_pipeline, stage3_relax,
-                              stage4_widths, StageOutcome)
+from peepgen.pipeline import (PipelineConfig, compare_generality,
+                              flag_removals, match_rule, relax_to_fixpoint,
+                              run_pipeline, stage3_relax, stage4_widths,
+                              StageOutcome)
 from peepgen.proposer import HeuristicBackend, ProposerError
 from peepgen.verifier import Budget
 
@@ -48,10 +49,51 @@ def test_flag_removal_is_monotone_on_fixture_corpus(fixture_corpus):
         if widths or fx.rule.width_vars:
             continue
         outcome = StageOutcome("relax", counts={})
-        stripped, _n = remove_flags(fx.rule, _cfg(), outcome)
+        stripped, _n = relax_to_fixpoint(fx.rule, flag_removals, _cfg(),
+                                         outcome)
         outcome2 = StageOutcome("relax", counts={})
-        _again, n2 = remove_flags(stripped, _cfg(), outcome2)
+        _again, n2 = relax_to_fixpoint(stripped, flag_removals, _cfg(),
+                                       outcome2)
         assert n2 == 0, fx.name
+        # the second sweep tried every remaining flag and accepted none
+        assert len(outcome2.candidates) == len(list(flag_removals(stripped)))
+        assert not any(c.accepted for c in outcome2.candidates), fx.name
+
+
+def test_gate_never_reduces_widths():
+    # 2^32 inputs exceed the exhaustive budget and sampling is off: the gate
+    # checks the rule at i16 and cannot, rather than checking it at i8
+    instance = parse("""
+rule "xor_xor" {
+  lhs fn(x: i16, y: i16) -> i16 {
+    %0 = xor i16 %x, %y;
+    %1 = xor i16 %0, %y;
+    ret %1
+  }
+  rhs fn(x: i16, y: i16) -> i16 { ret %x }
+}
+""")
+    budget = Budget(exhaustive_limit=70000, sample_count=0)
+    report = run_pipeline(instance, _cfg(budget=budget))
+    (candidate,) = report.stages[0].candidates
+    assert candidate.verdict["reason"] == "BudgetExceeded"
+    assert not candidate.accepted
+    assert report.final_verdict["reason"] == "BudgetExceeded"
+    assert report.final_text is None
+
+
+def test_unprofitable_final_rule_is_not_reported():
+    # shl costs 1 and mul 3: the rule is correct but not worth applying
+    instance = parse("""
+rule "shl_to_mul" {
+  lhs fn(x: i8) -> i8 { %0 = shl i8 %x, 3; ret %0 }
+  rhs fn(x: i8) -> i8 { %0 = mul i8 %x, 8; ret %0 }
+}
+""")
+    report = run_pipeline(instance, _cfg())
+    assert report.final_verdict["kind"] == "verified"
+    assert (report.lhs_cost, report.rhs_cost) == ("1", "3")
+    assert report.final_text is None
 
 
 def test_widths_stage_generalizes_xor_self():

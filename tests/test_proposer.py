@@ -159,6 +159,24 @@ def test_pinned_probes_do_not_exhaust_the_rejection_cap(monkeypatch):
     assert calls and sum(calls) <= 1
 
 
+def test_heuristic_width_predicates_parse():
+    rule_text = """
+rule "w" {
+  widthvar W;
+  lhs fn(x: iW) -> iW { %0 = xor iW %x, %x; ret %0 }
+  rhs fn(x: iW) -> iW { ret 0 }
+}
+"""
+    req = ProposalRequest(WidthPredicate((4, 6, 8), (1, 2, 3, 16)), rule_text)
+    admitted = []
+    for p in HeuristicBackend().generate(req):
+        conjuncts = textfmt.parse_conjuncts(p.text, {}, ["W"])
+        admitted.append([w for w in range(1, 17)
+                         if semantics.eval_predicate(conjuncts, {}, {},
+                                                     {"W": w})])
+    assert admitted == [list(range(1, 9)), list(range(4, 9))]
+
+
 def test_heuristic_is_deterministic():
     req = ProposalRequest(SymbolicConstants(), XOR_AND_TEXT)
     a = [p.text for p in HeuristicBackend().generate(req)]
