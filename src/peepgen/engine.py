@@ -110,20 +110,12 @@ _CMP = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
 
 
 # ---------------------------------------------------------------------------
-# Population counts and friends (on uint64 inputs)
-
-
-def popcount64(v):
-    v = v.astype(np.uint64, copy=True)
-    v -= (v >> np.uint64(1)) & np.uint64(0x5555555555555555)
-    v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
+# Bit counts (on uint64 inputs)
 
 
 def _cttz64(v, width: int):
     low = v & (~v + np.uint64(1))
-    r = popcount64(low - np.uint64(1))
+    r = np.bitwise_count(low - np.uint64(1))
     return np.where(v == 0, np.uint64(width), r)
 
 
@@ -131,7 +123,7 @@ def _ctlz64(v, width: int):
     s = v.astype(np.uint64, copy=True)
     for k in (1, 2, 4, 8, 16, 32):
         s |= s >> np.uint64(k)
-    return np.uint64(width) - popcount64(s)
+    return np.uint64(width) - np.bitwise_count(s)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +132,9 @@ def _ctlz64(v, width: int):
 # Each kernel takes operand arrays and the width, and returns the result
 # and the lanes the operation itself makes poison (None when it makes
 # none); it computes only the result its opcode names (and, for `exact`,
-# the remainder that decides poison).
+# the remainder that decides poison).  A remainder is `a - (a // b) * b`:
+# numpy's `//` by a scalar or a column divisor is several times faster
+# than its `%`.
 
 _BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
 
@@ -201,11 +195,12 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
         zero = bv == 0
         safe = np.where(zero, dt(1), bv)
         poison = zero
+        q = av // safe
         if op == "urem":
-            return av % safe, poison
+            return av - q * safe, poison
         if "exact" in flags:
-            poison = _por(poison, av % safe != 0)
-        return av // safe, poison
+            poison = _por(poison, av != q * safe)
+        return q, poison
 
     if op in ("sdiv", "srem"):
         sa, sb = _signed(av, w), _signed(bv, w)
@@ -217,13 +212,13 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
         minneg = (av == _wrap(np.asarray(int_min), w)) & (_wrap(bv, w) == dt(mask(w)))
         safe = np.where(zero, dt(1), mb)
         poison = zero | minneg
+        q = ma // safe
         if op == "sdiv":
-            q = ma // safe
             qs = np.where(na ^ nb, _wrap((~q.astype(dt)) + dt(1), w), q)
             if "exact" in flags:
-                poison = _por(poison, ma % safe != 0)
+                poison = _por(poison, ma != q * safe)
             return _wrap(qs, w), poison
-        rem = ma % safe
+        rem = ma - q * safe
         rs = np.where(na, _wrap((~rem.astype(dt)) + dt(1), w), rem)
         return _wrap(rs, w), poison
 
@@ -271,9 +266,9 @@ def _int_unop_vec(op: str, flags, av, w: int):
         return r, poison
     if op == "not":
         return _wrap(~av, w), poison
-    v64 = av.astype(np.uint64)
     if op == "ctpop":
-        return popcount64(v64).astype(dt), poison
+        return np.bitwise_count(av).astype(dt), poison
+    v64 = av.astype(np.uint64)
     if op == "cttz":
         return _cttz64(v64, w).astype(dt), poison
     if op == "ctlz":
@@ -507,7 +502,7 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
                     r = semantics.eval_constexpr(CUn(e.op, CInt(int(a.data))), {}, {})
                 except semantics.ConstEvalError:
                     return CVal(0, None, None, np.ones(1, bool))
-                return _poly(int(r))
+                return CVal(int(r), None, None, a.poison)
             w = a.width
             if e.op == "log2":
                 lg, _ = _int_unop_vec("cttz", (), a.data, w)
@@ -640,7 +635,7 @@ def eval_pred_vec(p, params: dict, consts: dict):
             raise UnsupportedConstruct("PowerOfTwo on float")
         if a.width is None:
             v = int(a.data)
-            return np.asarray(v > 0 and v & (v - 1) == 0)
+            return _in_domain(v > 0 and v & (v - 1) == 0, a.poison)
         return _in_domain(_is_pow2(np.asarray(a.data).astype(np.uint64)), a.poison)
     if isinstance(p, PKnownBits):
         v = _ref_cval(params[p.ref])
@@ -661,6 +656,11 @@ def eval_pred_vec(p, params: dict, consts: dict):
         v = _ref_cval(params[p.ref])
         k = eval_constexpr_vec(p.k, consts, params)
         kv = _interp_vec(k, False)
+        if isinstance(kv, int):
+            # an unbounded count: a negative one is out of domain
+            if kv < 0:
+                return np.asarray(False)
+            kv = min(kv, v.width)
         kv = np.minimum(np.asarray(kv, dtype=np.uint64), np.uint64(v.width))
         m = np.where(kv >= 64, np.uint64(mask(64)),
                      (np.uint64(1) << kv) - np.uint64(1))

@@ -240,11 +240,11 @@ def _lane_binop(op: str, a: tuple, b: tuple) -> tuple:
 def _lane_unop(op: str, a: tuple) -> tuple:
     v, w, ok = a
     if op == "popcount":
-        return engine.popcount64(v), w, ok
+        return np.bitwise_count(v).astype(np.uint64), w, ok
     # cttz and log2 (of a power of two) both count the trailing zeros
-    r = engine.popcount64((v & (~v + _ONE)) - _ONE)
+    r = np.bitwise_count((v & (~v + _ONE)) - _ONE).astype(np.uint64)
     if op == "log2":
-        return r, w, ok & (engine.popcount64(v) == _ONE)
+        return r, w, ok & (np.bitwise_count(v) == 1)
     return np.where(v == 0, w, r), w, ok
 
 

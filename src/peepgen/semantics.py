@@ -17,7 +17,8 @@ import numpy as np
 
 from .ir import (
     CAST_OPS, FCMP_PREDS, ICMP_PREDS, CBin, CCast, CConst, CFloat, CInt, CRef, CUn,
-    CWidth, FloatType, Function, Instr, IntType, Literal, Local, Param,
+    CWidth, MAX_INT_WIDTH, FloatType, Function, Instr, IntType, Literal, Local,
+    Param,
     PeepError, Predicate, PAnd, PCmp, PKnownBits, PLowBitsZero, PNot, POr,
     PPow2, PRange, PTrue, SymConst, Type, mask, to_signed, to_unsigned,
 )
@@ -410,14 +411,23 @@ def _cbin_int(op: str, av: int, bv: int, w: Optional[int]):
         return wrap(av | bv)
     if op == "^":
         return wrap(av ^ bv)
+    # a left or arithmetic shift by a negative amount is out of domain (a
+    # negative `>>u` shifts left), and so is an unbounded left shift past
+    # the widest type, as a shift by the width or more is at a width
     if op == "<<":
-        if w is not None and bv >= w:
+        if not 0 <= bv < (w if w is not None else MAX_INT_WIDTH + 1):
             raise ConstEvalError("shift amount exceeds width")
         return wrap(av << bv)
     if op == ">>u":
-        return wrap(av >> bv) if bv >= 0 else wrap(av << -bv)
+        if bv >= 0:
+            return wrap(av >> bv)
+        if -bv > MAX_INT_WIDTH:
+            raise ConstEvalError("shift amount exceeds width")
+        return wrap(av << -bv)
     if op == ">>s":
         if w is None:
+            if bv < 0:
+                raise ConstEvalError("negative shift amount")
             return av >> bv
         return to_unsigned(to_signed(av, w) >> bv, w)
     raise ConstEvalError(f"unknown operator {op}")
@@ -630,6 +640,8 @@ def eval_predicate(conjuncts, params: dict, consts: dict, widths: dict) -> bool:
                 return False
             k = ev_expr(p.k)
             kv = k.value if isinstance(k, Bits) else k
+            if kv < 0:
+                raise ConstEvalError("negative low-bit count")
             return v.value & mask(min(kv, v.width)) == 0
         if isinstance(p, PNot):
             return not eval_predicate(p.a, params, consts, widths)

@@ -18,8 +18,12 @@ scan loop (`_scan`) over (inputs, constants, shape) blocks: the exhaustive
 check and the special pass loop over the smaller of the constant and input
 axes and vectorise the larger; the sampled scan loops over its constants.
 A block is a column of consecutive looped entries x the vectorised row
-(about `_BLOCK` points), and its first violation is taken in row-major
-order, the order of looping one entry at a time.  A block evaluates the
+(about `_BLOCK` points); a row wider than that is cut into pieces that
+start at about `_BLOCK` points and double up to `_CHUNK`, and an input grid
+larger than `_CHUNK` is streamed in chunks that grow the same way, so a
+check refuted early pays for little more than the points before its
+violation.  A block's first violation is taken in row-major order, the
+order of looping one entry at a time.  A block evaluates the
 parameter precondition first; when it admits at most half of the block,
 lhs and rhs run only on the admitted points, gathered in row-major order
 (`_admitted`), so the first violation is the same point.  The point count
@@ -192,12 +196,16 @@ def _vvals(decls, patterns: list) -> dict:
 
 def _digit_chunks(decls):
     """Every pattern tuple of `decls` in flat order, one chunk at a time:
-    yields (pattern arrays, tuple count)."""
+    yields (pattern arrays, tuple count).  A space of at most `_CHUNK`
+    tuples is one chunk; a larger one is cut into chunks that grow from
+    about `_BLOCK` tuples, each twice the one before, up to `_CHUNK`."""
     types = [ty for _, ty in decls]
     total = _space(decls)
-    for start in range(0, total, _CHUNK):
-        end = min(start + _CHUNK, total)
+    start, size = 0, total if total <= _CHUNK else min(_BLOCK, _CHUNK)
+    while start < total:
+        end = min(start + size, total)
         yield engine.unravel_chunk(types, start, end) if types else [], end - start
+        start, size = end, min(2 * size, _CHUNK)
 
 
 def _const_count(const_map: dict) -> int:
@@ -516,17 +524,26 @@ def _input_grid(fn: Function):
 
 def _blocks(rows: int, cols: int, cap: Optional[int]):
     """The [r0, r1) x [c0, c1) blocks that cover the first `cap` of `rows`
-    looped entries x `cols` vectorised ones in C order: consecutive rows of
-    about `_BLOCK` points together, a row wider than `_CHUNK` in pieces."""
+    looped entries x `cols` vectorised ones in C order: consecutive rows
+    of about `_BLOCK` points together, and a wider row in pieces that grow
+    from about `_BLOCK` points, each twice the one before, up to `_CHUNK`
+    (a whole row once it fits).  A scan refuted early in a wide row so pays
+    for little more than the points before its violation."""
     rows = min(rows, cap) if cap is not None else rows
-    if cols > _CHUNK:
-        for r in range(rows):
-            for c in range(0, cols, _CHUNK):
-                yield r, r + 1, c, min(c + _CHUNK, cols)
+    if cols <= _BLOCK:
+        step = _BLOCK // cols
+        for r in range(0, rows, step):
+            yield r, min(r + step, rows), 0, cols
         return
-    step = max(1, _BLOCK // cols)
-    for r in range(0, rows, step):
-        yield r, min(r + step, rows), 0, cols
+    size = min(_BLOCK, _CHUNK)
+    for r in range(rows):
+        c = 0
+        while c < cols:
+            # a rest of the row below two pieces (and within a chunk) is
+            # not worth a second one
+            end = cols if cols - c < min(2 * size, _CHUNK + 1) else c + size
+            yield r, r + 1, c, end
+            c, size = end, min(2 * size, _CHUNK)
 
 
 def _slices(const_map: dict, grid, points: Optional[int] = None,
@@ -690,7 +707,10 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
     const_only = [c for c in resolved.pre if not pred_param_refs(c)]
     free, defs = typed_const_defs(resolved)
     space = _FreeSpace(free, const_only)
-    if space.empty:
+    # a rule without constants has no constant map to filter: its
+    # constant-only conjuncts are one truth value
+    if space.empty or not (resolved.sym_consts or np.all(
+            engine.eval_pred_vec(const_only, {}, {}))):
         return Inconclusive("NoSatisfyingConstants",
                             "no constant assignment satisfies the precondition")
     pspace = _space(resolved.lhs.params)

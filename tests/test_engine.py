@@ -12,7 +12,7 @@ from peepgen.ir import (FCMP_PREDS, FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CBin,
                         iter_expr, opcode_arity, pred_const_names)
 from peepgen.semantics import Bits, FloatBits, POISON
 
-from conftest import parse
+from conftest import POISON as OPOISON, oracle_instr, parse
 
 WIDTHS = [1, 3, 8, 16, 32, 33, 40, 63, 64]
 FLAG_POOL = {"add": ["nsw", "nuw"], "sub": ["nsw", "nuw"],
@@ -108,6 +108,77 @@ def test_binop_kernels_match_scalar_on_block_shapes(op, w):
                 else:
                     assert not poison[idx], lane
                     assert int(data[idx]) == scalar.value, lane
+
+
+KERNEL_WIDTHS = [1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]
+DIVREM_KERNELS = [("udiv", ()), ("udiv", ("exact",)), ("urem", ()),
+                  ("sdiv", ()), ("sdiv", ("exact",)), ("srem", ())]
+
+
+def _kernel_patterns(w):
+    # the corner patterns, their neighbours and seeded random patterns
+    full = mask(w)
+    special = set(_lane_values(w))
+    special |= {(v + d) & full for v in special for d in (-1, 1)}
+    rng = np.random.default_rng(w)
+    drawn = rng.integers(0, np.iinfo(np.uint64).max, size=24, dtype=np.uint64,
+                         endpoint=True)
+    return sorted(special | {int(v) & full for v in drawn})
+
+
+def _kernel_fn(op, flags, w):
+    ty = IntType(w)
+    arity = opcode_arity(op)
+    return Function("lhs", tuple((f"p{i}", ty) for i in range(arity)),
+                    (Instr(op, tuple(Param(f"p{i}") for i in range(arity)),
+                           ty, frozenset(flags), None),),
+                    Local(0))
+
+
+def _assert_kernel_lanes(op, flags, w, args):
+    # every lane of the kernel's result against Python-int arithmetic (the
+    # test oracle, not the scalar evaluator)
+    ty = IntType(w)
+    vec = engine.eval_function_vec(
+        _kernel_fn(op, flags, w),
+        {f"p{i}": engine.VVal(a, None, ty) for i, a in enumerate(args)}, {})
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    data = np.broadcast_to(np.asarray(vec.data), shape)
+    assert data.dtype == engine.udtype(w)
+    poison = np.broadcast_to(
+        np.asarray(False if vec.poison is None else vec.poison), shape)
+    lanes = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    for i, (got, pois) in enumerate(zip(data.ravel().tolist(),
+                                        poison.ravel().tolist())):
+        operands = [lane[i] for lane in lanes]
+        want = oracle_instr(op, None, flags, ty, operands, [w])
+        assert (OPOISON if pois else got) == want, (op, flags, w, operands)
+
+
+@pytest.mark.parametrize("w", KERNEL_WIDTHS)
+@pytest.mark.parametrize("op, flags", DIVREM_KERNELS)
+def test_divrem_kernels_match_python_ints(op, flags, w):
+    # divisors as a full array (every pattern pair), a 0-d array and a
+    # (k, 1) column against a row of dividends
+    dt = engine.udtype(w)
+    pats = np.array(_kernel_patterns(w), dtype=dt)
+    a, b = (g.ravel() for g in np.meshgrid(pats, pats, indexing="ij"))
+    _assert_kernel_lanes(op, flags, w, [a, b])
+    for divisor in pats[::5]:
+        _assert_kernel_lanes(op, flags, w, [pats, np.asarray(divisor)])
+    _assert_kernel_lanes(op, flags, w, [pats.reshape(1, -1),
+                                        pats.reshape(-1, 1)])
+
+
+@pytest.mark.parametrize("w", KERNEL_WIDTHS)
+@pytest.mark.parametrize("op", ["ctpop", "cttz", "ctlz"])
+def test_bit_count_kernels_match_python_ints(op, w):
+    dt = engine.udtype(w)
+    pats = np.array(_kernel_patterns(w), dtype=dt)
+    _assert_kernel_lanes(op, (), w, [pats])
+    _assert_kernel_lanes(op, (), w, [pats.reshape(-1, 1)])
+    for v in pats[::5]:
+        _assert_kernel_lanes(op, (), w, [np.asarray(v)])
 
 
 @settings(max_examples=1000, deadline=None)

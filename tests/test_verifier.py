@@ -1,14 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from peepgen import semantics, textfmt, verifier
-from peepgen.ir import (CBin, CConst, CInt, CRef, Function, Instr, IntType,
-                        Literal, Local, Param, PCmp, PKnownBits,
-                        PLowBitsZero, PNot, POr, PPow2, PRange, Rule,
-                        SymConst, bind_consts, pred_param_refs, validate)
+from peepgen import engine, semantics, textfmt, verifier
+from peepgen.ir import (CBIN_OPS, CUN_OPS, INT_BINOPS, INT_UNOPS, LEGAL_FLAGS,
+                        CBin, CCast, CConst, CInt, CRef, CUn, Function, Instr,
+                        IntType, Literal, Local, Param, PCmp, PeepError,
+                        PKnownBits, PLowBitsZero, PNot, POr, PPow2, PRange,
+                        Rule, SymConst, bind_consts, pred_param_refs,
+                        validate)
 from peepgen.verifier import (Budget, EquivalentOrIncomparable, Inconclusive,
                               Refuted, StrictlyWeaker, Verified,
                               check_refinement, check_strictly_weaker,
@@ -23,9 +26,11 @@ SMALL_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
 UNARY = {"neg", "not", "ctpop", "cttz"}
 
 
-def _draw_rule(draw, ty, sym_consts, pre):
+def _draw_rule(draw, ty, sym_consts, pre, ops=SMALL_OPS, any_flags=False):
     """A valid rule over one input `x` of type `ty` whose bodies may use
-    `sym_consts`; rejects the example when the rule does not validate."""
+    `sym_consts` and `ops` (with `nsw` or `nuw` on wrapping ops, or with
+    any set of legal flags); rejects the example when the rule does not
+    validate."""
     w = ty.width
     params = (("x", ty),)
 
@@ -35,13 +40,19 @@ def _draw_rule(draw, ty, sym_consts, pre):
             pool = [Param("x")] + [Local(j) for j in range(i)]
             pool += [SymConst(c, t) for c, t in sym_consts]
             pool.append(Literal(draw(st.integers(0, (1 << w) - 1)), ty))
-            op = draw(st.sampled_from(SMALL_OPS))
-            flags = (frozenset(draw(st.sets(st.sampled_from(["nsw", "nuw"]),
-                                            max_size=1)))
-                     if op in ("add", "sub", "mul", "shl") else frozenset())
+            op = draw(st.sampled_from(ops))
+            if any_flags:
+                legal = sorted(LEGAL_FLAGS.get(op, ()))
+                flags = (frozenset(draw(st.sets(st.sampled_from(legal))))
+                         if legal else frozenset())
+            else:
+                flags = (frozenset(draw(st.sets(
+                    st.sampled_from(["nsw", "nuw"]), max_size=1)))
+                    if op in ("add", "sub", "mul", "shl") else frozenset())
             arity = 1 if op in UNARY else 2
-            ops = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
-            instrs.append(Instr(op, ops, ty, flags, None))
+            operands = tuple(draw(st.sampled_from(pool))
+                             for _ in range(arity))
+            instrs.append(Instr(op, operands, ty, flags, None))
         return tuple(instrs)
 
     n = draw(st.integers(1, 3))
@@ -210,6 +221,100 @@ def param_precondition_rules(draw):
                       draw(st.permutations(pre)))
     assume(_satisfying_count(rule) <= 1 << w)
     return rule
+
+
+@st.composite
+def accepted_rules(draw):
+    """Rules over one input at widths 1-64 with every integer instruction
+    (division and remainder with and without `exact`, the bit counts, any
+    legal flags) and 0-2 constants under constant and parameter conjuncts
+    built from the constant operators and casts, some under `!` and `||`;
+    the rule is kept only when `ir.validate` accepts it."""
+    w = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 33, 64]))
+    ty = IntType(w)
+    names = [f"C{i + 1}" for i in range(draw(st.integers(0, 2)))]
+    lit = st.integers(-(1 << w), (1 << w) + 1).map(CInt)
+    leaf = lit | st.sampled_from(names).map(CConst) if names else lit
+    # `>>u`/`>>s` by the width or more are out of domain in the engine but
+    # not in the scalar evaluator (the strict xfail in test_engine.py), so
+    # a rule that tests one under `!` raises ReplayMismatch; they stay out
+    # until the two agree
+    ops = [op for op in CBIN_OPS if op not in (">>u", ">>s")]
+    expr = st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(CBin, st.sampled_from(ops), sub, sub),
+        st.builds(CUn, st.sampled_from(CUN_OPS), sub),
+        st.builds(CCast, st.sampled_from(["zext", "sext", "trunc"]), sub,
+                  st.just(w))), max_leaves=3)
+    x = st.just("x")
+    atom = st.one_of(
+        st.builds(PPow2, expr),
+        st.builds(PCmp, st.sampled_from(["eq", "ne", "ult", "uge", "slt",
+                                         "sge"]), expr, expr),
+        st.builds(PRange, x, expr, expr, st.booleans()),
+        st.builds(PKnownBits, x, expr, expr),
+        st.builds(PLowBitsZero, x, expr),
+        st.builds(PCmp, st.sampled_from(["eq", "ult", "sge"]),
+                  st.just(CRef("x")), expr))
+    pre = draw(st.lists(atom | st.builds(PNot, atom)
+                        | st.builds(POr, atom, atom), max_size=3))
+    return _draw_rule(draw, ty, tuple((n, ty) for n in names), pre,
+                      ops=list(INT_BINOPS + INT_UNOPS), any_flags=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(accepted_rules(), st.data())
+def test_accepted_rules_get_a_verdict_or_a_peep_error(rule, data):
+    # a rule `validate` accepts is a verdict for the verifier and a value or
+    # a PeepError for the scalar evaluator at any point, never another
+    # exception (an internal alarm such as ReplayMismatch included)
+    budget = Budget(exhaustive_limit=1 << 12, sample_count=256,
+                    constant_sample_count=8)
+    assert check_refinement(rule, {}, budget).kind in (
+        "verified", "refuted", "inconclusive")
+    (x, ty), = rule.lhs.params
+    pattern = st.integers(0, (1 << ty.width) - 1)
+    consts = {n: (data.draw(pattern), t) for n, t in rule.sym_consts}
+    arg = semantics.Bits(ty.width, data.draw(pattern))
+    try:
+        assert isinstance(semantics.eval_predicate(rule.pre, {x: arg}, consts,
+                                                   {}), bool)
+    except PeepError:
+        pass
+    inst = bind_consts(rule, consts)
+    for fn in (inst.lhs, inst.rhs):
+        try:
+            semantics.eval_function(fn, [arg])
+        except PeepError:
+            pass
+
+
+@pytest.mark.parametrize("pre, verdict", [
+    # a negative shift amount in a width-less constant expression
+    (PPow2(CBin(">>s", CInt(0), CInt(-1))), "inconclusive"),
+    (PPow2(CBin("<<", CInt(0), CInt(-1))), "inconclusive"),
+    # a width-less left shift past the widest type
+    (PPow2(CBin("<<", CInt(1), CInt(65))), "inconclusive"),
+    # a low-bit count below 0
+    (PLowBitsZero("x", CUn("neg", CInt(1))), "verified"),
+    # an out-of-domain operand of a width-less constant operator
+    (PPow2(CUn("cttz", CUn("popcount", CInt(-1)))), "inconclusive"),
+    # a false literal-only conjunct in a rule without constants
+    (PPow2(CInt(0)), "inconclusive"),
+])
+def test_out_of_domain_preconditions_admit_no_point(pre, verdict):
+    # `x + x` is not `x + 0` at x = 1, but no point satisfies the
+    # precondition: both evaluators read it as false
+    def add_x(name, b):
+        return Function(name, (("x", IntType(1)),),
+                        (Instr("add", (Param("x"), b), IntType(1),
+                               frozenset(), None),), Local(0))
+
+    rule = Rule("gen", (), (), (pre,), add_x("lhs", Param("x")),
+                add_x("rhs", Literal(0, IntType(1))))
+    assert not validate(rule)
+    assert check_refinement(rule, {}, Budget()).kind == verdict
+    assert not semantics.eval_predicate(
+        rule.pre, {"x": semantics.Bits(1, 1)}, {}, {})
 
 
 # (verifier._BLOCK, verifier._CHUNK) pairs that split small scans into many
@@ -731,6 +836,55 @@ def test_scan_order_pins_reported_counterexample(text, budget, expected):
     # which counterexample a scan reports is decided by the order it visits
     # (constant, input) points and by the order of its random draws
     assert verdict_to_json(check_refinement(parse(text), {}, budget)) == expected
+
+
+def _wide_rule(rhs: str) -> str:
+    # 2^24 inputs, more than one chunk: the grid is streamed
+    return f"""
+rule "wide" {{
+  lhs fn(x: i8, y: i16) -> i16 {{
+    %0 = zext i8 %x to i16;
+    %1 = or i16 %0, %y;
+    ret %1
+  }}
+  rhs fn(x: i8, y: i16) -> i16 {{ {rhs} }}
+}}
+"""
+
+
+def test_early_violation_in_a_streamed_grid_scans_few_points(monkeypatch):
+    # `x | y` is `y` only while x is 0, so the first violation is at grid
+    # index 2^16; the streamed grid's chunks grow from _BLOCK points, so
+    # the scan evaluates at most 3 * _BLOCK points and builds no chunk of
+    # _CHUNK points
+    evaluated, chunks = [], []
+    eval_function_vec, unravel_chunk = engine.eval_function_vec, engine.unravel_chunk
+
+    def counted_eval(fn, params, consts):
+        if fn.name == "lhs":
+            evaluated.append(math.prod(np.broadcast_shapes(
+                *(np.shape(v.data) for v in params.values()))))
+        return eval_function_vec(fn, params, consts)
+
+    def counted_unravel(types, start, end):
+        chunks.append(end - start)
+        return unravel_chunk(types, start, end)
+
+    monkeypatch.setattr(engine, "eval_function_vec", counted_eval)
+    monkeypatch.setattr(engine, "unravel_chunk", counted_unravel)
+    verdict = check_refinement(parse(_wide_rule("ret %y")), {}, Budget())
+    assert verdict.kind == "refuted"
+    assert verdict.counterexample.inputs == {"x": 1, "y": 0}
+    assert sum(evaluated) <= 3 * verifier._BLOCK
+    assert max(chunks) < verifier._CHUNK
+
+
+def test_verified_streamed_grid_counts_every_point():
+    rhs = "%0 = zext i8 %x to i16; %1 = or i16 %y, %0; ret %1"
+    assert verdict_to_json(check_refinement(parse(_wide_rule(rhs)), {},
+                                            Budget())) == {
+        "kind": "verified", "mode": "exhaustive", "points": 1 << 24,
+        "space": "1 constants x 16777216 inputs", "seed": 0}
 
 
 @pytest.mark.parametrize("ty, cmp, pre", [

@@ -1,4 +1,4 @@
-"""Print the verifier's throughput, in points per second, on nine fixed
+"""Print the verifier's throughput, in points per second, on ten fixed
 kernels, so that a change to the engine, the constant walk or the scan loop
 can be measured layer by layer:
 
@@ -25,6 +25,11 @@ can be measured layer by layer:
              distinct, x 65600 sampled inputs, 36670 of them distinct): the
              scan of each distinct point once, with the input row drawn on
              the first run and remembered on the others
+  refute_wide
+             check_refinement on a rule over (x: i8, y: i16) whose first
+             violation is at index 65536 of the 2^24-point input grid, which
+             is streamed in chunks: the cost of a check refuted early in a
+             large grid; points are those up to and including the violation
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
              constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
@@ -40,7 +45,8 @@ each run, and scaled/s is the rate at the host speed where that job takes
 its nominal time: each run's time is scaled by the nominal time over the
 median job time around it.  Stdlib and numpy only (numpy through peepgen).
 
-Run from anywhere:  python3 tools/kernel_rate.py
+Run from anywhere:  python3 tools/kernel_rate.py [kernel ...]
+(default: every kernel, in the order above).
 """
 import pathlib
 import statistics
@@ -148,6 +154,22 @@ rule "negate_lshr_or" {
 """
 
 
+# `x | y` is `y` only while x is 0: the first violation is x = 1, y = 0,
+# grid index 1 * 2^16 + 0
+REFUTE_WIDE = """
+rule "refute_wide" {
+  lhs fn(x: i8, y: i16) -> i16 {
+    %0 = zext i8 %x to i16;
+    %1 = or i16 %0, %y;
+    ret %1
+  }
+  rhs fn(x: i8, y: i16) -> i16 {
+    ret %y
+  }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -171,6 +193,16 @@ def refinement_kernel(rule, space: str):
             raise SystemExit(f"{rule.name}: unexpected verdict "
                              f"{verifier.verdict_to_json(verdict)}")
         return verdict.points
+    return run
+
+
+def refuting_kernel(rule, inputs: dict, points: int):
+    def run() -> int:
+        verdict = verifier.check_refinement(rule)
+        if verdict.kind != "refuted" or verdict.counterexample.inputs != inputs:
+            raise SystemExit(f"{rule.name}: unexpected verdict "
+                             f"{verifier.verdict_to_json(verdict)}")
+        return points
     return run
 
 
@@ -207,6 +239,8 @@ KERNELS = (
     ("dup_inputs", refinement_kernel(
         textfmt.parse_rule(DUP_INPUTS),
         "256 sampled constants x sampled inputs"), 1),
+    ("refute_wide", refuting_kernel(
+        textfmt.parse_rule(REFUTE_WIDE), {"x": 1, "y": 0}, 65537), 1),
     ("filter64", filter_kernel(64), 2000),
     ("filter65536", filter_kernel(65536), 50),
 )
@@ -222,9 +256,16 @@ def _reference_jobs() -> list:
 
 
 def main() -> None:
+    names = sys.argv[1:] or [name for name, _, _ in KERNELS]
+    unknown = set(names) - {name for name, _, _ in KERNELS}
+    if unknown:
+        raise SystemExit(f"unknown kernel(s): {', '.join(sorted(unknown))}; "
+                         f"choose from {', '.join(n for n, _, _ in KERNELS)}")
     print(f"{'kernel':10s} {'points':>10s} {'median_s':>9s} {'points/s':>12s} "
           f"{'scaled/s':>12s}")
     for name, run, calls in KERNELS:
+        if name not in names:
+            continue
         times, scaled = [], []
         for _ in range(RUNS):
             jobs = _reference_jobs()
