@@ -75,22 +75,41 @@ def _load_rule(path):
     return rule
 
 
-def _budget(config: dict, exhaustive, samples, seed) -> verifier.Budget:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in config:
-            return int(config[key])
-        return default
+def _config_int(config: dict, key: str):
+    """config[key] as an integer, or None when the key is absent."""
+    if key not in config:
+        return None
+    try:
+        return int(config[key])
+    except ValueError:
+        raise CliError(f"config value {key} = {config[key]!r} is not an "
+                       "integer", EXIT_USAGE)
 
+
+def _budget(config: dict, exhaustive, samples, seed) -> verifier.Budget:
     base = verifier.Budget()
-    return verifier.Budget(
-        exhaustive_limit=pick(exhaustive, "exhaustive_limit",
-                              base.exhaustive_limit),
-        sample_count=pick(samples, "sample_count", base.sample_count),
-        constant_sample_count=pick(None, "constant_sample_count",
-                                   base.constant_sample_count),
-        rng_seed=pick(seed, "rng_seed", base.rng_seed))
+    values = {}
+    for key, flag, value in (
+            ("exhaustive_limit", "--budget-exhaustive", exhaustive),
+            ("sample_count", "--budget-samples", samples),
+            ("constant_sample_count", None, None),
+            ("rng_seed", "--seed", seed)):
+        if value is None:
+            flag, value = key, _config_int(config, key)
+        if value is not None and value < 0:
+            raise CliError(f"{flag} must not be negative (got {value})",
+                           EXIT_USAGE)
+        values[key] = getattr(base, key) if value is None else value
+    return verifier.Budget(**values)
+
+
+def _cost_table(path) -> costmod.CostTable:
+    """The default cost table with the overrides of file `path`."""
+    try:
+        return costmod.CostTable.parse(Path(path).read_text(),
+                                       costmod.default_table())
+    except (OSError, costmod.CostTableError) as e:
+        raise CliError(f"cost table {path}: {e}", EXIT_USAGE)
 
 
 def _backend(spec: str, config: dict, budget: verifier.Budget):
@@ -112,12 +131,14 @@ def _pipeline_config(config: dict, backend_spec: str,
                      budget: verifier.Budget) -> pipemod.PipelineConfig:
     kwargs = {}
     for key in ("stage1_max_iterations", "k", "width_cap"):
-        if key in config:
-            kwargs[key] = int(config[key])
-    table = costmod.default_table()
-    if "cost_table" in config:
-        table = costmod.CostTable.parse(
-            Path(config["cost_table"]).read_text(), table)
+        value = _config_int(config, key)
+        if value is None:
+            continue
+        if value <= 0:
+            raise CliError(f"{key} must be positive (got {value})", EXIT_USAGE)
+        kwargs[key] = value
+    table = (_cost_table(config["cost_table"]) if "cost_table" in config
+             else costmod.default_table())
     return pipemod.PipelineConfig(
         budget=budget, table=table,
         backend=_backend(backend_spec, config, budget), **kwargs)
@@ -219,9 +240,7 @@ def cmd_prune(instance_file, budget_exhaustive, budget_samples, seed):
 def cmd_cost(rule_file, table_file):
     """Report uOps costs and profitability for a rule file."""
     rule = _load_rule(rule_file)
-    table = costmod.default_table()
-    if table_file:
-        table = costmod.CostTable.parse(Path(table_file).read_text(), table)
+    table = _cost_table(table_file) if table_file else costmod.default_table()
     _emit({"lhs": str(costmod.cost(rule.lhs, table)),
            "rhs": str(costmod.cost(rule.rhs, table)),
            "profitable": costmod.check_profitable(rule, table)})
@@ -371,7 +390,8 @@ def cmd_bench(dataset_dir, backend_spec, config_file, out, report_dir, jobs,
         raise CliError("--jobs must be positive", EXIT_USAGE)
     config = read_config(config_file) if config_file else {}
     budget = _budget(config, None, None, seed)
-    _backend(backend_spec, config, budget)  # fail fast on bad spec
+    # fail fast on a bad backend spec or config value
+    _pipeline_config(config, backend_spec, budget)
     if report_dir:
         Path(report_dir).mkdir(parents=True, exist_ok=True)
     tasks = []

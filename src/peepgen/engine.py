@@ -16,7 +16,9 @@ on powers of two.  A lane where that instruction is poison (division by
 zero, a shift by the width or more, log2 of a non-power) is out of domain,
 and the enclosing predicate atom is false there, as in the scalar
 evaluator.  The one difference from the scalar evaluator is `>>u`/`>>s` by
-the width or more, which it defines as 0 or the sign fill (the strict xfail
+the width or more: here the `lshr`/`ashr` kernels (`_int_binop_vec`) make
+that lane poison, so it is out of domain, while `semantics._cbin_int` gives
+0 or the sign fill (the strict xfail
 `test_constexpr_vec_matches_scalar_on_right_shifts_past_the_width`).
 """
 from __future__ import annotations

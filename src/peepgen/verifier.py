@@ -14,21 +14,23 @@ rejection (`sample_satisfying_consts`).  Above the limit, a special-value
 pass first crosses the satisfying special constant tuples with special
 inputs; then the sampled scan checks the sampled constants against sampled
 inputs with a special-value set mixed in.  Every check runs through one
-scan loop (`_scan`) over (inputs, constants, shape) blocks: the exhaustive
-check and the special pass loop over the smaller of the constant and input
-axes and vectorise the larger; the sampled scan loops over its constants.
-A block is a column of consecutive looped entries x the vectorised row
-(about `_BLOCK` points); a row wider than that is cut into pieces that
-start at about `_BLOCK` points and double up to `_CHUNK`, and an input grid
-larger than `_CHUNK` is streamed in chunks that grow the same way, so a
-check refuted early pays for little more than the points before its
-violation.  A block's first violation is taken in row-major order, the
-order of looping one entry at a time.  A block evaluates the
-parameter precondition first; when it admits at most half of the block,
-lhs and rhs run only on the admitted points, gathered in row-major order
-(`_admitted`), so the first violation is the same point.  The point count
-covers every scanned point, admitted or not.  Grids are enumerated by
-bit slicing the flat index (`engine.unravel_chunk`,
+scan loop (`_scan`) over the (inputs, constants, shape) blocks of one
+producer (`_slices`): the exhaustive check and the special pass loop over
+the smaller of the constant and input axes and vectorise the larger; the
+sampled scan loops over its constants.  Inputs come from one column source
+(`_columns`): given patterns, or the full grid, built once when it holds at
+most `_CHUNK` tuples and otherwise range by range as the blocks ask for it.
+`_blocks` is the one block-size policy: a block is a column of consecutive
+looped entries x the vectorised row (about `_BLOCK` points); a row wider
+than that is cut into pieces that start at about `_BLOCK` points and double
+up to `_CHUNK`, so a check refuted early pays for little more than the
+points before its violation.  A block's first violation is taken in
+row-major order, the order of looping one entry at a time.  A block
+evaluates the parameter precondition first; when it admits at most half
+of the block, lhs and rhs run only on the admitted points, gathered in
+row-major order (`_admitted`), so the first violation is the same point.
+The point count covers every scanned point, admitted or not.  Grids are
+enumerated by bit slicing the flat index (`engine.unravel_chunk`,
 `engine.slice_digits`).  The sampled scan evaluates each distinct constant
 tuple and each distinct sampled input tuple once (first occurrences in
 order, compared by bit pattern): a repeated point cannot hold the first
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import engine, semantics
 from .ir import (
-    CBin, CInt, CUn, FloatType, Function, IntType, Literal, PeepError, Rule,
+    CBin, CInt, CUn, FloatType, IntType, Literal, PeepError, Rule,
     VarWidthType, bind_consts, iter_expr, literal_fits, map_rule,
     pred_const_names, pred_exprs, pred_param_refs, resolve_predicate,
     resolve_widths, retype_float_literal, to_signed, to_unsigned,
@@ -192,20 +194,6 @@ def _digits_to_data(digits, ty):
 def _vvals(decls, patterns: list) -> dict:
     return {name: engine.patterns_to_vval(p, ty)
             for (name, ty), p in zip(decls, patterns)}
-
-
-def _digit_chunks(decls):
-    """Every pattern tuple of `decls` in flat order, one chunk at a time:
-    yields (pattern arrays, tuple count).  A space of at most `_CHUNK`
-    tuples is one chunk; a larger one is cut into chunks that grow from
-    about `_BLOCK` tuples, each twice the one before, up to `_CHUNK`."""
-    types = [ty for _, ty in decls]
-    total = _space(decls)
-    start, size = 0, total if total <= _CHUNK else min(_BLOCK, _CHUNK)
-    while start < total:
-        end = min(start + size, total)
-        yield engine.unravel_chunk(types, start, end) if types else [], end - start
-        start, size = end, min(2 * size, _CHUNK)
 
 
 def _const_count(const_map: dict) -> int:
@@ -482,44 +470,31 @@ def _satisfying_specials(resolved: Rule, free: list, defs: list,
     return sat if _const_count(sat) else None
 
 
-def _concat_const_maps(a: dict, b: Optional[dict]) -> dict:
-    if not b:
-        return a
-    return {n: (np.concatenate([arr, b[n][0].astype(arr.dtype, copy=False)]), ty)
-            for n, (arr, ty) in a.items()}
-
-
 # ---------------------------------------------------------------------------
 # Cross-space scanning
 
 
-def _param_grid_chunks(fn: Function):
-    for digits, n in _digit_chunks(fn.params):
-        params = _vvals(fn.params, digits)
-        for v in params.values():
-            # grids are reused across constants: an evaluator writing into
-            # its inputs would corrupt the next scan, so make that an error
-            v.data.setflags(write=False)
-        yield params, n
+def _columns(decls, patterns: Optional[list] = None):
+    """The tuples of `decls` as columns: a function from a flat index range
+    [a, b) to name -> VVal.
 
-
-class _StreamedGrid:
-    """An input grid larger than one chunk, rebuilt chunk by chunk on each
-    pass so that peak memory stays at one chunk."""
-
-    def __init__(self, fn: Function):
-        self.fn = fn
-
-    def __iter__(self):
-        return _param_grid_chunks(self.fn)
-
-
-def _input_grid(fn: Function):
-    """The chunks of `fn`'s full input grid, iterable once per constant: a
-    grid that fits one chunk is built once and its arrays are reused."""
-    if _space(fn.params) > _CHUNK:
-        return _StreamedGrid(fn)
-    return list(_param_grid_chunks(fn))
+    With `patterns` (one array per declaration) the tuples are theirs,
+    otherwise the full grid of `decls` in flat order.  Columns of at most
+    `_CHUNK` tuples are built once, made read-only (an evaluator writing
+    into its inputs would corrupt the next block) and sliced; a larger grid
+    is built range by range, so peak memory stays at one block."""
+    types = [ty for _, ty in decls]
+    if patterns is None:
+        total = _space(decls)
+        if total > _CHUNK:
+            return lambda a, b: _vvals(decls,
+                                       engine.unravel_chunk(types, a, b))
+        patterns = engine.unravel_chunk(types, 0, total) if types else []
+    full = _vvals(decls, patterns)
+    for v in full.values():
+        v.data.setflags(write=False)
+    return lambda a, b: {name: engine.VVal(v.data[a:b], None, v.ty)
+                         for name, v in full.items()}
 
 
 def _blocks(rows: int, cols: int, cap: Optional[int]):
@@ -546,47 +521,28 @@ def _blocks(rows: int, cols: int, cap: Optional[int]):
             c, size = end, min(2 * size, _CHUNK)
 
 
-def _slices(const_map: dict, grid, points: Optional[int] = None,
-            cap: Optional[int] = None):
-    """The (params, consts, shape) blocks of constants x inputs in scan order.
+def _slices(const_map: dict, grid, points: int, cap: Optional[int] = None,
+            loop_inputs: bool = False):
+    """The (params, consts, shape) blocks of constants x the `points` input
+    tuples of `grid` (a `_columns` function), in scan order.
 
-    Constant assignments are looped and the input grid is vectorised, unless
-    the grid's point count `points` is given and is below the number of
-    assignments: then input points are looped and the constants vectorised.
-    A block is a column of consecutive looped entries x the vectorised row
-    (one entry per block when the grid is streamed), so its flat C-order
-    index visits points in the same order as looping one entry at a time.
-    `cap` bounds the number of looped entries.
+    Constant assignments are looped and the inputs vectorised, or with
+    `loop_inputs` the input tuples are looped and the constants vectorised.
+    A block is a column of consecutive looped entries x a piece of the
+    vectorised row (`_blocks`), so its flat C-order index visits points in
+    the same order as looping one entry at a time.  `cap` bounds the
+    number of looped entries.
     """
     nc = _const_count(const_map)
-    if const_map and points is not None and nc > points:
-        left = cap
-        for params, n in grid:
-            for r0, r1, c0, c1 in _blocks(n, nc, left):
-                col = {name: engine.VVal(
-                    np.asarray(v.data).reshape(-1, 1)[r0:r1], None, v.ty)
-                    for name, v in params.items()}
-                row = {name: (np.asarray(arr).reshape(1, -1)[:, c0:c1], ty)
-                       for name, (arr, ty) in const_map.items()}
-                yield col, row, (r1 - r0, c1 - c0)
-            if left is not None:
-                left -= min(n, left)
-        return
-    if isinstance(grid, _StreamedGrid):
-        for i in range(nc)[:cap]:
-            consts = {name: (np.asarray(arr)[i], ty)
-                      for name, (arr, ty) in const_map.items()}
-            for params, n in grid:
-                yield params, consts, (n,)
-        return
-    ((params, n),) = grid
-    for r0, r1, c0, c1 in _blocks(nc, n, cap):
-        row = {name: engine.VVal(np.asarray(v.data).reshape(1, -1)[:, c0:c1],
-                                 None, v.ty)
-               for name, v in params.items()}
-        col = {name: (np.asarray(arr).reshape(-1, 1)[r0:r1], ty)
-               for name, (arr, ty) in const_map.items()}
-        yield row, col, (r1 - r0, c1 - c0)
+    rows, cols = (points, nc) if loop_inputs else (nc, points)
+    pshape, kshape = ((-1, 1), (1, -1)) if loop_inputs else ((1, -1), (-1, 1))
+    for r0, r1, c0, c1 in _blocks(rows, cols, cap):
+        p, k = ((r0, r1), (c0, c1)) if loop_inputs else ((c0, c1), (r0, r1))
+        params = {name: engine.VVal(v.data.reshape(pshape), None, v.ty)
+                  for name, v in grid(*p).items()}
+        consts = {name: (np.asarray(arr)[slice(*k)].reshape(kshape), ty)
+                  for name, (arr, ty) in const_map.items()}
+        yield params, consts, (r1 - r0, c1 - c0)
 
 
 def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
@@ -729,9 +685,9 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
             return Inconclusive("NoSatisfyingConstants",
                                 "no constant assignment satisfies the precondition")
         if sat * pspace <= budget.exhaustive_limit:
-            grid = _input_grid(resolved.lhs)
-            refuted, checked = _scan(resolved, widths,
-                                     _slices(const_map, grid, pspace), budget)
+            slices = _slices(const_map, _columns(resolved.lhs.params), pspace,
+                             loop_inputs=sat > pspace)
+            refuted, checked = _scan(resolved, widths, slices, budget)
             return refuted or Verified(
                 "exhaustive", checked, f"{sat} constants x {pspace} inputs",
                 budget.rng_seed)
@@ -763,8 +719,8 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
         if const_map is None:
             return Inconclusive("NoSatisfyingConstants",
                                 f"no satisfying constants in {REJECTION_CAP} draws")
-    else:
-        const_map = _concat_const_maps(const_map, specials)
+    elif specials:
+        const_map = _join(resolved, [const_map, specials])
     return _scan_sampled(resolved, widths, const_map, budget, rng)
 
 
@@ -783,8 +739,8 @@ def _special_cross_refute(resolved: Rule, widths: dict,
     sp = _cross_pools(_type_pools([ty for _, ty in fn.params]),
                       _SPECIAL_CROSS_CAP)
     points = len(sp[0]) if sp else 1
-    slices = _slices(sp_consts, [(_vvals(fn.params, sp), points)], points,
-                     _SPECIAL_LOOP_CAP)
+    slices = _slices(sp_consts, _columns(fn.params, sp), points,
+                     _SPECIAL_LOOP_CAP, _const_count(sp_consts) > points)
     return _scan(resolved, widths, slices, budget)[0]
 
 
@@ -801,12 +757,13 @@ def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
     pspace = _space(fn.params)
     full_grid = pspace <= max(budget.sample_count, 1)
     if full_grid:
-        grid, inputs = _input_grid(fn), pspace
+        grid, points, inputs = _columns(fn.params), pspace, pspace
     else:
         pats, inputs = _sampled_inputs(rng, fn.params, budget.sample_count)
-        grid = [(_vvals(fn.params, pats), len(pats[0]))]
+        grid, points = _columns(fn.params, pats), len(pats[0])
     refuted, _ = _scan(resolved, widths,
-                       _slices(_distinct_consts(const_map), grid), budget)
+                       _slices(_distinct_consts(const_map), grid, points),
+                       budget)
     count = _const_count(const_map)
     space = f"{count} sampled constants x " + (
         f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")
@@ -924,7 +881,7 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
     space = _space(decls)
     exhaustive = space <= budget.exhaustive_limit
     if exhaustive:
-        batches = _digit_chunks(decls)
+        columns, total = _columns(decls), space
     elif budget.sample_count == 0:
         return Inconclusive("BudgetExceeded",
                             f"point space {space} exceeds the budget "
@@ -934,14 +891,15 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
         # larger here than in function scans
         pats = _sampled_patterns(np.random.default_rng(budget.rng_seed), decls,
                                  budget.sample_count, _CHUNK)
-        batches = [(pats, len(pats[0]))]
+        # no declaration leaves one point, the empty tuple
+        columns, total = _columns(decls, pats), len(pats[0]) if pats else 1
 
     a_fail = None
     b_witness = None
-    for pats, n in batches:
-        consts = {name: (_digits_to_data(p, ty), ty)
-                  for (name, ty), p in zip(free, pats)}
-        params = _vvals(decls[len(free):], pats[len(free):])
+    for start in range(0, total, _CHUNK):
+        n = min(_CHUNK, total - start)
+        params = columns(start, start + n)
+        consts = {name: (params.pop(name).data, ty) for name, ty in free}
         pre_ok = np.broadcast_to(
             np.asarray(engine.eval_pred_vec(tuple(resolved.pre), params, consts),
                        dtype=bool), (n,))

@@ -164,6 +164,38 @@ def test_missing_file():
     assert run_cli("verify", "no_such_file.peep").returncode == 64
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("verify", ("--budget-samples", "-1"), None),
+    ("verify", ("--seed", "-3"), None),
+    ("verify", ("--budget-exhaustive", "-5"), None),
+    ("generalize", (), "sample_count = abc"),
+    ("generalize", (), "rng_seed = -1"),
+    ("generalize", (), "k = 0"),
+    ("generalize", (), "stage1_max_iterations = 0"),
+    ("generalize", (), "width_cap = -2"),
+    ("generalize", (), "cost_table = no_such_dir/uops.cost"),
+    ("bench", (), "k = 0"),
+    ("bench", (), "constant_sample_count = 1.5"),
+])
+def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, command, flags,
+                                                   config):
+    # exit 1 means refuted: a bad value must be reported before any
+    # instance runs
+    target = (FIXTURES if command == "bench"
+              else FIXTURES / "int" / "negate_lshr_or.peep")
+    args = [command, str(target), *flags]
+    if config is not None:
+        path = tmp_path / "peepgen.cfg"
+        path.write_text(config + "\n")
+        args += ["--config", str(path)]
+    proc = run_cli(*args)
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_generalize_heuristic_succeeds(tmp_path):
     outs = []
     for i in range(2):

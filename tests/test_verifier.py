@@ -536,6 +536,83 @@ def test_strictly_weaker_rejects_non_implied():
     assert result.direction == "not_implied"
 
 
+CHUNKED_WEAKER_RULE = """
+rule "w" {
+  const C1: i4;
+  const C2: i4;
+  pre: %s;
+  lhs fn(x: i4) -> i4 { %%0 = and i4 %%x, C1; ret %%0 }
+  rhs fn(x: i4) -> i4 { %%0 = and i4 C1, %%x; ret %%0 }
+}
+"""
+
+SAMPLED_WEAKER_RULE = """
+rule "w" {
+  const C1: i8;
+  pre: %s;
+  lhs fn(x: i8) -> i8 { %%0 = and i8 %%x, C1; ret %%0 }
+  rhs fn(x: i8) -> i8 { %%0 = and i8 C1, %%x; ret %%0 }
+}
+"""
+
+
+@pytest.mark.parametrize("chunk", [4, 5, 1 << 22])
+@pytest.mark.parametrize("pre, weak, sampled, kind, point", [
+    # exhaustive over (C1, C2) or (C1, C2, x): the point's flat index is
+    # past the first chunk of 4 or 5 tuples
+    ("C1 == 3 && C2 >=u 5", "C1 == 3", False,
+     "strictly_weaker", {"C1": 3, "C2": 0}),
+    ("C1 >=u 2", "C1 >=u 2 && C2 != 7", False,
+     "not_implied", {"C1": 2, "C2": 7}),
+    ("C1 == 1 && RangeU(%x, 2, 9)", "C1 == 1", False,
+     "strictly_weaker", {"C1": 1, "C2": 0, "x": 0}),
+    ("C1 == 1 && RangeU(%x, 2, 9)",
+     "C1 == 1 && RangeU(%x, 3, 9)", False,
+     "not_implied", {"C1": 1, "C2": 0, "x": 2}),
+    # sampled: C1 = 78 is the only separating value, deep in the sample
+    ("C1 != 77 && C1 != 78", "C1 != 77", True,
+     "strictly_weaker", {"C1": 78}),
+    ("C1 != 77", "C1 != 77 && C1 != 78", True,
+     "not_implied", {"C1": 78}),
+])
+def test_strictly_weaker_across_chunks(monkeypatch, chunk, pre, weak,
+                                       sampled, kind, point):
+    # the point space is read in _CHUNK ranges; the first separating or
+    # non-implied point must not depend on where the ranges end
+    rule = parse((SAMPLED_WEAKER_RULE if sampled else CHUNKED_WEAKER_RULE)
+                 % pre)
+    conj = textfmt.parse_conjuncts(weak, dict(rule.sym_consts))
+    budget = (Budget(exhaustive_limit=8, sample_count=4096) if sampled
+              else Budget())
+    if sampled:
+        pats = verifier._sampled_patterns(
+            np.random.default_rng(budget.rng_seed), rule.sym_consts,
+            budget.sample_count, verifier._CHUNK)
+        assert list(pats[0]).index(point["C1"]) >= 5
+    monkeypatch.setattr(verifier, "_CHUNK", chunk)
+    result = check_strictly_weaker(rule, conj, budget=budget)
+    if kind == "strictly_weaker":
+        assert isinstance(result, StrictlyWeaker)
+        assert result.witness == point
+    else:
+        assert isinstance(result, EquivalentOrIncomparable)
+        assert (result.direction, result.point) == (kind, point)
+
+
+def test_strictly_weaker_samples_a_space_without_declarations():
+    # no constant and no parameter in either precondition: the sampled
+    # space is the one empty tuple
+    rule = parse("""
+rule "w" {
+  lhs fn(x: i8) -> i8 { %0 = xor i8 %x, 0; ret %0 }
+  rhs fn(x: i8) -> i8 { ret %x }
+}
+""")
+    result = check_strictly_weaker(rule, (), budget=Budget(exhaustive_limit=0))
+    assert isinstance(result, Inconclusive)
+    assert result.reason == "BudgetExceeded"
+
+
 def test_reduce_widths_halves_types():
     rule = parse("""
 rule "r" {
@@ -925,14 +1002,14 @@ def _reference_scan_sampled(resolved, widths, const_map, budget, rng, seen):
     pspace = verifier._space(fn.params)
     full_grid = pspace <= max(budget.sample_count, 1)
     if full_grid:
-        grid = verifier._input_grid(fn)
+        grid, points = verifier._columns(fn.params), pspace
     else:
         pats = verifier._sampled_patterns(rng, fn.params, budget.sample_count,
                                           verifier._SPECIAL_CROSS_CAP)
-        grid = [(verifier._vvals(fn.params, pats), len(pats[0]))]
+        grid, points = verifier._columns(fn.params, pats), len(pats[0])
     seen.append((const_map, None if full_grid else pats))
-    refuted, checked = verifier._scan(resolved, widths,
-                                      verifier._slices(const_map, grid), budget)
+    refuted, checked = verifier._scan(
+        resolved, widths, verifier._slices(const_map, grid, points), budget)
     space = f"{verifier._const_count(const_map)} sampled constants x " + (
         f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")
     return refuted or Verified("sampled", checked, space, budget.rng_seed)

@@ -28,7 +28,7 @@ can be measured layer by layer:
   refute_wide
              check_refinement on a rule over (x: i8, y: i16) whose first
              violation is at index 65536 of the 2^24-point input grid, which
-             is streamed in chunks: the cost of a check refuted early in a
+             is built block by block: the cost of a check refuted early in a
              large grid; points are those up to and including the violation
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
