@@ -5,8 +5,9 @@ abstracts preserved subexpressions into fresh inputs, stage 3 relaxes the
 precondition and instruction flags, and stage 4 generalizes bitwidths or
 float precisions.  Every candidate of every stage, and the final rule, is
 judged by one gate (`_gate`): refinement at the rule's own widths, never
-reduced, and profitability under the configured cost table.  Weakenings
-additionally pass the strictly-weaker check.
+reduced, and profitability under the configured cost table.  Within one
+run the gate checks each rule, widths and budget once (`_refinement`).
+Weakenings additionally pass the strictly-weaker check.
 """
 from __future__ import annotations
 
@@ -149,14 +150,43 @@ def _proposals(req: ProposalRequest, cfg: PipelineConfig,
 
 
 def _gate(rule: Rule, cfg: PipelineConfig, co: CandidateOutcome,
-          widths: Optional[dict] = None,
+          verdicts: Optional[dict], widths: Optional[dict] = None,
           budget: Optional[Budget] = None) -> bool:
     """The acceptance gate: refinement at the rule's own widths (never
-    reduced) and profitability under `cfg.table`, both recorded on `co`."""
-    verdict = verifier.check_refinement(rule, widths, budget or cfg.budget)
+    reduced) and profitability under `cfg.table`, both recorded on `co`.
+    `verdicts` is the run's verdict memo (`_refinement`), or None."""
+    verdict = _refinement(rule, widths, budget or cfg.budget, verdicts)
     co.verdict = verdict_to_json(verdict)
     co.profitable = costmod.check_profitable(rule, cfg.table)
     return verdict.kind == "verified" and co.profitable
+
+
+def _refinement(rule: Rule, widths: Optional[dict], budget: Budget,
+                verdicts: Optional[dict]):
+    """`verifier.check_refinement`, checked once per rule, widths and
+    budget in `verdicts` (None: a memo for this call alone).
+
+    A run creates `verdicts` and drops it when it returns, so separate runs
+    and `--jobs` threads share no verdict.  An exhaustive Verified verdict
+    is also reused under a budget that differs only in its seed, stamped
+    with that seed: such a check has fewer satisfying constant tuples than
+    the walk's stop bound, so the walk reached the end of the constant
+    space and sorted its finds back to index order, and it scans the grid
+    in index order without a special-value pass; only `seed` depends on the
+    seed."""
+    verdicts = {} if verdicts is None else verdicts
+    # repr, not the rule: `==` takes a literal -0.0 for 0.0
+    key = (repr(rule), tuple(sorted((widths or {}).items())))
+    exact, any_seed = key + (budget,), key + (replace(budget, rng_seed=None),)
+    if exact in verdicts:
+        return verdicts[exact]
+    if any_seed in verdicts:
+        return replace(verdicts[any_seed], seed=budget.rng_seed)
+    verdict = verifier.check_refinement(rule, widths, budget)
+    verdicts[exact] = verdict
+    if verdict.kind == "verified" and verdict.mode == "exhaustive":
+        verdicts[any_seed] = verdict
+    return verdict
 
 
 def _parse_candidate(text: str):
@@ -175,7 +205,8 @@ def _parse_candidate(text: str):
 # Stage 1: symbolic constants
 
 
-def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig):
+def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig,
+                              verdicts: Optional[dict] = None):
     outcome = StageOutcome("symbolic_constants",
                            counts={"constants_symbolized": 0})
     feedback: list = []
@@ -193,7 +224,7 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig):
                                              "; ".join(co.diagnostics), p.text))
                 new_feedback += 1
                 continue
-            if _gate(cand, cfg, co):
+            if _gate(cand, cfg, co, verdicts):
                 passers.append((len(cand.sym_consts), idx, cand, co))
             elif co.verdict["kind"] == "refuted":
                 feedback.append(FeedbackItem(
@@ -228,7 +259,8 @@ def _new_lhs_params(rule: Rule, cand: Rule) -> list:
     return [n for n, _ in cand.lhs.params if n not in old]
 
 
-def stage2_structural(rule: Rule, cfg: PipelineConfig):
+def stage2_structural(rule: Rule, cfg: PipelineConfig,
+                      verdicts: Optional[dict] = None):
     outcome = StageOutcome("structural",
                            counts={"subexpressions_abstracted": 0})
     req = ProposalRequest(Structural(), print_rule(rule), (), cfg.k)
@@ -242,7 +274,7 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig):
         if not params_used(cand.lhs).intersection(fresh):
             co.diagnostics.append("no fresh parameter used in lhs")
             continue
-        if _gate(cand, cfg, co):
+        if _gate(cand, cfg, co, verdicts):
             abstracted = ((len(rule.lhs.body) + len(rule.rhs.body))
                           - (len(cand.lhs.body) + len(cand.rhs.body)))
             passers.append((abstracted, idx, cand, co))
@@ -281,7 +313,7 @@ def flag_removals(rule: Rule):
 
 
 def relax_to_fixpoint(rule: Rule, trials, cfg: PipelineConfig,
-                      outcome: StageOutcome):
+                      outcome: StageOutcome, verdicts: Optional[dict] = None):
     """Apply the first of `trials(rule)` that passes the gate, then start
     over; returns the rule no trial improves and the number applied."""
     applied = 0
@@ -289,7 +321,7 @@ def relax_to_fixpoint(rule: Rule, trials, cfg: PipelineConfig,
         for text, trial in trials(rule):
             co = CandidateOutcome(text, True)
             outcome.candidates.append(co)
-            if _gate(trial, cfg, co):
+            if _gate(trial, cfg, co, verdicts):
                 co.accepted = True
                 rule = trial
                 applied += 1
@@ -298,7 +330,8 @@ def relax_to_fixpoint(rule: Rule, trials, cfg: PipelineConfig,
             return rule, applied
 
 
-def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
+def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
+                     verdicts: Optional[dict] = None):
     weakened = 0
     i = 0
     while i < len(rule.pre):
@@ -317,7 +350,7 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
                 continue
             new_pre = rule.pre[:i] + parsed + rule.pre[i + 1:]
             trial = replace(rule, pre=new_pre)
-            if not _gate(trial, cfg, co):
+            if not _gate(trial, cfg, co, verdicts):
                 continue
             sw = verifier.check_strictly_weaker(rule, new_pre, {}, cfg.budget)
             co.strictly_weaker = isinstance(sw, StrictlyWeaker)
@@ -334,11 +367,14 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
     return rule, weakened
 
 
-def stage3_relax(rule: Rule, cfg: PipelineConfig):
+def stage3_relax(rule: Rule, cfg: PipelineConfig,
+                 verdicts: Optional[dict] = None):
     outcome = StageOutcome("relax")
-    rule, removed = relax_to_fixpoint(rule, conjunct_removals, cfg, outcome)
-    rule, weakened = weaken_conjuncts(rule, cfg, outcome)
-    rule, flags = relax_to_fixpoint(rule, flag_removals, cfg, outcome)
+    rule, removed = relax_to_fixpoint(rule, conjunct_removals, cfg, outcome,
+                                      verdicts)
+    rule, weakened = weaken_conjuncts(rule, cfg, outcome, verdicts)
+    rule, flags = relax_to_fixpoint(rule, flag_removals, cfg, outcome,
+                                    verdicts)
     outcome.counts = {"conjuncts_removed": removed,
                       "conjuncts_weakened": weakened, "flags_removed": flags}
     if removed or weakened or flags:
@@ -418,11 +454,12 @@ def _admitted_widths(conjuncts: tuple, var: str, cap: int) -> list:
     return out
 
 
-def stage4_widths(rule: Rule, cfg: PipelineConfig):
+def stage4_widths(rule: Rule, cfg: PipelineConfig,
+                  verdicts: Optional[dict] = None):
     outcome = StageOutcome("widths", counts={"widths_generalized": 0,
                                              "precisions_passing": []})
     if _uses_floats(rule):
-        return _stage4_floats(rule, cfg, outcome)
+        return _stage4_floats(rule, cfg, outcome, verdicts)
 
     reason = _int_static_gate(rule)
     if reason is not None:
@@ -450,7 +487,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
     for w in range(1, cfg.width_cap + 1):
         co = CandidateOutcome(f"width {var}={w}", True)
         outcome.candidates.append(co)
-        if _gate(erased, cfg, co, {var: w}):
+        if _gate(erased, cfg, co, verdicts, {var: w}):
             passing.append(w)
             co.accepted = True
         else:
@@ -494,7 +531,8 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig):
     return outcome, rule
 
 
-def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
+def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
+                   verdicts: Optional[dict]):
     original = sorted({t.bits for t in rule_types(rule)
                        if isinstance(t, FloatType)})
     if len(original) != 1:
@@ -510,7 +548,7 @@ def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome):
             continue
         co = CandidateOutcome(f"precision f{prec}", True)
         outcome.candidates.append(co)
-        if _gate(retyped, cfg, co):
+        if _gate(retyped, cfg, co, verdicts):
             passing.append(prec)
             co.accepted = True
     outcome.counts["precisions_passing"] = [f"f{p}" for p in passing]
@@ -536,9 +574,11 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
     pruned, log = pruner.prune(instance, cfg.budget, cfg.table)
     rule = pruned
     stages = []
+    # every verdict of this run, for the gate to reuse
+    verdicts: dict = {}
     for stage_fn in (stage1_symbolic_constants, stage2_structural,
                      stage3_relax, stage4_widths):
-        outcome, rule = stage_fn(rule, cfg)
+        outcome, rule = stage_fn(rule, cfg, verdicts)
         stages.append(outcome)
 
     final_widths = {}
@@ -552,7 +592,7 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
     # the final rule passes the gate again, under a fresh seed
     final = CandidateOutcome(print_rule(rule), True)
     recheck = replace(cfg.budget, rng_seed=cfg.budget.rng_seed + 1)
-    passed = _gate(rule, cfg, final, final_widths, recheck)
+    passed = _gate(rule, cfg, final, verdicts, final_widths, recheck)
     return PipelineReport(
         instance_text=print_rule(instance),
         prune_log=log.to_json(),

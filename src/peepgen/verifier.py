@@ -4,10 +4,11 @@ recursive width/precision reduction.
 The joint (constants, inputs) space is checked exhaustively when it fits
 the budget.  Each free constant of at most `_NARROW_SPACE` patterns is first
 narrowed to the sorted patterns that satisfy the const-only conjuncts naming
-it alone (`_FreeSpace`); the narrowed space is walked (`_walk`) until the
-satisfying tuples found make the check sampled for certain, in a seeded
-order of its flat indices (`_permute`) when that bound is below the space,
-so that the first finds are the sample.  A walk that reaches the end sorts
+it alone (`_FreeSpace`); the narrowed space is walked (`_walk`), in fixed
+pieces of flat indices, until the satisfying tuples found make the check
+sampled for certain, in a seeded order of its flat indices (`_permute`)
+when that bound is below the space, so that the first finds are the
+sample.  A walk that reaches the end sorts
 its finds back to index order, so exhaustive verdicts and counterexamples
 do not depend on the walk.  A space too large to walk is sampled by
 rejection (`sample_satisfying_consts`).  Above the limit, a special-value
@@ -71,6 +72,8 @@ _ENUM_CAP = 1 << 26
 # a free constant with at most this many patterns is narrowed to those that
 # satisfy the const-only conjuncts naming it alone
 _NARROW_SPACE = 1 << 16
+# a constant walk filters this many flat indices at a time
+_WALK_PIECE = 1 << 14
 
 
 class ReplayMismatch(PeepError):
@@ -210,10 +213,11 @@ def typed_const_defs(resolved: Rule) -> tuple:
 
 
 def _satisfying(free: list, defs: list, const_only, patterns: list,
-                n: int) -> dict:
+                n: int) -> tuple:
     """The assignments among `n` patterns of the free constants that satisfy
     the const-only conjuncts, with the derived constants computed in
-    definition order: name -> (array, Type), free constants first."""
+    definition order: name -> (array, Type), free constants first; and the
+    boolean mask of the patterns kept."""
     consts = {name: (_digits_to_data(p, ty), ty)
               for (name, ty), p in zip(free, patterns)}
     for name, expr, ty in defs:
@@ -231,7 +235,7 @@ def _satisfying(free: list, defs: list, const_only, patterns: list,
     keep = np.broadcast_to(np.asarray(
         engine.eval_pred_vec(const_only, {}, consts), dtype=bool), (n,))
     return {name: (np.broadcast_to(np.asarray(data), (n,))[keep], ty)
-            for name, (data, ty) in consts.items()}
+            for name, (data, ty) in consts.items()}, keep
 
 
 def _join(resolved: Rule, batches: list) -> dict:
@@ -287,9 +291,9 @@ class _FreeSpace:
         """Some constant has no allowed pattern."""
         return any(a is not None and not len(a) for a in self.allowed)
 
-    def satisfying(self, idx: np.ndarray, defs: list) -> dict:
+    def satisfying(self, idx: np.ndarray, defs: list) -> tuple:
         """`_satisfying` over the tuples at flat indices `idx`, in that
-        order, padding skipped."""
+        order, padding skipped; its mask is over `idx`, padding unkept."""
         digits = engine.slice_digits(
             idx, self.bits, [engine.storage_dtype(ty) for _, ty in self.free])
         valid = None
@@ -303,7 +307,12 @@ class _FreeSpace:
             n = int(np.count_nonzero(valid))
         patterns = [d if allowed is None else allowed[d]
                     for d, allowed in zip(digits, self.allowed)]
-        return _satisfying(self.free, defs, self.rest, patterns, n)
+        sat, keep = _satisfying(self.free, defs, self.rest, patterns, n)
+        if valid is not None:
+            full = np.zeros(len(idx), dtype=bool)
+            full[valid] = keep
+            keep = full
+        return sat, keep
 
 
 def _permute(idx: np.ndarray, bits: int, seed: int) -> np.ndarray:
@@ -324,25 +333,45 @@ def _walk(resolved: Rule, space: _FreeSpace, defs: list,
     no bound) or every flat index was visited.
 
     Returns (name -> (array, Type), complete).  A bound below the space
-    walks a seeded bijection of the flat indices (`_permute`) in blocks
-    that double from `stop`, so an early stop yields its tuples in that
-    seeded order; a complete walk sorts them back to index order.  Without
-    a bound below the space the walk is in index order.
+    walks a seeded bijection of the flat indices (`_permute`), so an early
+    stop yields its tuples in that seeded order; a complete walk sorts them
+    back to index order.  Without a bound below the space the walk is in
+    index order and visits every index.  The bound is checked at the ends
+    of batches that double from `stop` up to `_CHUNK` indices: the walk
+    stops at the first batch end where it has found `stop` tuples, keeps
+    the tuples before that end, and is complete when that end is the end of
+    the space.  The batches only place those ends; the indices are filtered
+    `_WALK_PIECE` at a time, so short batches share a piece, a long one is
+    cut into pieces, and memory stays at one piece.
     """
     total = space.size
+    bits = sum(space.bits)
     permuted = stop is not None and stop < total
-    dtype = engine.index_dtype(sum(space.bits))
-    step = stop if permuted else _CHUNK
-    batches, found, start = [], 0, 0
-    while start < total and (stop is None or found < stop):
-        end = min(start + min(step, _CHUNK), total)
+    dtype = engine.index_dtype(bits)
+    # the end of the batch checked next and the size of the one after it;
+    # without a bound below the space, one batch is the whole space
+    boundary, step = (min(stop, _CHUNK), 2 * stop) if permuted else (total, 0)
+    pieces, found, start, stopped = [], 0, 0, False
+    while start < total and not stopped:
+        end = min(start + _WALK_PIECE, total)
         idx = np.arange(start, end, dtype=dtype)
         if permuted:
-            idx = _permute(idx, sum(space.bits), seed)
-        batches.append(space.satisfying(idx, defs))
-        found += _const_count(batches[-1])
-        start, step = end, 2 * step
-    const_map = _join(resolved, batches)
+            idx = _permute(idx, bits, seed)
+        piece, keep = space.satisfying(idx, defs)
+        while boundary <= end and boundary < total:
+            kept = int(np.count_nonzero(keep[:boundary - start]))
+            if found + kept >= stop:
+                # the walk stops at this batch end: drop the tuples past it
+                piece = {name: (arr[:kept], ty)
+                         for name, (arr, ty) in piece.items()}
+                end, stopped = boundary, True
+                break
+            boundary = min(boundary + min(step, _CHUNK), total)
+            step *= 2
+        pieces.append(piece)
+        found += _const_count(piece)
+        start = end
+    const_map = _join(resolved, pieces)
     complete = start == total
     if complete and permuted:
         # index order is the lexicographic order of the free patterns
@@ -433,13 +462,14 @@ def sample_satisfying_consts(resolved: Rule, free: list, defs: list,
     specials = _cross_pools(_const_special_pools(resolved, free), _CHUNK)
     if specials:
         batches.append(_satisfying(free, defs, const_only, specials,
-                                   len(specials[0])))
+                                   len(specials[0]))[0])
     found = sum(map(_const_count, batches))
     drawn = 0
     while found < budget.constant_sample_count and drawn < REJECTION_CAP:
         take = min(8192, REJECTION_CAP - drawn)
         batches.append(_satisfying(free, defs, const_only,
-                                   _sample_free_patterns(rng, free, take), take))
+                                   _sample_free_patterns(rng, free, take),
+                                   take)[0])
         found += _const_count(batches[-1])
         drawn += take
     if found == 0:
@@ -466,7 +496,7 @@ def _satisfying_specials(resolved: Rule, free: list, defs: list,
                             _SPECIAL_CROSS_CAP)
     if not specials:
         return None
-    sat = _satisfying(free, defs, const_only, specials, len(specials[0]))
+    sat = _satisfying(free, defs, const_only, specials, len(specials[0]))[0]
     return sat if _const_count(sat) else None
 
 

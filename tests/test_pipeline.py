@@ -1,12 +1,14 @@
-from peepgen import textfmt
+from peepgen import pipeline, textfmt, verifier
 from peepgen.pipeline import (PipelineConfig, compare_generality,
                               flag_removals, match_rule, relax_to_fixpoint,
                               run_pipeline, stage3_relax, stage4_widths,
                               StageOutcome)
-from peepgen.proposer import HeuristicBackend, ProposerError
+from peepgen.proposer import HeuristicBackend, ProposerError, ReplayBackend
 from peepgen.verifier import Budget
 
 from conftest import FIXTURES, parse
+
+REPLAY = FIXTURES / "replay"
 
 
 def _cfg(**kw):
@@ -209,3 +211,52 @@ rule "i" {
         "proposer error (symbolic_constants): endpoint unreachable")
     assert notes["structural"] == (
         "proposer error (structural): endpoint unreachable")
+
+
+def _counted_checks(monkeypatch) -> list:
+    """Record the budget of every `verifier.check_refinement` call."""
+    budgets = []
+    check = verifier.check_refinement
+
+    def counted(rule, widths=None, budget=None):
+        budgets.append(budget)
+        return check(rule, widths, budget)
+
+    monkeypatch.setattr(verifier, "check_refinement", counted)
+    return budgets
+
+
+def test_verdicts_are_not_shared_across_runs(monkeypatch):
+    # each run reuses verdicts within itself only: a second run of the same
+    # instance in the same process checks as much as the first
+    instance = parse((FIXTURES / "int" / "cttz_concrete.peep").read_text())
+    budgets = _counted_checks(monkeypatch)
+    first = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
+    calls = len(budgets)
+    second = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
+    assert calls > 0 and len(budgets) == 2 * calls
+    assert first.dumps() == second.dumps()
+
+
+def test_final_recheck_reuses_the_exhaustive_stage4_verdict(monkeypatch):
+    # cttz_concrete's width-generalized rule is checked exhaustively at its
+    # largest passing width in stage 4; the recheck under the next seed
+    # takes that verdict with the new seed instead of checking again
+    instance = parse((FIXTURES / "int" / "cttz_concrete.peep").read_text())
+    budgets = _counted_checks(monkeypatch)
+    after_stage4 = []
+    stage4 = pipeline.stage4_widths
+
+    def marked(rule, cfg, verdicts=None):
+        result = stage4(rule, cfg, verdicts)
+        after_stage4.append(len(budgets))
+        return result
+
+    monkeypatch.setattr(pipeline, "stage4_widths", marked)
+    report = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
+    assert report.final_widths == {"W": 16}
+    assert report.final_verdict["kind"] == "verified"
+    assert report.final_verdict["mode"] == "exhaustive"
+    assert report.final_verdict["seed"] == 1
+    assert after_stage4 == [len(budgets)]
+    assert all(b.rng_seed == 0 for b in budgets)

@@ -299,3 +299,34 @@ def test_llm_backend_requires_endpoint(monkeypatch):
 def test_propose_caps_at_k():
     req = ProposalRequest(SymbolicConstants(), XOR_AND_TEXT, k=1)
     assert len(propose(req, HeuristicBackend())) <= 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the fit's sampled probes can verify a trial that an earlier probe's "
+    "counterexample refutes: heuristic clamp_concrete at seed 0 verifies a "
+    "trial whose constants admit the counterexample of probe 11"))
+def test_no_verified_fit_trial_admits_an_earlier_counterexample(monkeypatch):
+    from peepgen import cost, pruner
+
+    instance = parse((FIXTURES / "int" / "clamp_concrete.peep").read_text())
+    pruned, _log = pruner.prune(instance, Budget(), cost.default_table())
+    probes = []
+    check = verifier.check_refinement
+
+    def recorded(rule, widths=None, budget=None):
+        verdict = check(rule, widths, budget)
+        probes.append((rule, verdict))
+        return verdict
+
+    monkeypatch.setattr(verifier, "check_refinement", recorded)
+    proposer.heuristic_fit_constants(pruned, {}, Budget(rng_seed=0))
+    # the probes share the fit's skeleton, so a refuted probe's
+    # counterexample refutes every later trial whose precondition admits it
+    refuted = []
+    for rule, verdict in probes:
+        if verdict.kind == "refuted":
+            refuted.append(verdict.counterexample)
+        elif verdict.kind == "verified":
+            for cx in refuted:
+                assert not verifier.replay_counterexample(rule, cx), (
+                    textfmt.print_rule(rule), cx)

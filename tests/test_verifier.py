@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -481,6 +482,140 @@ def test_sampled_walk_stops_early_with_a_spread_sample(monkeypatch):
     assert sum(filtered) <= 1 << 18
     for name in ("C1", "C2", "C3"):
         assert len(np.unique(scanned[0][name][0][:256])) >= 128
+
+
+def _doubling_walk(resolved, space, defs, stop, seed):
+    """The reference constant walk: batches that double from `stop` (up to
+    `_CHUNK` indices), each filtered whole, until one ends with `stop`
+    tuples found."""
+    total = space.size
+    bits = sum(space.bits)
+    permuted = stop is not None and stop < total
+    step = stop if permuted else verifier._CHUNK
+    batches, found, start = [], 0, 0
+    while start < total and (stop is None or found < stop):
+        end = min(start + min(step, verifier._CHUNK), total)
+        idx = np.arange(start, end, dtype=engine.index_dtype(bits))
+        if permuted:
+            idx = verifier._permute(idx, bits, seed)
+        batches.append(space.satisfying(idx, defs)[0])
+        found += verifier._const_count(batches[-1])
+        start, step = end, 2 * step
+    const_map = {name: (np.concatenate([b[name][0] for b in batches]), ty)
+                 for name, ty in resolved.sym_consts}
+    complete = start == total
+    if complete and permuted:
+        order = np.lexsort([const_map[name][0].view(engine.storage_dtype(ty))
+                            for name, ty in reversed(space.free)])
+        const_map = {name: (arr[order], ty)
+                     for name, (arr, ty) in const_map.items()}
+    return const_map, complete
+
+
+@st.composite
+def walked_spaces(draw):
+    """1-3 constants of at most 12 bits together, under 0-3 conjuncts that
+    compare a constant with a literal, another constant or a sum or xor of
+    the two (some fold into narrowing, some define a constant, the rest
+    filter the walk); returns (rule, free constants, definitions,
+    const-only conjuncts)."""
+    names, types, left = [], [], 12
+    for i in range(draw(st.integers(1, 3))):
+        if left < 1:
+            break
+        w = draw(st.integers(1, min(left, 8)))
+        names.append(f"C{i + 1}")
+        types.append(IntType(w))
+        left -= w
+    const = st.sampled_from(names).map(CConst)
+    lit = st.integers(0, 255).map(CInt)
+    expr = const | lit | st.builds(CBin, st.sampled_from(["+", "^"]), const,
+                                   const | lit)
+    pre = draw(st.lists(st.one_of(
+        st.builds(PCmp, st.sampled_from(["eq", "ne", "ult", "uge"]), const,
+                  expr),
+        st.builds(PPow2, const)), max_size=3))
+    ty = types[0]
+    rule = Rule("walk", tuple(zip(names, types)), (), tuple(pre),
+                Function("lhs", (("x", ty),), (), Param("x")),
+                Function("rhs", (("x", ty),), (), Param("x")))
+    free, defs = verifier.typed_const_defs(rule)
+    return rule, free, defs, list(rule.pre)
+
+
+@pytest.mark.parametrize("piece", [1, 3, 7, 1 << 14])
+@settings(max_examples=25, deadline=None)
+@given(walked_spaces(), st.sampled_from([64, 1 << 22]))
+def test_piece_walk_equals_doubling_walk(piece, space, chunk):
+    # the walk filters fixed pieces but stops where the doubling batches
+    # end, so its tuples, their order and `complete` are the reference's
+    rule, free, defs, const_only = space
+    saved = verifier._WALK_PIECE, verifier._CHUNK
+    verifier._WALK_PIECE, verifier._CHUNK = piece, chunk
+    try:
+        walked = verifier._FreeSpace(free, const_only)
+        total = walked.size
+        for stop in (None, 1, 2, 65, total - 1, total):
+            if stop is not None and stop < 1:
+                continue
+            for seed in (0, 1):
+                got, complete = verifier._walk(rule, walked, defs, stop, seed)
+                want, want_complete = _doubling_walk(rule, walked, defs,
+                                                     stop, seed)
+                assert complete == want_complete
+                assert list(got) == list(want)
+                for name, (arr, ty) in want.items():
+                    assert got[name][1] == ty
+                    assert np.array_equal(got[name][0], arr)
+    except engine.UnsupportedConstruct:
+        assume(False)
+    finally:
+        verifier._WALK_PIECE, verifier._CHUNK = saved
+
+
+# FOUND-32's walk: C2 is not derived (cttz(cttz(C1)) is i8), so all 2^24
+# tuples are filtered to find the 256 that satisfy the conjunct
+SPARSE_WALK = """
+rule "sparse_walk" {
+  const C1: i8;
+  const C2: i16;
+  pre: C2 == cttz(cttz(C1));
+  lhs fn(x: i8) -> i8 { ret %x }
+  rhs fn(x: i8) -> i8 { ret %x }
+}
+"""
+
+
+def test_sparse_walk_memory_stays_at_one_piece():
+    import tracemalloc
+
+    rule = parse(SPARSE_WALK)
+    free, defs = verifier.typed_const_defs(rule)
+    space = verifier._FreeSpace(free, list(rule.pre))
+    budget = Budget()
+    stop = budget.exhaustive_limit // 256 + 1
+    tracemalloc.start()
+    try:
+        const_map, complete = verifier._walk(rule, space, defs, stop, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert complete and space.size == 1 << 24
+    assert verifier._const_count(const_map) == 256
+    assert peak < 16 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rules(), st.integers(0, 1000))
+def test_exhaustive_verdict_does_not_depend_on_the_seed(rule, seed):
+    # the pipeline reuses an exhaustive verdict under another seed with only
+    # its seed changed; that is sound only if the check agrees
+    budget = Budget(exhaustive_limit=1 << 20, rng_seed=seed)
+    verdict = check_refinement(rule, {}, budget)
+    assume(isinstance(verdict, Verified) and verdict.mode == "exhaustive")
+    again = check_refinement(rule, {}, Budget(exhaustive_limit=1 << 20,
+                                              rng_seed=seed + 1))
+    assert again == dataclasses.replace(verdict, seed=seed + 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -36,15 +36,16 @@ def read_run(path: pathlib.Path) -> dict:
     return {"context": context, "result": json.loads(lines[-1])}
 
 
-# kernel_rate columns -> record keys; tables written before scaled/s was
-# added lack that column
+# kernel_rate columns -> record keys; tables written before scaled/s or
+# peak_MB was added lack that column
 KERNEL_FIGURES = {"median_s": "median_s", "points/s": "points_per_s",
-                  "scaled/s": "scaled_points_per_s"}
+                  "scaled/s": "scaled_points_per_s", "peak_MB": "peak_mb"}
 
 
 def read_kernels(paths: list) -> dict:
     """kernel -> points and the median, over the given kernel_rate tables,
-    of each table's median_s, points/s and scaled/s (when present)."""
+    of each table's median_s, points/s, scaled/s and peak_MB (when
+    present)."""
     rows: dict = {}
     for path in paths:
         header, *lines = path.read_text().splitlines()

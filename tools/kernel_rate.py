@@ -1,6 +1,6 @@
-"""Print the verifier's throughput, in points per second, on ten fixed
-kernels, so that a change to the engine, the constant walk or the scan loop
-can be measured layer by layer:
+"""Print the verifier's throughput, in points per second, and its peak
+memory on eleven fixed kernels, so that a change to the engine, the
+constant walk or the scan loop can be measured layer by layer:
 
   enumerate  walk and filter the whole 2^24-tuple free-constant space of
              fixtures/rules/xor_and_distribute.peep
@@ -30,6 +30,11 @@ can be measured layer by layer:
              violation is at index 65536 of the 2^24-point input grid, which
              is built block by block: the cost of a check refuted early in a
              large grid; points are those up to and including the violation
+  sparse_walk
+             check_refinement on a rule under `C2 == cttz(cttz(C1))` (C1:
+             i8, C2: i16, not derived): the constant walk filters all 2^24
+             tuples to find the 256 that satisfy it, then checks them
+             exhaustively against 256 inputs; points are the tuples walked
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
              constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
@@ -39,6 +44,8 @@ can be measured layer by layer:
 Each kernel runs 5 times (a filter kernel 5 batches of many calls);
 median_s is the median time of one call (for a filter kernel, times 1e6 it
 is microseconds per call), and points/s is the points of one call over it.
+peak_MB is the tracemalloc peak of one more call, made after the timed
+runs (tracemalloc slows allocation, so that call is not timed).
 The host's speed drifts between runs and between processes, so perfbench's
 reference job (`perfbench/hostspeed.py`) is timed right before and after
 each run, and scaled/s is the rate at the host speed where that job takes
@@ -52,6 +59,8 @@ import pathlib
 import statistics
 import sys
 import time
+import tracemalloc
+from typing import Optional
 
 import numpy as np
 
@@ -170,6 +179,19 @@ rule "refute_wide" {
 """
 
 
+# C2 is not derived, because cttz(cttz(C1)) is i8: the walk visits every
+# one of the 2^24 (C1, C2) tuples and keeps 256
+SPARSE_WALK = """
+rule "sparse_walk" {
+  const C1: i8;
+  const C2: i16;
+  pre: C2 == cttz(cttz(C1));
+  lhs fn(x: i8) -> i8 { ret %x }
+  rhs fn(x: i8) -> i8 { ret %x }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -186,13 +208,15 @@ def enumerate_kernel():
     return run
 
 
-def refinement_kernel(rule, space: str):
+def refinement_kernel(rule, space: str, points: Optional[int] = None):
+    """A verified check with verdict space `space`; its points are the
+    verdict's, or `points`."""
     def run() -> int:
         verdict = verifier.check_refinement(rule)
         if verdict.kind != "verified" or verdict.space != space:
             raise SystemExit(f"{rule.name}: unexpected verdict "
                              f"{verifier.verdict_to_json(verdict)}")
-        return verdict.points
+        return points or verdict.points
     return run
 
 
@@ -241,6 +265,9 @@ KERNELS = (
         "256 sampled constants x sampled inputs"), 1),
     ("refute_wide", refuting_kernel(
         textfmt.parse_rule(REFUTE_WIDE), {"x": 1, "y": 0}, 65537), 1),
+    ("sparse_walk", refinement_kernel(
+        textfmt.parse_rule(SPARSE_WALK), "256 constants x 256 inputs",
+        1 << 24), 1),
     ("filter64", filter_kernel(64), 2000),
     ("filter65536", filter_kernel(65536), 50),
 )
@@ -262,7 +289,7 @@ def main() -> None:
         raise SystemExit(f"unknown kernel(s): {', '.join(sorted(unknown))}; "
                          f"choose from {', '.join(n for n, _, _ in KERNELS)}")
     print(f"{'kernel':10s} {'points':>10s} {'median_s':>9s} {'points/s':>12s} "
-          f"{'scaled/s':>12s}")
+          f"{'scaled/s':>12s} {'peak_MB':>8s}")
     for name, run, calls in KERNELS:
         if name not in names:
             continue
@@ -275,9 +302,13 @@ def main() -> None:
             times.append((time.perf_counter() - start) / calls)
             job_s = statistics.median(jobs + _reference_jobs())
             scaled.append(times[-1] * hostspeed.NOMINAL_S / job_s)
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
+        tracemalloc.stop()
         median = statistics.median(times)
         print(f"{name:10s} {points:10d} {median:9.4g} {points / median:12.4g} "
-              f"{points / statistics.median(scaled):12.4g}")
+              f"{points / statistics.median(scaled):12.4g} {peak:8.4g}")
 
 
 if __name__ == "__main__":
