@@ -335,6 +335,51 @@ def _probe_budget(budget: verifier.Budget) -> verifier.Budget:
         rng_seed=budget.rng_seed)
 
 
+def _drop_to_fixpoint(keep: list, removable: list, verified) -> list:
+    """Drop conjuncts of `keep` while `verified(trial)` holds, sweeping
+    `removable` in order until a sweep drops nothing; returns what is kept.
+
+    A sweep cuts `removable` into maximal runs of conjuncts still kept and
+    tries to drop a whole run in one probe; a run that does not verify is
+    halved, the first half tried before the second against what is kept
+    then.  A `PowerOfTwo` conjunct is tried alone, and not while a kept
+    comparison applies log2 to it (`guards_partial_op`).  When `verified`
+    is monotone in the precondition (exact checks), a run that verifies
+    as a whole would also have been dropped one conjunct at a time, so the
+    result is that of one-at-a-time greedy dropping, in fewer probes.
+    """
+    changed = True
+
+    def drop(block: list) -> None:
+        nonlocal keep, changed
+        if not block:
+            return
+        ids = set(map(id, block))
+        trial = [c for c in keep if id(c) not in ids]
+        if verified(trial):
+            keep, changed = trial, True
+        elif len(block) > 1:
+            half = len(block) // 2
+            drop(block[:half])
+            drop(block[half:])
+
+    while changed:
+        changed = False
+        run: list = []
+        for conj in removable:
+            if conj not in keep:
+                continue
+            if not isinstance(conj, PPow2):
+                run.append(conj)
+                continue
+            drop(run)
+            run = []
+            if not guards_partial_op(conj, keep):
+                drop([conj])
+        drop(run)
+    return keep
+
+
 def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
                             budget: Optional[verifier.Budget] = None) -> list:
     """Symbolize literals and search templates for precondition conjuncts.
@@ -343,7 +388,10 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
     `PowerOfTwo` atoms of C, C + 1 and C - 1 that hold, and the equalities
     `C == e` that hold on the instance (`template_equalities`, screened as
     numpy lanes under the scalar evaluator's semantics).  Starting from all
-    of them, conjuncts are dropped greedily while a probe check stays green.
+    of them, conjuncts are dropped greedily, in halving blocks, while a
+    probe check stays green (`_drop_to_fixpoint`).  A precondition is
+    probed at most once: checks are seeded, so a repeat has the same
+    verdict.
 
     Returns a list of (assignment, conjunct tuple) candidates; the
     symbolized rule itself is `symbolize_literals(instance)[0]`.
@@ -379,25 +427,21 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
     # deepest equality templates, so the simplest sufficient conjunct survives
     removable = pins + pow2s + equalities[::-1]
 
+    probed: dict = {}
+
     def verified(conjuncts: list) -> bool:
-        rule = replace(skeleton, pre=tuple(conjuncts))
-        verdict = verifier.check_refinement(rule, widths, probe)
-        return verdict.kind == "verified"
+        pre = tuple(conjuncts)
+        if pre not in probed:
+            verdict = verifier.check_refinement(
+                replace(skeleton, pre=pre), widths, probe)
+            probed[pre] = verdict.kind == "verified"
+        return probed[pre]
 
     if not verified(keep):
         return []
     # a coincidental conjunct can block removal of an earlier one until it is
     # itself dropped, so sweep to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for conj in removable:
-            if conj not in keep or guards_partial_op(conj, keep):
-                continue
-            trial = [c for c in keep if c is not conj]
-            if verified(trial):
-                keep = trial
-                changed = True
+    keep = _drop_to_fixpoint(keep, removable, verified)
     candidates = [(assignment, tuple(keep))]
     pinned = tuple(pins + [c for c in keep if c not in pins])
     if pinned != candidates[0][1]:

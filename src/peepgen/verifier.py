@@ -11,10 +11,12 @@ when that bound is below the space, so that the first finds are the
 sample.  A walk that reaches the end sorts
 its finds back to index order, so exhaustive verdicts and counterexamples
 do not depend on the walk.  A space too large to walk is sampled by
-rejection (`sample_satisfying_consts`).  Above the limit, a special-value
-pass first crosses the satisfying special constant tuples with special
-inputs; then the sampled scan checks the sampled constants against sampled
-inputs with a special-value set mixed in.  Every check runs through one
+rejection (`sample_satisfying_consts`), after the cross of special values,
+which is filtered in the same pieces and stops once the sample is found.
+Above the limit, a special-value pass first crosses the satisfying special
+constant tuples with special inputs; then the sampled scan checks the
+sampled constants against sampled inputs with a special-value set mixed
+in.  Every check runs through one
 scan loop (`_scan`) over the (inputs, constants, shape) blocks of one
 producer (`_slices`): the exhaustive check and the special pass loop over
 the smaller of the constant and input axes and vectorise the larger; the
@@ -457,13 +459,32 @@ def _sampled_patterns(rng, decls: list, n: int, cap: int) -> list:
 def sample_satisfying_consts(resolved: Rule, free: list, defs: list,
                              const_only, budget: Budget, rng) -> Optional[dict]:
     """Rejection-sample satisfying assignments, special values first; None
-    when the cap is hit without finding any."""
-    batches = []
-    specials = _cross_pools(_const_special_pools(resolved, free), _CHUNK)
-    if specials:
-        batches.append(_satisfying(free, defs, const_only, specials,
-                                   len(specials[0]))[0])
-    found = sum(map(_const_count, batches))
+    when the cap is hit without finding any.
+
+    A special-value cross of at most `_CHUNK` tuples is filtered
+    `_WALK_PIECE` tuples at a time in `_cross_pools`' order, and stops at
+    the end of the piece where the finds reach `constant_sample_count`:
+    the tuples past them would be cut, and no random draw is made."""
+    batches, found = [], 0
+    pools = _const_special_pools(resolved, free)
+    shape = tuple(map(len, pools))
+    total = math.prod(shape) if pools else 0
+    if total > _CHUNK:
+        diagonal = _cross_pools(pools, _CHUNK)
+        batches.append(_satisfying(free, defs, const_only, diagonal,
+                                   len(diagonal[0]))[0])
+        found = _const_count(batches[0])
+    else:
+        for start in range(0, total, _WALK_PIECE):
+            idx = np.arange(start, min(start + _WALK_PIECE, total))
+            patterns = [p[d] for p, d in
+                        zip(pools, np.unravel_index(idx, shape))]
+            batches.append(_satisfying(free, defs, const_only, patterns,
+                                       len(idx))[0])
+            found += _const_count(batches[-1])
+            # one find decides None for a sample count of 0
+            if found >= max(budget.constant_sample_count, 1):
+                break
     drawn = 0
     while found < budget.constant_sample_count and drawn < REJECTION_CAP:
         take = min(8192, REJECTION_CAP - drawn)

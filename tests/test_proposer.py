@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peepgen import proposer, semantics, textfmt, verifier
-from peepgen.ir import CBin, CConst, CUn, IntType, PCmp, PeepError, mask
+from peepgen.ir import (CBin, CConst, CInt, CUn, IntType, PCmp, PeepError,
+                        PPow2, guards_partial_op, mask)
 from peepgen.proposer import (FeedbackItem, HeuristicBackend, LLMBackend,
                               Proposal, ProposalRequest, ProposerError,
                               RecordingBackend, ReplayBackend, Structural,
@@ -157,6 +158,107 @@ def test_pinned_probes_do_not_exhaust_the_rejection_cap(monkeypatch):
     monkeypatch.setattr(verifier, "sample_satisfying_consts", counted)
     heuristic_fit_constants(parse(XOR_AND_TEXT), {}, Budget(rng_seed=0))
     assert calls and sum(calls) <= 1
+
+
+# The one-at-a-time greedy drop that `_drop_to_fixpoint` replaces, kept as
+# its oracle: each removable conjunct still kept is tried alone, in order,
+# and the sweeps repeat until one drops nothing.
+
+def oracle_drop_to_fixpoint(keep: list, removable: list, verified) -> list:
+    changed = True
+    while changed:
+        changed = False
+        for conj in removable:
+            if conj not in keep or guards_partial_op(conj, keep):
+                continue
+            trial = [c for c in keep if c is not conj]
+            if verified(trial):
+                keep = trial
+                changed = True
+    return keep
+
+
+def _pruned(name: str):
+    from peepgen import cost, pruner
+
+    instance = parse((FIXTURES / "int" / f"{name}.peep").read_text())
+    return pruner.prune(instance, Budget(), cost.default_table())[0]
+
+
+@pytest.mark.parametrize("name", [
+    # exhaustive probes: verification is monotone in the precondition, so
+    # a block that verifies would also have been dropped one at a time
+    "masked_sign", "mod_div_zero", "strength_reduce_mul8",
+    # sampled probes are not monotone: the same fit is measured at seed 0
+    "clamp_concrete", "xor_and_distribute"])
+def test_block_drop_fits_as_one_at_a_time_dropping(name, monkeypatch):
+    rule = _pruned(name)
+    fit = heuristic_fit_constants(rule, {}, Budget(rng_seed=0))
+    monkeypatch.setattr(proposer, "_drop_to_fixpoint", oracle_drop_to_fixpoint)
+    assert fit == heuristic_fit_constants(rule, {}, Budget(rng_seed=0))
+
+
+@st.composite
+def _drop_problems(draw):
+    """Distinct conjuncts (bounds, PowerOfTwo guards and log2 users of some
+    guard's constant), a removal order, and an upward-closed `verified`
+    given by its minimal sets; the full set verifies."""
+    n = draw(st.integers(1, 9))
+    conjuncts = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["bound", "guard", "user"]))
+        if kind == "bound":
+            conjuncts.append(PCmp("ule", CConst(f"B{i}"), CInt(i)))
+        elif kind == "guard":
+            conjuncts.append(PPow2(CConst(f"C{i}")))
+        else:
+            conjuncts.append(PCmp("eq", CConst(f"B{i}"), CUn(
+                "log2", CConst(f"C{draw(st.integers(0, n - 1))}"))))
+    removable = draw(st.permutations(conjuncts))
+    minimal = draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=4))
+    needed = [{id(conjuncts[i]) for i in m} for m in minimal] or [set()]
+
+    def verified(trial: list) -> bool:
+        ids = set(map(id, trial))
+        return any(m <= ids for m in needed)
+    return conjuncts, removable, verified
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drop_problems())
+def test_block_drop_matches_the_oracle_under_monotone_checks(problem):
+    keep, removable, verified = problem
+    assert (proposer._drop_to_fixpoint(list(keep), removable, verified)
+            == oracle_drop_to_fixpoint(list(keep), removable, verified))
+
+
+def test_power_of_two_guard_is_not_dropped_while_its_log2_user_stays():
+    # the guard sits between conjuncts that are dropped as one run around
+    # it; only trials that keep the log2 user verify
+    guard = PPow2(CConst("C1"))
+    user = PCmp("eq", CConst("C2"), CUn("log2", CConst("C1")))
+    bounds = [PCmp("ule", CConst("C3"), CInt(k)) for k in (7, 8)]
+    keep = [bounds[0], guard, user, bounds[1]]
+    for verified in (lambda trial: user in trial, lambda trial: True):
+        got = proposer._drop_to_fixpoint(list(keep), keep, verified)
+        assert got == oracle_drop_to_fixpoint(list(keep), keep, verified)
+        assert (guard in got) == (user in got)
+    assert proposer._drop_to_fixpoint(
+        list(keep), keep, lambda trial: user in trial) == [guard, user]
+
+
+def test_fit_of_clamp_concrete_drops_conjuncts_in_blocks(monkeypatch):
+    # one-at-a-time dropping probes 81 times here; the count is seeded
+    probes = []
+    check = verifier.check_refinement
+
+    def counted(rule, widths=None, budget=None):
+        probes.append(rule)
+        return check(rule, widths, budget)
+
+    monkeypatch.setattr(verifier, "check_refinement", counted)
+    heuristic_fit_constants(_pruned("clamp_concrete"), {}, Budget(rng_seed=0))
+    assert len(probes) <= 64
 
 
 def test_heuristic_width_predicates_parse():

@@ -605,6 +605,117 @@ def test_sparse_walk_memory_stays_at_one_piece():
     assert peak < 16 << 20
 
 
+# A weak trial of clamp_concrete's stage-1 fit: C1 is derived, and the
+# special-value pools of C2..C5 (39 patterns each) cross to 2,313,441 tuples
+WEAK_CLAMP = """
+rule "clamp_concrete" {
+  const C1: i16;
+  const C2: i16;
+  const C3: i16;
+  const C4: i16;
+  const C5: i16;
+  pre: C2 <=u 65381 && C3 >=u 100 && C5 >=u 256 && C1 == C2 + C4 && C1 == C5 - C4 ^ C2;
+  lhs fn(x: i16) -> i1 {
+    %0 = add i16 %x, C1;
+    %1 = smax i16 %0, C2;
+    %2 = smin i16 %1, C3;
+    %3 = icmp.eq i16 %2, %0;
+    ret %3
+  }
+  rhs fn(x: i16) -> i1 {
+    %0 = add i16 %x, C4;
+    %1 = icmp.ult i16 %0, C5;
+    ret %1
+  }
+}
+"""
+
+
+def reference_sample_satisfying_consts(resolved, free, defs, const_only,
+                                       budget, rng):
+    """The unstreamed sampler: the whole special-value cross is built and
+    filtered at once, then random draws until the sample count."""
+    batches = []
+    specials = verifier._cross_pools(
+        verifier._const_special_pools(resolved, free), verifier._CHUNK)
+    if specials:
+        batches.append(verifier._satisfying(free, defs, const_only, specials,
+                                            len(specials[0]))[0])
+    found = sum(map(verifier._const_count, batches))
+    drawn = 0
+    while (found < budget.constant_sample_count
+           and drawn < verifier.REJECTION_CAP):
+        take = min(8192, verifier.REJECTION_CAP - drawn)
+        batches.append(verifier._satisfying(
+            free, defs, const_only,
+            verifier._sample_free_patterns(rng, free, take), take)[0])
+        found += verifier._const_count(batches[-1])
+        drawn += take
+    if found == 0:
+        return None
+    limit = budget.constant_sample_count
+    return {name: (data[:limit], ty)
+            for name, (data, ty) in verifier._join(resolved, batches).items()}
+
+
+# every constant free: the pools cross to more than `_CHUNK` tuples, so the
+# sampler takes their diagonal
+FREE_CLAMP = WEAK_CLAMP.replace(
+    " && C5 >=u 256 && C1 == C2 + C4 && C1 == C5 - C4 ^ C2", "")
+
+
+@pytest.mark.parametrize("text, count", [
+    pytest.param(WEAK_CLAMP, None, id="probe-budget"),
+    pytest.param(WEAK_CLAMP, 0, id="count-0"),
+    # more than the cross holds: the whole cross, then random draws
+    pytest.param(WEAK_CLAMP, 1 << 20, id="past-the-cross"),
+    pytest.param(FREE_CLAMP, None, id="diagonal"),
+    pytest.param(SPARSE_WALK, None, id="small-cross"),
+])
+def test_streamed_special_cross_samples_as_the_whole_cross(text, count):
+    from peepgen import proposer
+
+    rule = parse(text)
+    free, defs = verifier.typed_const_defs(rule)
+    const_only = [c for c in rule.pre if not pred_param_refs(c)]
+    budget = proposer._probe_budget(Budget(rng_seed=0))
+    if count is not None:
+        budget = dataclasses.replace(budget, constant_sample_count=count)
+    rngs = [np.random.default_rng(0) for _ in range(2)]
+    got = verifier.sample_satisfying_consts(rule, free, defs, const_only,
+                                            budget, rngs[0])
+    want = reference_sample_satisfying_consts(rule, free, defs, const_only,
+                                              budget, rngs[1])
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name][1] == want[name][1]
+        assert np.array_equal(got[name][0], want[name][0])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_streamed_special_cross_memory_stays_at_a_few_pieces():
+    import tracemalloc
+
+    from peepgen import proposer
+
+    rule = parse(WEAK_CLAMP)
+    free, defs = verifier.typed_const_defs(rule)
+    const_only = [c for c in rule.pre if not pred_param_refs(c)]
+    budget = proposer._probe_budget(Budget(rng_seed=0))
+    assert math.prod(map(len, verifier._const_special_pools(rule, free))) \
+        == 2_313_441
+    tracemalloc.start()
+    try:
+        const_map = verifier.sample_satisfying_consts(
+            rule, free, defs, const_only, budget, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole cross filtered at once peaks at about 46 MB
+    assert verifier._const_count(const_map) == budget.constant_sample_count
+    assert peak < 8 << 20
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_rules(), st.integers(0, 1000))
 def test_exhaustive_verdict_does_not_depend_on_the_seed(rule, seed):

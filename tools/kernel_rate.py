@@ -1,5 +1,5 @@
 """Print the verifier's throughput, in points per second, and its peak
-memory on eleven fixed kernels, so that a change to the engine, the
+memory on thirteen fixed kernels, so that a change to the engine, the
 constant walk or the scan loop can be measured layer by layer:
 
   enumerate  walk and filter the whole 2^24-tuple free-constant space of
@@ -35,6 +35,14 @@ constant walk or the scan loop can be measured layer by layer:
              i8, C2: i16, not derived): the constant walk filters all 2^24
              tuples to find the 256 that satisfy it, then checks them
              exhaustively against 256 inputs; points are the tuples walked
+  fit        proposer.heuristic_fit_constants on clamp_concrete (pruned) at
+             seed 0: stage 1's template fit, which drops conjuncts in halving
+             blocks; points are its probe checks
+  weak_probe check_refinement, at the fit's probe budget, on a weak trial of
+             that fit whose special-value constant pools cross to 2,313,441
+             tuples; the sampler filters them a piece at a time and stops
+             at 64 finds, so peak_MB shows a few pieces, not the cross;
+             points are the cross's tuples
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
              constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
@@ -68,7 +76,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from peepgen import engine, textfmt, verifier  # noqa: E402
+from peepgen import (  # noqa: E402
+    cost, engine, proposer, pruner, textfmt, verifier)
 from peepgen.ir import pred_param_refs  # noqa: E402
 import hostspeed  # noqa: E402
 
@@ -192,6 +201,32 @@ rule "sparse_walk" {
 """
 
 
+# a weak trial of clamp_concrete's stage-1 fit: C1 is derived, and the
+# special-value pools of C2..C5 (39 patterns each) cross to 39^4 tuples
+WEAK_CLAMP = """
+rule "clamp_concrete" {
+  const C1: i16;
+  const C2: i16;
+  const C3: i16;
+  const C4: i16;
+  const C5: i16;
+  pre: C2 <=u 65381 && C3 >=u 100 && C5 >=u 256 && C1 == C2 + C4 && C1 == C5 - C4 ^ C2;
+  lhs fn(x: i16) -> i1 {
+    %0 = add i16 %x, C1;
+    %1 = smax i16 %0, C2;
+    %2 = smin i16 %1, C3;
+    %3 = icmp.eq i16 %2, %0;
+    ret %3
+  }
+  rhs fn(x: i16) -> i1 {
+    %0 = add i16 %x, C4;
+    %1 = icmp.ult i16 %0, C5;
+    ret %1
+  }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -220,13 +255,39 @@ def refinement_kernel(rule, space: str, points: Optional[int] = None):
     return run
 
 
-def refuting_kernel(rule, inputs: dict, points: int):
+def refuting_kernel(rule, inputs: dict, points: int,
+                    budget: Optional[verifier.Budget] = None):
     def run() -> int:
-        verdict = verifier.check_refinement(rule)
+        verdict = verifier.check_refinement(rule, None, budget)
         if verdict.kind != "refuted" or verdict.counterexample.inputs != inputs:
             raise SystemExit(f"{rule.name}: unexpected verdict "
                              f"{verifier.verdict_to_json(verdict)}")
         return points
+    return run
+
+
+def fit_kernel():
+    instance = textfmt.parse_rule(
+        (ROOT / "fixtures" / "int" / "clamp_concrete.peep").read_text())
+    rule = pruner.prune(instance, verifier.Budget(), cost.default_table())[0]
+    check = verifier.check_refinement
+
+    def run() -> int:
+        probes = []
+
+        def counted(*args):
+            probes.append(args[0])
+            return check(*args)
+
+        verifier.check_refinement = counted
+        try:
+            fit = proposer.heuristic_fit_constants(
+                rule, {}, verifier.Budget(rng_seed=0))
+        finally:
+            verifier.check_refinement = check
+        if not fit:
+            raise SystemExit("clamp_concrete: the fit found no candidate")
+        return len(probes)
     return run
 
 
@@ -268,6 +329,10 @@ KERNELS = (
     ("sparse_walk", refinement_kernel(
         textfmt.parse_rule(SPARSE_WALK), "256 constants x 256 inputs",
         1 << 24), 1),
+    ("fit", fit_kernel(), 1),
+    ("weak_probe", refuting_kernel(
+        textfmt.parse_rule(WEAK_CLAMP), {"x": 0}, 39 ** 4,
+        proposer._probe_budget(verifier.Budget(rng_seed=0))), 1),
     ("filter64", filter_kernel(64), 2000),
     ("filter65536", filter_kernel(65536), 50),
 )
