@@ -3,7 +3,7 @@
 Exit codes: 0 verified/success, 1 refuted (or generalize produced no
 strictly-more-general rule), 2 inconclusive, 64 usage error, 65 parse or
 validation error, 70 internal error (a bench instance raised an internal
-alarm).
+alarm, or a PeepError escaped a command).
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ import click
 from . import cost as costmod
 from . import pipeline as pipemod
 from . import pruner, textfmt, verifier
-from .ir import PeepError, rule_types, validate
-from .proposer import HeuristicBackend, LLMBackend, ReplayBackend
+from .ir import MAX_INT_WIDTH, PeepError, rule_types, validate
+from .proposer import (HeuristicBackend, LLMBackend, ProposerError,
+                       ReplayBackend)
 from .semantics import EvalError
 
 EXIT_VERIFIED = 0
@@ -38,73 +39,59 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_widths(pairs: tuple) -> dict:
+def _parse_widths(pairs: tuple, *rules) -> dict:
+    """The --width map: a width for each width variable `rules` declare,
+    and for no other name."""
     widths = {}
     for item in pairs:
         var, eq, num = item.partition("=")
-        if not eq or not num.isdigit() or int(num) <= 0:
-            raise CliError(f"bad --width value {item!r} (expected VAR=N)",
-                           EXIT_USAGE)
+        if not (eq and num.isdigit() and 0 < int(num) <= MAX_INT_WIDTH):
+            raise CliError(f"bad --width value {item!r} (expected VAR=N, "
+                           f"N in 1..{MAX_INT_WIDTH})", EXIT_USAGE)
         widths[var] = int(num)
+    declared = {v for rule in rules for v in rule.width_vars}
+    if widths.keys() != declared:
+        raise CliError(f"--width binds {', '.join(sorted(widths)) or 'none'}"
+                       " but the width variables declared are "
+                       f"{', '.join(sorted(declared)) or 'none'}", EXIT_USAGE)
     return widths
 
 
-def read_config(path) -> dict:
-    """Line-oriented `key = value` configuration."""
-    cfg = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise CliError(f"{path}:{lineno}: expected `key = value`",
-                           EXIT_USAGE)
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _load_rule(path):
+def _load_rule(path, instance: bool = False):
+    """The validated rule of file `path`; an instance has concrete widths."""
     try:
         rule = textfmt.parse_rule(Path(path).read_text())
     except (OSError, PeepError) as e:
         raise CliError(str(e), EXIT_PARSE)
-    diags = validate(rule)
+    diags = [str(d) for d in validate(rule)]
+    if instance and rule.width_vars:
+        diags.append(f"an instance declares no width variable (found "
+                     f"{', '.join(rule.width_vars)})")
     if diags:
-        raise CliError("; ".join(str(d) for d in diags), EXIT_PARSE)
+        raise CliError("; ".join(diags), EXIT_PARSE)
     return rule
 
 
-def _config_int(config: dict, key: str):
-    """config[key] as an integer, or None when the key is absent."""
-    if key not in config:
-        return None
-    try:
-        return int(config[key])
-    except ValueError:
-        raise CliError(f"config value {key} = {config[key]!r} is not an "
-                       "integer", EXIT_USAGE)
-
-
-def _budget(config: dict, exhaustive, samples, seed) -> verifier.Budget:
-    base = verifier.Budget()
+def _budget(exhaustive, samples, seed) -> verifier.Budget:
+    """The default budget with the values of the flags that were given."""
     values = {}
     for key, flag, value in (
             ("exhaustive_limit", "--budget-exhaustive", exhaustive),
             ("sample_count", "--budget-samples", samples),
-            ("constant_sample_count", None, None),
             ("rng_seed", "--seed", seed)):
         if value is None:
-            flag, value = key, _config_int(config, key)
-        if value is not None and value < 0:
+            continue
+        if value < 0:
             raise CliError(f"{flag} must not be negative (got {value})",
                            EXIT_USAGE)
-        values[key] = getattr(base, key) if value is None else value
+        values[key] = value
     return verifier.Budget(**values)
 
 
 def _cost_table(path) -> costmod.CostTable:
-    """The default cost table with the overrides of file `path`."""
+    """The default cost table with the overrides of file `path`, if any."""
+    if path is None:
+        return costmod.default_table()
     try:
         return costmod.CostTable.parse(Path(path).read_text(),
                                        costmod.default_table())
@@ -112,11 +99,14 @@ def _cost_table(path) -> costmod.CostTable:
         raise CliError(f"cost table {path}: {e}", EXIT_USAGE)
 
 
-def _backend(spec: str, config: dict, budget: verifier.Budget):
+def _backend(spec: str, budget: verifier.Budget):
     if spec == "heuristic":
         return HeuristicBackend(budget)
     if spec == "llm":
-        return LLMBackend(config)
+        try:
+            return LLMBackend()
+        except ProposerError as e:
+            raise CliError(str(e), EXIT_USAGE)
     if spec.startswith("replay:"):
         directory = spec.split(":", 1)[1]
         if not Path(directory).is_dir():
@@ -125,23 +115,6 @@ def _backend(spec: str, config: dict, budget: verifier.Budget):
         return ReplayBackend(directory)
     raise CliError(f"unknown backend {spec!r} "
                    "(expected llm, heuristic, or replay:<dir>)", EXIT_USAGE)
-
-
-def _pipeline_config(config: dict, backend_spec: str,
-                     budget: verifier.Budget) -> pipemod.PipelineConfig:
-    kwargs = {}
-    for key in ("stage1_max_iterations", "k", "width_cap"):
-        value = _config_int(config, key)
-        if value is None:
-            continue
-        if value <= 0:
-            raise CliError(f"{key} must be positive (got {value})", EXIT_USAGE)
-        kwargs[key] = value
-    table = (_cost_table(config["cost_table"]) if "cost_table" in config
-             else costmod.default_table())
-    return pipemod.PipelineConfig(
-        budget=budget, table=table,
-        backend=_backend(backend_spec, config, budget), **kwargs)
 
 
 def _emit(data: dict, out=None) -> None:
@@ -165,9 +138,9 @@ def cli():
 def cmd_verify(rule_file, widths, budget_exhaustive, budget_samples, seed):
     """Check LHS-to-RHS refinement of a rule file."""
     rule = _load_rule(rule_file)
-    budget = _budget({}, budget_exhaustive, budget_samples, seed)
+    budget = _budget(budget_exhaustive, budget_samples, seed)
     verdict, final, used = verifier.verify_with_reduction(
-        rule, _parse_widths(widths), budget)
+        rule, _parse_widths(widths, rule), budget)
     data = verifier.verdict_to_json(verdict)
     # a check made after width reduction names the types it was made at
     reduced = ", ".join(dict.fromkeys(
@@ -184,21 +157,21 @@ def cmd_verify(rule_file, widths, budget_exhaustive, budget_samples, seed):
 @click.argument("instance_file", type=click.Path(exists=True))
 @click.option("--backend", "backend_spec", default="heuristic",
               metavar="{llm|heuristic|replay:<dir>}")
-@click.option("--config", "config_file", type=click.Path(exists=True))
+@click.option("--table", "table_file", type=click.Path())
 @click.option("--out", type=click.Path())
 @click.option("--budget-exhaustive", type=int, default=None)
 @click.option("--budget-samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-def cmd_generalize(instance_file, backend_spec, config_file, out,
+def cmd_generalize(instance_file, backend_spec, table_file, out,
                    budget_exhaustive, budget_samples, seed):
     """Run the full generalization pipeline on a concrete instance.
 
     Exits 0 only when the final rule is strictly more general than the
     input instance."""
-    instance = _load_rule(instance_file)
-    config = read_config(config_file) if config_file else {}
-    budget = _budget(config, budget_exhaustive, budget_samples, seed)
-    cfg = _pipeline_config(config, backend_spec, budget)
+    instance = _load_rule(instance_file, instance=True)
+    budget = _budget(budget_exhaustive, budget_samples, seed)
+    cfg = pipemod.PipelineConfig(budget, _cost_table(table_file),
+                                 _backend(backend_spec, budget))
     report = pipemod.run_pipeline(instance, cfg)
     _emit(report.to_json(), out)
     if report.final_text is None:
@@ -227,8 +200,8 @@ def cmd_generalize(instance_file, backend_spec, config_file, out,
 @click.option("--seed", type=int, default=None)
 def cmd_prune(instance_file, budget_exhaustive, budget_samples, seed):
     """Strip data flow irrelevant to the rewrite."""
-    instance = _load_rule(instance_file)
-    budget = _budget({}, budget_exhaustive, budget_samples, seed)
+    instance = _load_rule(instance_file, instance=True)
+    budget = _budget(budget_exhaustive, budget_samples, seed)
     pruned, log = pruner.prune(instance, budget)
     _emit({"pruned": textfmt.print_rule(pruned), "log": log.to_json()})
     sys.exit(EXIT_VERIFIED)
@@ -236,11 +209,11 @@ def cmd_prune(instance_file, budget_exhaustive, budget_samples, seed):
 
 @cli.command("cost")
 @click.argument("rule_file", type=click.Path(exists=True))
-@click.option("--table", "table_file", type=click.Path(exists=True))
+@click.option("--table", "table_file", type=click.Path())
 def cmd_cost(rule_file, table_file):
     """Report uOps costs and profitability for a rule file."""
     rule = _load_rule(rule_file)
-    table = _cost_table(table_file) if table_file else costmod.default_table()
+    table = _cost_table(table_file)
     _emit({"lhs": str(costmod.cost(rule.lhs, table)),
            "rhs": str(costmod.cost(rule.rhs, table)),
            "profitable": costmod.check_profitable(rule, table)})
@@ -259,8 +232,9 @@ def cmd_compare(rule_a, rule_b, widths, budget_exhaustive, budget_samples,
     """Compare the applicability domains of two rules."""
     a = _load_rule(rule_a)
     b = _load_rule(rule_b)
-    budget = _budget({}, budget_exhaustive, budget_samples, seed)
-    result = pipemod.compare_generality(a, b, _parse_widths(widths), budget)
+    budget = _budget(budget_exhaustive, budget_samples, seed)
+    result = pipemod.compare_generality(a, b, _parse_widths(widths, a, b),
+                                        budget)
     _emit(result.to_json())
     sys.exit(EXIT_INCONCLUSIVE if result.verdict == "Inconclusive"
              else EXIT_VERIFIED)
@@ -347,8 +321,8 @@ def _bench_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _bench_one(path: Path, domain: str, config: dict, backend_spec: str,
-               budget: verifier.Budget, report_dir):
+def _bench_one(path: Path, domain: str, table: costmod.CostTable,
+               backend_spec: str, budget: verifier.Budget, report_dir):
     """(name, domain, report or None, internal alarm message or None)."""
     name = path.stem
     try:
@@ -356,7 +330,8 @@ def _bench_one(path: Path, domain: str, config: dict, backend_spec: str,
         diags = validate(instance)
         if diags:
             return name, domain, None, None
-        cfg = _pipeline_config(config, backend_spec, budget)
+        cfg = pipemod.PipelineConfig(budget, table,
+                                     _backend(backend_spec, budget))
         # ingestion rejects only refuted or unprofitable instances
         verdict = verifier.check_refinement(instance, {}, budget)
         if (verdict.kind == "refuted"
@@ -378,20 +353,20 @@ def _bench_one(path: Path, domain: str, config: dict, backend_spec: str,
 @click.argument("dataset_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--backend", "backend_spec", default="heuristic",
               metavar="{llm|heuristic|replay:<dir>}")
-@click.option("--config", "config_file", type=click.Path(exists=True))
+@click.option("--table", "table_file", type=click.Path())
 @click.option("--out", type=click.Path())
 @click.option("--report-dir", type=click.Path(file_okay=False))
 @click.option("--jobs", type=int, default=1)
 @click.option("--seed", type=int, default=None)
-def cmd_bench(dataset_dir, backend_spec, config_file, out, report_dir, jobs,
+def cmd_bench(dataset_dir, backend_spec, table_file, out, report_dir, jobs,
               seed):
     """Run the pipeline over a dataset directory (int/ and float/ domains)."""
     if jobs <= 0:
         raise CliError("--jobs must be positive", EXIT_USAGE)
-    config = read_config(config_file) if config_file else {}
-    budget = _budget(config, None, None, seed)
-    # fail fast on a bad backend spec or config value
-    _pipeline_config(config, backend_spec, budget)
+    budget = _budget(None, None, seed)
+    table = _cost_table(table_file)
+    # fail fast on a bad backend spec or LLM setting
+    _backend(backend_spec, budget)
     if report_dir:
         Path(report_dir).mkdir(parents=True, exist_ok=True)
     tasks = []
@@ -402,12 +377,12 @@ def cmd_bench(dataset_dir, backend_spec, config_file, out, report_dir, jobs,
         for path in sorted(ddir.glob("*.peep")):
             tasks.append((path, domain))
     if jobs == 1:
-        rows = [_bench_one(p, d, config, backend_spec, budget, report_dir)
+        rows = [_bench_one(p, d, table, backend_spec, budget, report_dir)
                 for p, d in tasks]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(
-                lambda t: _bench_one(t[0], t[1], config, backend_spec,
+                lambda t: _bench_one(t[0], t[1], table, backend_spec,
                                      budget, report_dir), tasks))
     summary = summarize_reports(rows)
     _emit(summary, out)
@@ -421,6 +396,10 @@ def main() -> None:
     except CliError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(e.code)
+    except PeepError as e:
+        # exit 1 means refuted, so a fault that escapes a command is not 1
+        click.echo(f"error: internal: {type(e).__name__}: {e}", err=True)
+        sys.exit(EXIT_INTERNAL)
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)
         sys.exit(EXIT_USAGE)

@@ -38,23 +38,22 @@ from .verifier import Budget, StrictlyWeaker, verdict_to_json
 # Configuration and reporting
 
 
+STAGE1_MAX_ITERATIONS = 4  # proposal rounds of the stage-1 feedback loop
+K = 4  # proposals requested per backend call
+WIDTH_CAP = 16  # stage 4 verifies each width 1..WIDTH_CAP
+
+
 @dataclass
 class PipelineConfig:
     budget: Budget = field(default_factory=Budget)
     table: Optional[costmod.CostTable] = None
     backend: object = None
-    stage1_max_iterations: int = 4
-    k: int = 4
-    width_cap: int = 16  # per-width verification sweep bound
 
     def __post_init__(self):
         if self.table is None:
             self.table = costmod.default_table()
         if self.backend is None:
             self.backend = proposer.HeuristicBackend(self.budget)
-        for name in ("stage1_max_iterations", "k", "width_cap"):
-            if getattr(self, name) <= 0:
-                raise PeepError(f"{name} must be positive")
 
 
 @dataclass
@@ -189,16 +188,21 @@ def _refinement(rule: Rule, widths: Optional[dict], budget: Budget,
     return verdict
 
 
-def _parse_candidate(text: str):
-    """Returns (rule, CandidateOutcome) with syntax/validation prefilled."""
+def _parse_candidate(text: str, rule: Rule):
+    """Returns (candidate, CandidateOutcome) with syntax/validation
+    prefilled.  A candidate that declares other width variables than `rule`
+    fails validation: the gate checks it at `rule`'s widths."""
     try:
-        rule = textfmt.parse_rule(text)
+        cand = textfmt.parse_rule(text)
     except ParseError as e:
         return None, CandidateOutcome(text, False, [str(e)])
-    diags = validate(rule)
+    diags = [str(d) for d in validate(cand)]
+    if not diags and set(cand.width_vars) != set(rule.width_vars):
+        diags.append(f"declares width variables {list(cand.width_vars)}, "
+                     f"the rule {list(rule.width_vars)}")
     if diags:
-        return None, CandidateOutcome(text, False, [str(d) for d in diags])
-    return rule, CandidateOutcome(text, True)
+        return None, CandidateOutcome(text, False, diags)
+    return cand, CandidateOutcome(text, True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +214,14 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig,
     outcome = StageOutcome("symbolic_constants",
                            counts={"constants_symbolized": 0})
     feedback: list = []
-    for _iteration in range(cfg.stage1_max_iterations):
+    for _iteration in range(STAGE1_MAX_ITERATIONS):
         req = ProposalRequest(SymbolicConstants(), print_rule(rule),
-                              tuple(feedback), cfg.k)
+                              tuple(feedback), K)
         proposals = _proposals(req, cfg, outcome)
         passers: list = []
         new_feedback = 0
         for idx, p in enumerate(proposals):
-            cand, co = _parse_candidate(p.text)
+            cand, co = _parse_candidate(p.text, rule)
             outcome.candidates.append(co)
             if cand is None:
                 feedback.append(FeedbackItem("SyntaxError",
@@ -263,10 +267,10 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig,
                       verdicts: Optional[dict] = None):
     outcome = StageOutcome("structural",
                            counts={"subexpressions_abstracted": 0})
-    req = ProposalRequest(Structural(), print_rule(rule), (), cfg.k)
+    req = ProposalRequest(Structural(), print_rule(rule), (), K)
     passers: list = []
     for idx, p in enumerate(_proposals(req, cfg, outcome)):
-        cand, co = _parse_candidate(p.text)
+        cand, co = _parse_candidate(p.text, rule)
         outcome.candidates.append(co)
         if cand is None:
             continue
@@ -335,8 +339,7 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
     weakened = 0
     i = 0
     while i < len(rule.pre):
-        req = ProposalRequest(WeakenPrecondition(i), print_rule(rule), (),
-                              cfg.k)
+        req = ProposalRequest(WeakenPrecondition(i), print_rule(rule), (), K)
         accepted_here = False
         for p in _proposals(req, cfg, outcome):
             co = CandidateOutcome(f"weaken[{i}]: {p.text.strip()}", True)
@@ -484,7 +487,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
     erased = _erase_widths(rule, original, var)
 
     passing, failing = [], []
-    for w in range(1, cfg.width_cap + 1):
+    for w in range(1, WIDTH_CAP + 1):
         co = CandidateOutcome(f"width {var}={w}", True)
         outcome.candidates.append(co)
         if _gate(erased, cfg, co, verdicts, {var: w}):
@@ -496,11 +499,11 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
     if not failing and passing:
         outcome.accepted_text = print_rule(erased)
         outcome.counts["widths_generalized"] = 1
-        outcome.note = f"all widths 1..{cfg.width_cap} pass"
+        outcome.note = f"all widths 1..{WIDTH_CAP} pass"
         return outcome, erased
     if passing:
         req = ProposalRequest(WidthPredicate(tuple(passing), tuple(failing)),
-                              print_rule(erased), (), cfg.k)
+                              print_rule(erased), (), K)
         for p in _proposals(req, cfg, outcome):
             co = CandidateOutcome(f"width predicate: {p.text.strip()}", True)
             outcome.candidates.append(co)
@@ -511,10 +514,10 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
                 co.syntax_ok = False
                 co.diagnostics.append(str(e))
                 continue
-            admitted = _admitted_widths(parsed, var, cfg.width_cap)
+            admitted = _admitted_widths(parsed, var, WIDTH_CAP)
             ok = (admitted
                   and set(admitted) <= set(passing)
-                  and (original in admitted or original > cfg.width_cap)
+                  and (original in admitted or original > WIDTH_CAP)
                   and any(w != original for w in admitted))
             if not ok:
                 co.diagnostics.append(
@@ -587,7 +590,7 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
         widths_stage = stages[-1]
         passing = [int(c.text.split("=")[-1]) for c in widths_stage.candidates
                    if c.accepted and c.text.startswith("width ")]
-        w = max(passing) if passing else cfg.width_cap
+        w = max(passing) if passing else WIDTH_CAP
         final_widths = {v: w for v in rule.width_vars}
     # the final rule passes the gate again, under a fresh seed
     final = CandidateOutcome(print_rule(rule), True)

@@ -60,7 +60,7 @@ class WidthPredicate:
 
 @dataclass(frozen=True)
 class FeedbackItem:
-    kind: str  # SyntaxError | Counterexample | Unprofitable | NotStrictlyWeaker
+    kind: str  # SyntaxError | Counterexample | Unprofitable
     detail: str
     candidate: str
 
@@ -565,8 +565,10 @@ _ENV_DEFAULTS = {
 class LLMBackend:
     """HTTP chat-completion backend.
 
-    Configuration comes from the PEEPGEN_LLM_* environment variables,
-    overridden by an explicit config mapping.
+    Settings come from the PEEPGEN_LLM_* environment variables, all that
+    the CLI reads; a programmatic caller's mapping overrides them key by
+    key.  A missing or malformed setting raises ProposerError before any
+    request is made.
     """
 
     name = "llm"
@@ -582,8 +584,17 @@ class LLMBackend:
         self.endpoint = cfg["endpoint"]
         self.model = cfg.get("model", "")
         self.api_key = cfg.get("api_key", "")
-        self.timeout_s = float(cfg.get("timeout_s", 60))
-        self.retries = int(cfg.get("retries", 2))
+        try:
+            self.timeout_s = float(cfg.get("timeout_s", 60))
+            self.retries = int(cfg.get("retries", 2))
+            ok = self.timeout_s > 0 and self.retries >= 0
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ProposerError(
+                "PEEPGEN_LLM_TIMEOUT_S must be a positive number and "
+                "PEEPGEN_LLM_RETRIES a non-negative integer (got timeout_s="
+                f"{cfg.get('timeout_s')!r}, retries={cfg.get('retries')!r})")
 
     def _complete(self, prompt: str) -> str:
         import requests

@@ -1,12 +1,16 @@
 import json
+import re
 import subprocess
 import sys
 
+import click
 import jsonschema
 import pytest
 
-from peepgen import cli, pipeline
+from peepgen import cli, pipeline, verifier
 from peepgen.cli import EXIT_INTERNAL, summarize_reports
+from peepgen.ir import PeepError
+from peepgen.proposer import LLMBackend
 from peepgen.verifier import ReplayMismatch
 
 from conftest import DOCS, FIXTURES, REPO
@@ -156,6 +160,21 @@ def test_verify_bad_width_flag():
     assert proc.returncode == 64
 
 
+def test_readme_names_every_option_of_every_command():
+    # README's `## Command line` block has one line per command; it names
+    # each option of the command, and no option the command lacks
+    text = (REPO / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        _peepgen, command, rest = line.split(" ", 2)
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    actual = {name: {opt for param in command.params
+                     if isinstance(param, click.Option) for opt in param.opts}
+              for name, command in cli.cli.commands.items()}
+    assert documented == actual
+
+
 def test_unknown_command():
     assert run_cli("frobnicate").returncode == 64
 
@@ -164,36 +183,96 @@ def test_missing_file():
     assert run_cli("verify", "no_such_file.peep").returncode == 64
 
 
-@pytest.mark.parametrize("command, flags, config", [
-    ("verify", ("--budget-samples", "-1"), None),
-    ("verify", ("--seed", "-3"), None),
-    ("verify", ("--budget-exhaustive", "-5"), None),
-    ("generalize", (), "sample_count = abc"),
-    ("generalize", (), "rng_seed = -1"),
-    ("generalize", (), "k = 0"),
-    ("generalize", (), "stage1_max_iterations = 0"),
-    ("generalize", (), "width_cap = -2"),
-    ("generalize", (), "cost_table = no_such_dir/uops.cost"),
-    ("bench", (), "k = 0"),
-    ("bench", (), "constant_sample_count = 1.5"),
-])
-def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, command, flags,
-                                                   config):
+NEGATE = str(FIXTURES / "int" / "negate_lshr_or.peep")
+XOR_SELF = str(FIXTURES / "int" / "xor_self.peep")
+
+
+@pytest.mark.parametrize("code, args", [
+    (64, ("verify", "{negate}", "--budget-samples", "-1")),
+    (64, ("verify", "{negate}", "--seed", "-3")),
+    (64, ("verify", "{negate}", "--budget-exhaustive", "-5")),
+    (64, ("generalize", "{negate}", "--table", "no_such_dir/uops.cost")),
+    (64, ("generalize", "{negate}", "--table", "{bad_table}")),
+    (64, ("bench", "{fixtures}", "--table", "no_such_dir/uops.cost")),
+    (64, ("cost", "{negate}", "--table", "{bad_table}")),
+    # a width map from outside binds exactly the declared width variables,
+    # each to a width of at most ir.MAX_INT_WIDTH
+    (64, ("verify", "{add_or_w}")),
+    (64, ("verify", "{add_or_w}", "--width", "V=8")),
+    (64, ("verify", "{add_or_w}", "--width", "W=65")),
+    (64, ("verify", "{add_or_w}", "--width", "W=8", "--width", "V=8")),
+    (64, ("compare", "{add_or_w}", "{xor_self}")),
+    (64, ("compare", "{add_or_w}", "{add_or_w}", "--width", "W=65")),
+    (64, ("compare", "{xor_self}", "{negate}", "--width", "W=8")),
+    # an instance is concrete
+    (65, ("generalize", "{add_or_w}")),
+    (65, ("prune", "{add_or_w}")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, code, args):
     # exit 1 means refuted: a bad value must be reported before any
     # instance runs
-    target = (FIXTURES if command == "bench"
-              else FIXTURES / "int" / "negate_lshr_or.peep")
-    args = [command, str(target), *flags]
-    if config is not None:
-        path = tmp_path / "peepgen.cfg"
-        path.write_text(config + "\n")
-        args += ["--config", str(path)]
-    proc = run_cli(*args)
-    assert proc.returncode == 64, proc.stderr
+    (tmp_path / "add_or_w.peep").write_text(ADD_OR_W)
+    (tmp_path / "bad.cost").write_text("shl = ten\n")
+    paths = {"add_or_w": tmp_path / "add_or_w.peep",
+             "bad_table": tmp_path / "bad.cost", "fixtures": FIXTURES,
+             "negate": NEGATE, "xor_self": XOR_SELF}
+    proc = run_cli(*(arg.format(**paths) for arg in args))
+    assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _main(monkeypatch, capsys, *args):
+    """Run the console entry point in this process; returns (exit code,
+    stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["peepgen", *args])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    out = capsys.readouterr()
+    return exited.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("env", [
+    {},
+    {"PEEPGEN_LLM_ENDPOINT": "http://localhost:9/v1",
+     "PEEPGEN_LLM_TIMEOUT_S": "abc"},
+    {"PEEPGEN_LLM_ENDPOINT": "http://localhost:9/v1",
+     "PEEPGEN_LLM_RETRIES": "1.5"},
+], ids=["no-endpoint", "bad-timeout", "bad-retries"])
+@pytest.mark.parametrize("command, target", [("generalize", XOR_SELF),
+                                             ("bench", str(FIXTURES))],
+                         ids=["generalize", "bench"])
+def test_llm_settings_are_checked_before_any_request(monkeypatch, capsys,
+                                                      env, command, target):
+    for var in ("ENDPOINT", "MODEL", "API_KEY", "TIMEOUT_S", "RETRIES"):
+        monkeypatch.delenv(f"PEEPGEN_LLM_{var}", raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+
+    def no_request(self, prompt):
+        pytest.fail("a request was made")
+
+    monkeypatch.setattr(LLMBackend, "_complete", no_request)
+    code, out, err = _main(monkeypatch, capsys, command, target,
+                           "--backend", "llm")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and "PEEPGEN_LLM_" in err
+    assert err.count("\n") == 1
+
+
+def test_escaped_peep_error_is_an_internal_error(monkeypatch, capsys):
+    # exit 1 means refuted, so a fault that escapes a command is not 1
+    def fault(*args, **kwargs):
+        raise PeepError("fault in the checker")
+
+    monkeypatch.setattr(verifier, "check_refinement", fault)
+    code, out, err = _main(monkeypatch, capsys, "verify", XOR_SELF)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal: PeepError: fault in the checker\n"
 
 
 def test_generalize_heuristic_succeeds(tmp_path):
@@ -319,10 +398,8 @@ def test_bench_ingestion_uses_the_configured_cost_table(tmp_path):
         (FIXTURES / "int" / "strength_reduce_mul8.peep").read_text())
     table = tmp_path / "slow_shl.cost"
     table.write_text("shl = 10\n")
-    config = tmp_path / "peepgen.cfg"
-    config.write_text(f"cost_table = {table}\n")
     for extra, status in (((), "success"),
-                          (("--config", str(config)), "rejected at ingestion")):
+                          (("--table", str(table)), "rejected at ingestion")):
         proc = run_cli("bench", str(tmp_path / "data"), *extra)
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout)

@@ -3,7 +3,8 @@ from peepgen.pipeline import (PipelineConfig, compare_generality,
                               flag_removals, match_rule, relax_to_fixpoint,
                               run_pipeline, stage3_relax, stage4_widths,
                               StageOutcome)
-from peepgen.proposer import HeuristicBackend, ProposerError, ReplayBackend
+from peepgen.proposer import (HeuristicBackend, Proposal, ProposerError,
+                              ReplayBackend, SymbolicConstants)
 from peepgen.verifier import Budget
 
 from conftest import FIXTURES, parse
@@ -211,6 +212,43 @@ rule "i" {
         "proposer error (symbolic_constants): endpoint unreachable")
     assert notes["structural"] == (
         "proposer error (structural): endpoint unreachable")
+
+
+class _WidthVarBackend:
+    """Proposes a width-generic rule for stage 1, nothing elsewhere."""
+    name = "widthvar"
+
+    def __init__(self):
+        self.feedback = []
+
+    def generate(self, req):
+        if not isinstance(req.stage, SymbolicConstants):
+            return []
+        self.feedback.append(req.feedback)
+        return [Proposal("""
+rule "xor_self" {
+  widthvar W;
+  lhs fn(x: iW) -> iW { %0 = xor iW %x, %x; ret %0 }
+  rhs fn(x: iW) -> iW { ret 0 }
+}
+""", self.name, "")]
+
+
+def test_candidate_with_other_width_variables_is_rejected():
+    # the gate checks a stage-1 candidate at the instance's own widths, so
+    # one that declares a width variable fails validation instead
+    backend = _WidthVarBackend()
+    instance = parse((FIXTURES / "int" / "xor_self.peep").read_text())
+    report = run_pipeline(instance, _cfg(backend=backend))
+    stage1 = report.stages[0]
+    assert not stage1.accepted and stage1.candidates
+    for co in stage1.candidates:
+        assert (co.syntax_ok, co.verdict) == (False, None)
+        assert co.diagnostics == ["declares width variables ['W'], the rule []"]
+    # fed back like any validation error, until the iterations run out
+    assert len(backend.feedback) == pipeline.STAGE1_MAX_ITERATIONS
+    assert backend.feedback[-1][0].kind == "SyntaxError"
+    assert report.final_text is not None
 
 
 def _counted_checks(monkeypatch) -> list:
