@@ -321,8 +321,8 @@ def _bench_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _bench_one(path: Path, domain: str, table: costmod.CostTable,
-               backend_spec: str, budget: verifier.Budget, report_dir):
+def _bench_one(path: Path, domain: str, table: costmod.CostTable, backend,
+               budget: verifier.Budget, report_dir):
     """(name, domain, report or None, internal alarm message or None)."""
     name = path.stem
     try:
@@ -330,8 +330,7 @@ def _bench_one(path: Path, domain: str, table: costmod.CostTable,
         diags = validate(instance)
         if diags:
             return name, domain, None, None
-        cfg = pipemod.PipelineConfig(budget, table,
-                                     _backend(backend_spec, budget))
+        cfg = pipemod.PipelineConfig(budget, table, backend)
         # ingestion rejects only refuted or unprofitable instances
         verdict = verifier.check_refinement(instance, {}, budget)
         if (verdict.kind == "refuted"
@@ -365,8 +364,8 @@ def cmd_bench(dataset_dir, backend_spec, table_file, out, report_dir, jobs,
         raise CliError("--jobs must be positive", EXIT_USAGE)
     budget = _budget(None, None, seed)
     table = _cost_table(table_file)
-    # fail fast on a bad backend spec or LLM setting
-    _backend(backend_spec, budget)
+    # one backend for every instance: a bad spec or LLM setting fails fast
+    backend = _backend(backend_spec, budget)
     if report_dir:
         Path(report_dir).mkdir(parents=True, exist_ok=True)
     tasks = []
@@ -377,13 +376,13 @@ def cmd_bench(dataset_dir, backend_spec, table_file, out, report_dir, jobs,
         for path in sorted(ddir.glob("*.peep")):
             tasks.append((path, domain))
     if jobs == 1:
-        rows = [_bench_one(p, d, table, backend_spec, budget, report_dir)
+        rows = [_bench_one(p, d, table, backend, budget, report_dir)
                 for p, d in tasks]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(
-                lambda t: _bench_one(t[0], t[1], table, backend_spec,
-                                     budget, report_dir), tasks))
+                lambda t: _bench_one(t[0], t[1], table, backend, budget,
+                                     report_dir), tasks))
     summary = summarize_reports(rows)
     _emit(summary, out)
     click.echo(_bench_table(summary), err=True)

@@ -3,11 +3,13 @@
 Stage 1 symbolizes constants (with a feedback loop to the backend), stage 2
 abstracts preserved subexpressions into fresh inputs, stage 3 relaxes the
 precondition and instruction flags, and stage 4 generalizes bitwidths or
-float precisions.  Every candidate of every stage, and the final rule, is
-judged by one gate (`_gate`): refinement at the rule's own widths, never
-reduced, and profitability under the configured cost table.  Within one
-run the gate checks each rule, widths and budget once (`_refinement`).
-Weakenings additionally pass the strictly-weaker check.
+float precisions.  A proposed candidate is parsed and validated first: a
+rule by `_parse_candidate`, a weakening or width predicate as the trial
+rule it makes by `_parse_conjuncts`.  Every candidate of every stage, and
+the final rule, is judged by one gate (`_gate`): refinement at the rule's
+own widths, never reduced, and profitability under the configured cost
+table.  Within one run the gate checks each rule, widths and budget once
+(`_refinement`).  Weakenings additionally pass the strictly-weaker check.
 """
 from __future__ import annotations
 
@@ -139,7 +141,7 @@ def _add_note(outcome: StageOutcome, text: str) -> None:
 
 def _proposals(req: ProposalRequest, cfg: PipelineConfig,
                outcome: StageOutcome) -> list:
-    """The backend's proposals; a backend failure yields none and is
+    """The backend's candidate texts; a backend failure yields none and is
     recorded in the stage's note."""
     try:
         return proposer.propose(req, cfg.backend)
@@ -205,6 +207,27 @@ def _parse_candidate(text: str, rule: Rule):
     return cand, CandidateOutcome(text, True)
 
 
+def _parse_conjuncts(label: str, text: str, rule: Rule, start: int,
+                     end: int):
+    """Returns (conjuncts, trial, CandidateOutcome) for the conjuncts of
+    `text` put in place of `rule.pre[start:end]`: the trial is `rule` with
+    that precondition, or None (and the outcome records why) when `text`
+    does not parse or the trial fails validation."""
+    co = CandidateOutcome(f"{label}: {text.strip()}", True)
+    try:
+        parsed = textfmt.parse_conjuncts(text, dict(rule.sym_consts),
+                                         list(rule.width_vars))
+    except ParseError as e:
+        co.diagnostics.append(str(e))
+    else:
+        trial = replace(rule, pre=rule.pre[:start] + parsed + rule.pre[end:])
+        co.diagnostics.extend(str(d) for d in validate(trial))
+        if not co.diagnostics:
+            return parsed, trial, co
+    co.syntax_ok = False
+    return (), None, co
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: symbolic constants
 
@@ -220,12 +243,12 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig,
         proposals = _proposals(req, cfg, outcome)
         passers: list = []
         new_feedback = 0
-        for idx, p in enumerate(proposals):
-            cand, co = _parse_candidate(p.text, rule)
+        for idx, text in enumerate(proposals):
+            cand, co = _parse_candidate(text, rule)
             outcome.candidates.append(co)
             if cand is None:
                 feedback.append(FeedbackItem("SyntaxError",
-                                             "; ".join(co.diagnostics), p.text))
+                                             "; ".join(co.diagnostics), text))
                 new_feedback += 1
                 continue
             if _gate(cand, cfg, co, verdicts):
@@ -233,13 +256,13 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig,
             elif co.verdict["kind"] == "refuted":
                 feedback.append(FeedbackItem(
                     "Counterexample", json.dumps(co.verdict["counterexample"]),
-                    p.text))
+                    text))
                 new_feedback += 1
             elif co.verdict["kind"] == "verified":
                 feedback.append(FeedbackItem(
                     "Unprofitable",
                     f"lhs {costmod.cost(cand.lhs, cfg.table)} vs "
-                    f"rhs {costmod.cost(cand.rhs, cfg.table)}", p.text))
+                    f"rhs {costmod.cost(cand.rhs, cfg.table)}", text))
                 new_feedback += 1
         if passers:
             passers.sort(key=lambda t: (-t[0], t[1]))
@@ -269,8 +292,8 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig,
                            counts={"subexpressions_abstracted": 0})
     req = ProposalRequest(Structural(), print_rule(rule), (), K)
     passers: list = []
-    for idx, p in enumerate(_proposals(req, cfg, outcome)):
-        cand, co = _parse_candidate(p.text, rule)
+    for idx, text in enumerate(_proposals(req, cfg, outcome)):
+        cand, co = _parse_candidate(text, rule)
         outcome.candidates.append(co)
         if cand is None:
             continue
@@ -341,21 +364,14 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
     while i < len(rule.pre):
         req = ProposalRequest(WeakenPrecondition(i), print_rule(rule), (), K)
         accepted_here = False
-        for p in _proposals(req, cfg, outcome):
-            co = CandidateOutcome(f"weaken[{i}]: {p.text.strip()}", True)
+        for text in _proposals(req, cfg, outcome):
+            parsed, trial, co = _parse_conjuncts(f"weaken[{i}]", text, rule,
+                                                 i, i + 1)
             outcome.candidates.append(co)
-            try:
-                parsed = textfmt.parse_conjuncts(
-                    p.text, dict(rule.sym_consts), list(rule.width_vars))
-            except ParseError as e:
-                co.syntax_ok = False
-                co.diagnostics.append(str(e))
+            if trial is None or not _gate(trial, cfg, co, verdicts):
                 continue
-            new_pre = rule.pre[:i] + parsed + rule.pre[i + 1:]
-            trial = replace(rule, pre=new_pre)
-            if not _gate(trial, cfg, co, verdicts):
-                continue
-            sw = verifier.check_strictly_weaker(rule, new_pre, {}, cfg.budget)
+            sw = verifier.check_strictly_weaker(rule, trial.pre, {},
+                                                cfg.budget)
             co.strictly_weaker = isinstance(sw, StrictlyWeaker)
             if not co.strictly_weaker:
                 continue
@@ -459,24 +475,26 @@ def _admitted_widths(conjuncts: tuple, var: str, cap: int) -> list:
 
 def stage4_widths(rule: Rule, cfg: PipelineConfig,
                   verdicts: Optional[dict] = None):
+    """Returns (outcome, rule, the widths 1..WIDTH_CAP at which the
+    width-erased rule passed the gate, empty when none was swept)."""
     outcome = StageOutcome("widths", counts={"widths_generalized": 0,
                                              "precisions_passing": []})
     if _uses_floats(rule):
-        return _stage4_floats(rule, cfg, outcome, verdicts)
+        return (*_stage4_floats(rule, cfg, outcome, verdicts), [])
 
     reason = _int_static_gate(rule)
     if reason is not None:
         outcome.note = f"static gate: {reason}"
-        return outcome, rule
+        return outcome, rule, []
     widths = sorted({t.width for t in rule_types(rule)
                      if isinstance(t, IntType) and t.width != 1})
     if not widths:
         outcome.note = "no concrete integer widths to erase"
-        return outcome, rule
+        return outcome, rule, []
     if len(widths) > 1:
         outcome.note = (f"multiple distinct widths {widths}; "
                         "joint erasure not attempted")
-        return outcome, rule
+        return outcome, rule, []
     original = widths[0]
     var = "W"
     taken = set(rule.width_vars)
@@ -500,19 +518,16 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
         outcome.accepted_text = print_rule(erased)
         outcome.counts["widths_generalized"] = 1
         outcome.note = f"all widths 1..{WIDTH_CAP} pass"
-        return outcome, erased
+        return outcome, erased, passing
     if passing:
         req = ProposalRequest(WidthPredicate(tuple(passing), tuple(failing)),
                               print_rule(erased), (), K)
-        for p in _proposals(req, cfg, outcome):
-            co = CandidateOutcome(f"width predicate: {p.text.strip()}", True)
+        end = len(erased.pre)
+        for text in _proposals(req, cfg, outcome):
+            parsed, guarded, co = _parse_conjuncts(
+                "width predicate", text, erased, end, end)
             outcome.candidates.append(co)
-            try:
-                parsed = textfmt.parse_conjuncts(
-                    p.text, dict(erased.sym_consts), list(erased.width_vars))
-            except ParseError as e:
-                co.syntax_ok = False
-                co.diagnostics.append(str(e))
+            if guarded is None:
                 continue
             admitted = _admitted_widths(parsed, var, WIDTH_CAP)
             ok = (admitted
@@ -524,14 +539,13 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
                     f"admits {admitted}, passing set is {passing}")
                 continue
             co.accepted = True
-            guarded = replace(erased, pre=erased.pre + parsed)
             outcome.accepted_text = print_rule(guarded)
             outcome.counts["widths_generalized"] = 1
             outcome.note = f"width predicate admits {admitted}"
-            return outcome, guarded
+            return outcome, guarded, passing
     _add_note(outcome, f"passing widths {passing}, failing {failing}; "
                        "no predicate accepted")
-    return outcome, rule
+    return outcome, rule, passing
 
 
 def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
@@ -580,18 +594,15 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
     # every verdict of this run, for the gate to reuse
     verdicts: dict = {}
     for stage_fn in (stage1_symbolic_constants, stage2_structural,
-                     stage3_relax, stage4_widths):
+                     stage3_relax):
         outcome, rule = stage_fn(rule, cfg, verdicts)
         stages.append(outcome)
+    outcome, rule, passing = stage4_widths(rule, cfg, verdicts)
+    stages.append(outcome)
 
-    final_widths = {}
-    if rule.width_vars:
-        # re-verify the width-generalized rule at its largest passing width
-        widths_stage = stages[-1]
-        passing = [int(c.text.split("=")[-1]) for c in widths_stage.candidates
-                   if c.accepted and c.text.startswith("width ")]
-        w = max(passing) if passing else WIDTH_CAP
-        final_widths = {v: w for v in rule.width_vars}
+    # re-verify a width-generalized rule at its largest passing width
+    final_widths = {v: max(passing, default=WIDTH_CAP)
+                    for v in rule.width_vars}
     # the final rule passes the gate again, under a fresh seed
     final = CandidateOutcome(print_rule(rule), True)
     recheck = replace(cfg.budget, rng_seed=cfg.budget.rng_seed + 1)

@@ -3,8 +3,9 @@
 Three interchangeable backends sit behind one `propose` entry point: a
 remote chat-completion backend, a deterministic offline heuristic, and a
 replay backend that serves previously recorded responses keyed by request
-hash.  Backends emit raw candidate texts; parsing and gating happen in the
-pipeline.
+hash.  Every backend has one method, `respond`, which returns its raw
+response text; `propose` extracts the fenced candidate texts from it.
+Parsing and gating happen in the pipeline.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ class ProposerError(PeepError):
 
 
 # ---------------------------------------------------------------------------
-# Requests and proposals
+# Requests and responses
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,6 @@ class ProposalRequest:
     def __post_init__(self):
         if self.feedback and not isinstance(self.stage, SymbolicConstants):
             raise PeepError("feedback is only fed back into the first stage")
-
-
-@dataclass(frozen=True)
-class Proposal:
-    text: str
-    backend: str
-    response_hash: str
 
 
 def request_hash(req: ProposalRequest) -> str:
@@ -139,8 +133,15 @@ def extract_fenced(text: str) -> list:
     return [m.group(1).strip() + "\n" for m in _FENCE.finditer(text)]
 
 
+def fence(texts: list) -> str:
+    """A response holding each of `texts` in its own fenced block."""
+    return "\n".join(f"```\n{t.rstrip()}\n```" for t in texts)
+
+
 def propose(req: ProposalRequest, backend) -> list:
-    return backend.generate(req)[: req.k]
+    """The candidate texts fenced in the backend's response to `req` (its
+    `respond`, None when it has none), at most `req.k` of them."""
+    return extract_fenced(backend.respond(req) or "")[: req.k]
 
 
 # ---------------------------------------------------------------------------
@@ -520,33 +521,25 @@ def _width_pred_candidates(rule: Rule, stage: WidthPredicate) -> list:
 class HeuristicBackend:
     """Deterministic offline candidate generation."""
 
-    name = "heuristic"
-
     def __init__(self, budget: Optional[verifier.Budget] = None):
         self.budget = budget or verifier.Budget()
 
-    def raw_response(self, req: ProposalRequest) -> Optional[str]:
-        return None
-
-    def generate(self, req: ProposalRequest) -> list:
+    def respond(self, req: ProposalRequest) -> str:
         rule = textfmt.parse_rule(req.rule_text)
         stage = req.stage
-        texts: list = []
         if isinstance(stage, SymbolicConstants):
             skeleton, _ = symbolize_literals(rule)
-            for _assignment, conjuncts in heuristic_fit_constants(
-                    rule, {}, self.budget):
-                texts.append(textfmt.print_rule(
-                    replace(skeleton, pre=conjuncts)))
+            texts = [textfmt.print_rule(replace(skeleton, pre=conjuncts))
+                     for _assignment, conjuncts in heuristic_fit_constants(
+                         rule, {}, self.budget)]
         elif isinstance(stage, Structural):
             texts = [textfmt.print_rule(c) for c in _structural_candidates(rule)]
         elif isinstance(stage, WeakenPrecondition):
             texts = [textfmt.print_pred(p)
                      for p in _weaken_candidates(rule, stage.conjunct)]
-        elif isinstance(stage, WidthPredicate):
+        else:
             texts = _width_pred_candidates(rule, stage)
-        h = request_hash(req)
-        return [Proposal(t, self.name, h) for t in texts[: req.k]]
+        return fence(texts[: req.k])
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +563,6 @@ class LLMBackend:
     key.  A missing or malformed setting raises ProposerError before any
     request is made.
     """
-
-    name = "llm"
 
     def __init__(self, config: Optional[dict] = None):
         cfg = dict(config or {})
@@ -621,14 +612,8 @@ class LLMBackend:
                 last = e
         raise ProposerError(f"chat request failed after retries: {last}")
 
-    def raw_response(self, req: ProposalRequest) -> str:
+    def respond(self, req: ProposalRequest) -> str:
         return self._complete(render_prompt(req))
-
-    def generate(self, req: ProposalRequest) -> list:
-        raw = self.raw_response(req)
-        h = hashlib.sha256(raw.encode()).hexdigest()
-        return [Proposal(t, self.name, h)
-                for t in extract_fenced(raw)[: req.k]]
 
 
 # ---------------------------------------------------------------------------
@@ -638,45 +623,24 @@ class LLMBackend:
 class ReplayBackend:
     """Serves recorded responses from a directory keyed by request hash."""
 
-    name = "replay"
-
     def __init__(self, directory):
         self.directory = Path(directory)
 
-    def _path(self, req: ProposalRequest) -> Path:
-        return self.directory / f"{request_hash(req)}.txt"
-
-    def raw_response(self, req: ProposalRequest) -> Optional[str]:
-        path = self._path(req)
+    def respond(self, req: ProposalRequest) -> Optional[str]:
+        path = self.directory / f"{request_hash(req)}.txt"
         return path.read_text() if path.exists() else None
-
-    def generate(self, req: ProposalRequest) -> list:
-        raw = self.raw_response(req)
-        if raw is None:
-            return []
-        h = hashlib.sha256(raw.encode()).hexdigest()
-        return [Proposal(t, self.name, h)
-                for t in extract_fenced(raw)[: req.k]]
 
 
 class RecordingBackend:
-    """Wraps a backend and captures its raw responses for later replay."""
+    """Wraps a backend and writes each of its raw responses where
+    `ReplayBackend` reads it back (no response is recorded as empty)."""
 
     def __init__(self, inner, directory):
         self.inner = inner
-        self.name = inner.name
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def raw_response(self, req: ProposalRequest):
-        return self.inner.raw_response(req)
-
-    def generate(self, req: ProposalRequest) -> list:
-        raw = self.inner.raw_response(req)
-        if raw is None:
-            proposals = self.inner.generate(req)
-            raw = "\n".join(f"```\n{p.text.rstrip()}\n```" for p in proposals)
+    def respond(self, req: ProposalRequest) -> str:
+        raw = self.inner.respond(req) or ""
         (self.directory / f"{request_hash(req)}.txt").write_text(raw)
-        h = hashlib.sha256(raw.encode()).hexdigest()
-        return [Proposal(t, self.name, h)
-                for t in extract_fenced(raw)[: req.k]]
+        return raw

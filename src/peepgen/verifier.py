@@ -4,13 +4,14 @@ recursive width/precision reduction.
 The joint (constants, inputs) space is checked exhaustively when it fits
 the budget.  Each free constant of at most `_NARROW_SPACE` patterns is first
 narrowed to the sorted patterns that satisfy the const-only conjuncts naming
-it alone (`_FreeSpace`); the narrowed space is walked (`_walk`), in fixed
-pieces of flat indices, until the satisfying tuples found make the check
-sampled for certain, in a seeded order of its flat indices (`_permute`)
-when that bound is below the space, so that the first finds are the
-sample.  A walk that reaches the end sorts
-its finds back to index order, so exhaustive verdicts and counterexamples
-do not depend on the walk.  A space too large to walk is sampled by
+it alone (`_FreeSpace`); the narrowed space is walked (`_walk`) in fixed
+pieces of flat indices and stops after the piece in which the satisfying
+tuples found make the check sampled for certain.  When that bound is
+below the space the walk visits a seeded order of its flat indices
+(`_permute`), so that the first finds are the sample.  A walk that finds
+fewer than its bound has visited the whole space and sorts its finds back
+to index order, so exhaustive verdicts and counterexamples do not depend
+on the walk.  A space too large to walk is sampled by
 rejection (`sample_satisfying_consts`), after the cross of special values,
 which is filtered in the same pieces and stops once the sample is found.
 Above the limit, a special-value pass first crosses the satisfying special
@@ -330,65 +331,45 @@ def _permute(idx: np.ndarray, bits: int, seed: int) -> np.ndarray:
 
 
 def _walk(resolved: Rule, space: _FreeSpace, defs: list,
-          stop: Optional[int], seed: int) -> tuple:
-    """Filter the free space until `stop` satisfying tuples are found (None:
-    no bound) or every flat index was visited.
+          stop: Optional[int], seed: int) -> dict:
+    """Filter the free space `_WALK_PIECE` flat indices at a time, until
+    the piece in which the satisfying tuples found reach `stop` (None: no
+    bound) or the end of the space; returns name -> (array, Type).
 
-    Returns (name -> (array, Type), complete).  A bound below the space
-    walks a seeded bijection of the flat indices (`_permute`), so an early
-    stop yields its tuples in that seeded order; a complete walk sorts them
-    back to index order.  Without a bound below the space the walk is in
-    index order and visits every index.  The bound is checked at the ends
-    of batches that double from `stop` up to `_CHUNK` indices: the walk
-    stops at the first batch end where it has found `stop` tuples, keeps
-    the tuples before that end, and is complete when that end is the end of
-    the space.  The batches only place those ends; the indices are filtered
-    `_WALK_PIECE` at a time, so short batches share a piece, a long one is
-    cut into pieces, and memory stays at one piece.
+    A bound below the space walks a seeded bijection of the flat indices
+    (`_permute`), so a stopped walk yields every find up to the end of that
+    piece, in the seeded order.  A complete walk (fewer than `stop` finds)
+    visited every index and sorts its finds back to index order.  Memory
+    stays at one piece besides the finds.
     """
     total = space.size
     bits = sum(space.bits)
     permuted = stop is not None and stop < total
     dtype = engine.index_dtype(bits)
-    # the end of the batch checked next and the size of the one after it;
-    # without a bound below the space, one batch is the whole space
-    boundary, step = (min(stop, _CHUNK), 2 * stop) if permuted else (total, 0)
-    pieces, found, start, stopped = [], 0, 0, False
-    while start < total and not stopped:
-        end = min(start + _WALK_PIECE, total)
-        idx = np.arange(start, end, dtype=dtype)
+    pieces, found = [], 0
+    for start in range(0, total, _WALK_PIECE):
+        if stop is not None and found >= stop:
+            break
+        idx = np.arange(start, min(start + _WALK_PIECE, total), dtype=dtype)
         if permuted:
             idx = _permute(idx, bits, seed)
-        piece, keep = space.satisfying(idx, defs)
-        while boundary <= end and boundary < total:
-            kept = int(np.count_nonzero(keep[:boundary - start]))
-            if found + kept >= stop:
-                # the walk stops at this batch end: drop the tuples past it
-                piece = {name: (arr[:kept], ty)
-                         for name, (arr, ty) in piece.items()}
-                end, stopped = boundary, True
-                break
-            boundary = min(boundary + min(step, _CHUNK), total)
-            step *= 2
-        pieces.append(piece)
-        found += _const_count(piece)
-        start = end
+        pieces.append(space.satisfying(idx, defs)[0])
+        found += _const_count(pieces[-1])
     const_map = _join(resolved, pieces)
-    complete = start == total
-    if complete and permuted:
+    if permuted and found < stop:
         # index order is the lexicographic order of the free patterns
         order = np.lexsort([const_map[name][0].view(engine.storage_dtype(ty))
                             for name, ty in reversed(space.free)])
         const_map = {name: (arr[order], ty)
                      for name, (arr, ty) in const_map.items()}
-    return const_map, complete
+    return const_map
 
 
 def enumerate_satisfying_consts(resolved: Rule, free: list, defs: list,
                                 const_only) -> dict:
     """All satisfying constant assignments in index order (a complete walk
     of the narrowed space); returns name -> (array, Type)."""
-    return _walk(resolved, _FreeSpace(free, const_only), defs, None, 0)[0]
+    return _walk(resolved, _FreeSpace(free, const_only), defs, None, 0)
 
 
 def _type_pools(types: list) -> list:
@@ -498,16 +479,6 @@ def sample_satisfying_consts(resolved: Rule, free: list, defs: list,
     limit = budget.constant_sample_count
     return {name: (data[:limit], ty)
             for name, (data, ty) in _join(resolved, batches).items()}
-
-
-def _choose_consts(const_map: dict, count: int, rng) -> dict:
-    if not const_map:
-        return const_map
-    total = _const_count(const_map)
-    if total <= count:
-        return const_map
-    idx = rng.choice(total, size=count, replace=False)
-    return {n: (arr[idx], ty) for n, (arr, ty) in const_map.items()}
 
 
 def _satisfying_specials(resolved: Rule, free: list, defs: list,
@@ -729,8 +700,7 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
         stop = (max(budget.exhaustive_limit // pspace,
                     budget.constant_sample_count) + 1
                 if budget.sample_count else None)
-        const_map, complete = _walk(resolved, space, defs, stop,
-                                    budget.rng_seed)
+        const_map = _walk(resolved, space, defs, stop, budget.rng_seed)
         sat = _const_count(const_map)
         if sat == 0:
             return Inconclusive("NoSatisfyingConstants",
@@ -747,12 +717,11 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
                 "BudgetExceeded",
                 f"joint satisfying space {sat}x{pspace} exceeds "
                 f"{budget.exhaustive_limit} and sampling is disabled")
-        if complete:
-            const_map = _choose_consts(const_map,
-                                       budget.constant_sample_count, rng)
-        else:
-            const_map = {name: (arr[:budget.constant_sample_count], ty)
-                         for name, (arr, ty) in const_map.items()}
+        # a complete walk has at most `constant_sample_count` finds here
+        # (more than `exhaustive_limit // pspace`), so all are kept; a
+        # stopped walk keeps its first finds in the seeded order
+        const_map = {name: (arr[:budget.constant_sample_count], ty)
+                     for name, (arr, ty) in const_map.items()}
     elif budget.sample_count == 0:
         return Inconclusive(
             "BudgetExceeded",

@@ -16,6 +16,15 @@ DOCS = REPO / "docs"
 
 POISON = "poison"  # oracle-local poison marker, distinct from the library's
 
+# an instance whose rule holds at every width but 1 (where `slt x, 1` reads
+# 1 as -1), so stage 4 accepts a width predicate
+SLT_ONE = """
+rule "slt_one" {
+  lhs fn(x: i8) -> i1 { %0 = add i8 %x, 0; %1 = icmp.slt i8 %0, 1; ret %1 }
+  rhs fn(x: i8) -> i1 { %0 = icmp.sle i8 %x, 0; ret %0 }
+}
+"""
+
 
 def _sval(x: int, w: int) -> int:
     x &= (1 << w) - 1

@@ -13,7 +13,7 @@ from peepgen.ir import PeepError
 from peepgen.proposer import LLMBackend
 from peepgen.verifier import ReplayMismatch
 
-from conftest import DOCS, FIXTURES, REPO
+from conftest import DOCS, FIXTURES, REPO, SLT_ONE
 
 BAD_RULE = """
 rule "bad" {
@@ -288,6 +288,45 @@ def test_generalize_heuristic_succeeds(tmp_path):
     report = json.loads(outs[0])
     assert report["final"] is not None
     jsonschema.validate(report, _schema("report.schema.json"))
+
+
+def test_generalize_and_bench_survive_an_accepted_width_predicate(tmp_path):
+    # slt_one holds at every width but 1; its width-predicate rule is
+    # rechecked at W = 16, and neither command ends in a traceback
+    ddir = tmp_path / "data" / "int"
+    ddir.mkdir(parents=True)
+    (ddir / "slt_one.peep").write_text(SLT_ONE)
+    proc = run_cli("generalize", str(ddir / "slt_one.peep"))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert "pre: W >=u 2 && W <=u 16;" in report["final"]
+    assert report["final_widths"] == {"W": 16}
+    assert report["final_verdict"]["mode"] == "exhaustive"
+    proc = run_cli("bench", str(tmp_path / "data"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] == {
+        "instances": 1, "success": 1, "rejected": 0}
+
+
+def test_bench_builds_one_backend(tmp_path, monkeypatch, capsys):
+    ddir = tmp_path / "data" / "int"
+    ddir.mkdir(parents=True)
+    for name in ("a", "b"):
+        (ddir / f"{name}.peep").write_text(
+            (FIXTURES / "int" / "xor_self.peep").read_text())
+    built = []
+    backend = cli._backend
+
+    def counted(spec, budget):
+        built.append(spec)
+        return backend(spec, budget)
+
+    monkeypatch.setattr(cli, "_backend", counted)
+    code, out, _err = _main(monkeypatch, capsys, "bench",
+                            str(tmp_path / "data"))
+    assert code == 0
+    assert json.loads(out)["total"]["success"] == 2
+    assert built == ["heuristic"]
 
 
 def test_generalize_replay_backend():

@@ -2,12 +2,13 @@ from peepgen import pipeline, textfmt, verifier
 from peepgen.pipeline import (PipelineConfig, compare_generality,
                               flag_removals, match_rule, relax_to_fixpoint,
                               run_pipeline, stage3_relax, stage4_widths,
-                              StageOutcome)
-from peepgen.proposer import (HeuristicBackend, Proposal, ProposerError,
-                              ReplayBackend, SymbolicConstants)
+                              StageOutcome, weaken_conjuncts)
+from peepgen.proposer import (HeuristicBackend, ProposerError, ReplayBackend,
+                              SymbolicConstants, WeakenPrecondition,
+                              WidthPredicate, fence)
 from peepgen.verifier import Budget
 
-from conftest import FIXTURES, parse
+from conftest import FIXTURES, SLT_ONE, parse
 
 REPLAY = FIXTURES / "replay"
 
@@ -101,10 +102,11 @@ rule "shl_to_mul" {
 
 def test_widths_stage_generalizes_xor_self():
     rule = parse((FIXTURES / "int" / "xor_self.peep").read_text())
-    outcome, erased = stage4_widths(rule, _cfg())
+    outcome, erased, passing = stage4_widths(rule, _cfg())
     assert outcome.counts["widths_generalized"] == 1
     assert erased.width_vars == ("W",)
     assert "all widths" in outcome.note
+    assert passing == list(range(1, pipeline.WIDTH_CAP + 1))
 
 
 def test_pipeline_transitions_never_lose_generality():
@@ -193,9 +195,7 @@ def test_compare_generality_strict_superset():
 
 
 class _FailingBackend:
-    name = "failing"
-
-    def generate(self, req):
+    def respond(self, req):
         raise ProposerError("endpoint unreachable")
 
 
@@ -216,22 +216,21 @@ rule "i" {
 
 class _WidthVarBackend:
     """Proposes a width-generic rule for stage 1, nothing elsewhere."""
-    name = "widthvar"
 
     def __init__(self):
         self.feedback = []
 
-    def generate(self, req):
+    def respond(self, req):
         if not isinstance(req.stage, SymbolicConstants):
-            return []
+            return None
         self.feedback.append(req.feedback)
-        return [Proposal("""
+        return fence(["""
 rule "xor_self" {
   widthvar W;
   lhs fn(x: iW) -> iW { %0 = xor iW %x, %x; ret %0 }
   rhs fn(x: iW) -> iW { ret 0 }
 }
-""", self.name, "")]
+"""])
 
 
 def test_candidate_with_other_width_variables_is_rejected():
@@ -298,3 +297,44 @@ def test_final_recheck_reuses_the_exhaustive_stage4_verdict(monkeypatch):
     assert report.final_verdict["seed"] == 1
     assert after_stage4 == [len(budgets)]
     assert all(b.rng_seed == 0 for b in budgets)
+
+
+class _ScriptedBackend:
+    """Answers the stages named in `responses` (stage tag -> candidate
+    texts), nothing elsewhere."""
+
+    def __init__(self, responses):
+        self.responses = responses
+
+    def respond(self, req):
+        texts = self.responses.get(req.stage.tag)
+        return None if texts is None else fence(texts)
+
+
+def test_weakening_that_fails_validation_is_a_syntax_error():
+    # %zz names no parameter: the trial is rejected before the gate, which
+    # would evaluate the unbound reference
+    rule = parse(FLAGGED)
+    backend = _ScriptedBackend({WeakenPrecondition.tag: ["RangeU(%zz, 0, 5)"]})
+    outcome = StageOutcome("relax")
+    relaxed, weakened = weaken_conjuncts(rule, _cfg(backend=backend), outcome)
+    assert (relaxed, weakened) == (rule, 0)
+    [co] = outcome.candidates
+    assert co.text == "weaken[0]: RangeU(%zz, 0, 5)"
+    assert (co.syntax_ok, co.verdict, co.accepted) == (False, None, False)
+    assert co.diagnostics == ["pre[0]: unknown value reference zz"]
+
+
+def test_width_predicate_that_fails_validation_is_a_syntax_error():
+    # the accepted predicate is a stage-4 candidate too: the final width
+    # comes from the widths stage 4 passed, not from candidate labels
+    backend = _ScriptedBackend({WidthPredicate.tag: [
+        "RangeU(%zz, 0, 5)", "W >=u 2 && W <=u 16"]})
+    report = run_pipeline(parse(SLT_ONE), _cfg(backend=backend))
+    bad, good = report.stages[-1].candidates[-2:]
+    assert bad.text == "width predicate: RangeU(%zz, 0, 5)"
+    assert (bad.syntax_ok, bad.accepted) == (False, False)
+    assert bad.diagnostics == ["pre[0]: unknown value reference zz"]
+    assert (good.syntax_ok, good.accepted) == (True, True)
+    assert "pre: W >=u 2 && W <=u 16;" in report.final_text
+    assert report.final_widths == {"W": 16}

@@ -9,10 +9,10 @@ from peepgen import proposer, semantics, textfmt, verifier
 from peepgen.ir import (CBin, CConst, CInt, CUn, IntType, PCmp, PeepError,
                         PPow2, guards_partial_op, mask)
 from peepgen.proposer import (FeedbackItem, HeuristicBackend, LLMBackend,
-                              Proposal, ProposalRequest, ProposerError,
+                              ProposalRequest, ProposerError,
                               RecordingBackend, ReplayBackend, Structural,
                               SymbolicConstants, WeakenPrecondition,
-                              WidthPredicate, extract_fenced,
+                              WidthPredicate, extract_fenced, fence,
                               heuristic_fit_constants, propose, render_prompt,
                               request_hash, symbolize_literals,
                               template_equalities)
@@ -39,7 +39,7 @@ rule "s" {
 
 def test_heuristic_rediscovers_xor_and_relation():
     req = ProposalRequest(SymbolicConstants(), XOR_AND_TEXT)
-    texts = [p.text for p in HeuristicBackend().generate(req)]
+    texts = propose(req, HeuristicBackend())
     # either xor-rearrangement of the same relation is acceptable
     assert any("C4 == C3 ^ C1 & C2" in t or "C3 == C1 & C2 ^ C4" in t
                for t in texts)
@@ -47,7 +47,7 @@ def test_heuristic_rediscovers_xor_and_relation():
 
 def test_heuristic_finds_power_of_two_shift():
     req = ProposalRequest(SymbolicConstants(), MUL8_TEXT)
-    texts = [p.text for p in HeuristicBackend().generate(req)]
+    texts = propose(req, HeuristicBackend())
     assert any("PowerOfTwo(C1)" in t and "log2(C1)" in t for t in texts)
 
 
@@ -271,8 +271,8 @@ rule "w" {
 """
     req = ProposalRequest(WidthPredicate((4, 6, 8), (1, 2, 3, 16)), rule_text)
     admitted = []
-    for p in HeuristicBackend().generate(req):
-        conjuncts = textfmt.parse_conjuncts(p.text, {}, ["W"])
+    for text in propose(req, HeuristicBackend()):
+        conjuncts = textfmt.parse_conjuncts(text, {}, ["W"])
         admitted.append([w for w in range(1, 17)
                          if semantics.eval_predicate(conjuncts, {}, {},
                                                      {"W": w})])
@@ -281,8 +281,8 @@ rule "w" {
 
 def test_heuristic_is_deterministic():
     req = ProposalRequest(SymbolicConstants(), XOR_AND_TEXT)
-    a = [p.text for p in HeuristicBackend().generate(req)]
-    b = [p.text for p in HeuristicBackend().generate(req)]
+    a = HeuristicBackend().respond(req)
+    b = HeuristicBackend().respond(req)
     assert a == b
 
 
@@ -330,18 +330,34 @@ def test_extract_fenced():
     assert extract_fenced(raw) == ["block one\n", "block two\n"]
 
 
+def test_fence_round_trips_through_extract_fenced():
+    texts = ['rule "r" {\n}\n', "C1 <=u 3"]
+    assert extract_fenced(fence(texts)) == ['rule "r" {\n}\n', "C1 <=u 3\n"]
+    assert fence([]) == "" and extract_fenced("") == []
+
+
 def test_replay_missing_request_yields_nothing(tmp_path):
-    backend = ReplayBackend(tmp_path)
-    assert backend.generate(
-        ProposalRequest(SymbolicConstants(), XOR_AND_TEXT)) == []
+    req = ProposalRequest(SymbolicConstants(), XOR_AND_TEXT)
+    assert ReplayBackend(tmp_path).respond(req) is None
+    assert propose(req, ReplayBackend(tmp_path)) == []
 
 
 def test_recording_then_replay_round_trip(tmp_path):
+    # a recording is the wrapped backend's raw response, byte for byte
     req = ProposalRequest(SymbolicConstants(), MUL8_TEXT)
-    recorded = RecordingBackend(HeuristicBackend(), tmp_path).generate(req)
-    replayed = ReplayBackend(tmp_path).generate(req)
-    assert [p.text.strip() for p in replayed] == \
-        [p.text.strip() for p in recorded]
+    recorded = propose(req, RecordingBackend(HeuristicBackend(), tmp_path))
+    assert recorded
+    assert (tmp_path / f"{request_hash(req)}.txt").read_text() == \
+        HeuristicBackend().respond(req)
+    assert propose(req, ReplayBackend(tmp_path)) == recorded
+
+
+def test_recording_a_missing_response_writes_an_empty_one(tmp_path):
+    req = ProposalRequest(SymbolicConstants(), XOR_AND_TEXT)
+    recorder = RecordingBackend(ReplayBackend(tmp_path / "none"),
+                                tmp_path / "rec")
+    assert propose(req, recorder) == []
+    assert (tmp_path / "rec" / f"{request_hash(req)}.txt").read_text() == ""
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
@@ -374,10 +390,10 @@ def chat_server():
 def test_llm_backend_against_mock_server(chat_server):
     backend = LLMBackend({"endpoint": chat_server, "model": "m",
                           "timeout_s": 5, "retries": 0})
-    proposals = backend.generate(
-        ProposalRequest(SymbolicConstants(), XOR_AND_TEXT))
+    proposals = propose(ProposalRequest(SymbolicConstants(), XOR_AND_TEXT),
+                        backend)
     assert len(proposals) == 1
-    assert 'rule "x"' in proposals[0].text
+    assert 'rule "x"' in proposals[0]
 
 
 def test_llm_backend_error_is_retryable(chat_server):
@@ -386,8 +402,8 @@ def test_llm_backend_error_is_retryable(chat_server):
         backend = LLMBackend({"endpoint": chat_server, "model": "m",
                               "timeout_s": 5, "retries": 1})
         with pytest.raises(ProposerError):
-            backend.generate(ProposalRequest(SymbolicConstants(),
-                                             XOR_AND_TEXT))
+            backend.respond(ProposalRequest(SymbolicConstants(),
+                                            XOR_AND_TEXT))
     finally:
         _ChatHandler.status = 200
 

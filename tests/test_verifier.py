@@ -484,32 +484,27 @@ def test_sampled_walk_stops_early_with_a_spread_sample(monkeypatch):
         assert len(np.unique(scanned[0][name][0][:256])) >= 128
 
 
-def _doubling_walk(resolved, space, defs, stop, seed):
-    """The reference constant walk: batches that double from `stop` (up to
-    `_CHUNK` indices), each filtered whole, until one ends with `stop`
-    tuples found."""
+def _reference_walk(resolved, space, defs, stop, seed):
+    """The walk's contract, from whole-space filters: with fewer than
+    `stop` satisfying tuples (or no bound) it is the index-order
+    enumeration; otherwise the satisfying tuples of the whole permuted
+    order, cut after the first `_WALK_PIECE` indices whose finds reach
+    `stop`."""
     total = space.size
     bits = sum(space.bits)
-    permuted = stop is not None and stop < total
-    step = stop if permuted else verifier._CHUNK
-    batches, found, start = [], 0, 0
-    while start < total and (stop is None or found < stop):
-        end = min(start + min(step, verifier._CHUNK), total)
-        idx = np.arange(start, end, dtype=engine.index_dtype(bits))
-        if permuted:
-            idx = verifier._permute(idx, bits, seed)
-        batches.append(space.satisfying(idx, defs)[0])
-        found += verifier._const_count(batches[-1])
-        start, step = end, 2 * step
-    const_map = {name: (np.concatenate([b[name][0] for b in batches]), ty)
-                 for name, ty in resolved.sym_consts}
-    complete = start == total
-    if complete and permuted:
-        order = np.lexsort([const_map[name][0].view(engine.storage_dtype(ty))
-                            for name, ty in reversed(space.free)])
-        const_map = {name: (arr[order], ty)
-                     for name, (arr, ty) in const_map.items()}
-    return const_map, complete
+    idx = np.arange(total, dtype=engine.index_dtype(bits))
+    everything, _keep = space.satisfying(idx, defs)
+    if stop is None or verifier._const_count(everything) < stop:
+        return {name: everything[name] for name, _ in resolved.sym_consts}
+    order = verifier._permute(idx, bits, seed) if stop < total else idx
+    sat, keep = space.satisfying(order, defs)
+    finds = np.cumsum(keep)
+    # the end of the piece holding the index at which the finds reach stop
+    end = (int(np.argmax(finds >= stop)) // verifier._WALK_PIECE + 1) * \
+        verifier._WALK_PIECE
+    kept = int(finds[min(end, total) - 1])
+    return {name: (sat[name][0][:kept], ty)
+            for name, ty in resolved.sym_consts}
 
 
 @st.composite
@@ -545,13 +540,13 @@ def walked_spaces(draw):
 
 @pytest.mark.parametrize("piece", [1, 3, 7, 1 << 14])
 @settings(max_examples=25, deadline=None)
-@given(walked_spaces(), st.sampled_from([64, 1 << 22]))
-def test_piece_walk_equals_doubling_walk(piece, space, chunk):
-    # the walk filters fixed pieces but stops where the doubling batches
-    # end, so its tuples, their order and `complete` are the reference's
+@given(walked_spaces())
+def test_walk_stops_after_the_piece_that_reaches_its_bound(piece, space):
+    # its tuples, their order and whether it is complete are those of the
+    # reference, for every piece size
     rule, free, defs, const_only = space
-    saved = verifier._WALK_PIECE, verifier._CHUNK
-    verifier._WALK_PIECE, verifier._CHUNK = piece, chunk
+    saved = verifier._WALK_PIECE
+    verifier._WALK_PIECE = piece
     try:
         walked = verifier._FreeSpace(free, const_only)
         total = walked.size
@@ -559,10 +554,8 @@ def test_piece_walk_equals_doubling_walk(piece, space, chunk):
             if stop is not None and stop < 1:
                 continue
             for seed in (0, 1):
-                got, complete = verifier._walk(rule, walked, defs, stop, seed)
-                want, want_complete = _doubling_walk(rule, walked, defs,
-                                                     stop, seed)
-                assert complete == want_complete
+                got = verifier._walk(rule, walked, defs, stop, seed)
+                want = _reference_walk(rule, walked, defs, stop, seed)
                 assert list(got) == list(want)
                 for name, (arr, ty) in want.items():
                     assert got[name][1] == ty
@@ -570,7 +563,7 @@ def test_piece_walk_equals_doubling_walk(piece, space, chunk):
     except engine.UnsupportedConstruct:
         assume(False)
     finally:
-        verifier._WALK_PIECE, verifier._CHUNK = saved
+        verifier._WALK_PIECE = saved
 
 
 # FOUND-32's walk: C2 is not derived (cttz(cttz(C1)) is i8), so all 2^24
@@ -596,12 +589,13 @@ def test_sparse_walk_memory_stays_at_one_piece():
     stop = budget.exhaustive_limit // 256 + 1
     tracemalloc.start()
     try:
-        const_map, complete = verifier._walk(rule, space, defs, stop, 0)
+        const_map = verifier._walk(rule, space, defs, stop, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert complete and space.size == 1 << 24
-    assert verifier._const_count(const_map) == 256
+    # complete: fewer finds than the bound, so every index was visited
+    assert space.size == 1 << 24
+    assert verifier._const_count(const_map) == 256 < stop
     assert peak < 16 << 20
 
 

@@ -17,8 +17,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from peepgen import textfmt  # noqa: E402
 from peepgen.pipeline import PipelineConfig, run_pipeline  # noqa: E402
 from peepgen.proposer import (  # noqa: E402
-    HeuristicBackend, Proposal, RecordingBackend, Structural,
-    SymbolicConstants, WeakenPrecondition)
+    HeuristicBackend, RecordingBackend, Structural, SymbolicConstants,
+    WeakenPrecondition, fence)
 from peepgen.verifier import Budget  # noqa: E402
 
 NEG_LSHR_STAGE1 = '''rule "negate_lshr_or" {
@@ -67,25 +67,17 @@ NEG_LSHR_WEAKENED_BOUND = "C2 <=u 64 - popcount(C1)\n"
 class ScriptedNegateLshrBackend:
     """Canned responses reproducing the documented stage trace for the negate/lshr/or rule."""
 
-    name = "scripted"
-
-    def raw_response(self, req):
-        proposals = self.generate(req)
-        if not proposals:
-            return None
-        return "\n".join(f"```\n{p.text.rstrip()}\n```" for p in proposals)
-
-    def generate(self, req):
+    def respond(self, req):
         if isinstance(req.stage, SymbolicConstants):
-            return [Proposal(NEG_LSHR_STAGE1, self.name, "")]
+            return fence([NEG_LSHR_STAGE1])
         if isinstance(req.stage, Structural):
-            return [Proposal(NEG_LSHR_STAGE2, self.name, "")]
+            return fence([NEG_LSHR_STAGE2])
         if isinstance(req.stage, WeakenPrecondition):
             rule = textfmt.parse_rule(req.rule_text)
             conj = textfmt.print_pred(rule.pre[req.stage.conjunct])
             if conj == "C2 <=u 32":
-                return [Proposal(NEG_LSHR_WEAKENED_BOUND, self.name, "")]
-        return []
+                return fence([NEG_LSHR_WEAKENED_BOUND])
+        return None
 
 
 def record(path: pathlib.Path, backend, replay_dir: pathlib.Path) -> None:
