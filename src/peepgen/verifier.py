@@ -26,15 +26,15 @@ sampled scan loops over its constants.  Inputs come from one column source
 most `_CHUNK` tuples and otherwise range by range as the blocks ask for it.
 `_blocks` is the one block-size policy: a block is a column of consecutive
 looped entries x the vectorised row (about `_BLOCK` points); a row wider
-than that is cut into pieces that start at about `_BLOCK` points and double
-up to `_CHUNK`, so a check refuted early pays for little more than the
-points before its violation.  A block's first violation is taken in
-row-major order, the order of looping one entry at a time.  A block
-evaluates the parameter precondition first; when it admits at most half
-of the block, lhs and rhs run only on the admitted points, gathered in
-row-major order (`_admitted`), so the first violation is the same point.
-The point count covers every scanned point, admitted or not.  Grids are
-enumerated by bit slicing the flat index (`engine.unravel_chunk`,
+than that is cut into pieces of `_BLOCK` points (the rest joining the
+last), so a check refuted early pays for little more than the points
+before its violation, and memory stays at a few pieces.  A block's first
+violation is taken in row-major order, the order of looping one entry at a
+time.  A block evaluates the parameter precondition first; when it admits
+at most half of the block, lhs and rhs run only on the admitted points,
+gathered in row-major order (`_admitted`), so the first violation is the
+same point.  The point count covers every scanned point, admitted or not.
+Grids are enumerated by bit slicing the flat index (`engine.unravel_chunk`,
 `engine.slice_digits`).  The sampled scan evaluates each distinct constant
 tuple and each distinct sampled input tuple once (first occurrences in
 order, compared by bit pattern): a repeated point cannot hold the first
@@ -45,6 +45,13 @@ was drawn from (`_sampled_inputs`).  Every satisfying constant set is built
 by one filter (`_satisfying`).  Every Refuted verdict carries a
 counterexample that is re-checked with the scalar evaluator before being
 returned (self-validation).
+
+The strictly-weaker check reads its point space `_BLOCK` points at a time
+(`_pieces`): the exhaustive grid through `engine.unravel_chunk`, or the
+seeded draws and then the special cross, whose ranges are unravelled as
+they are read (`_cross_reader`, shared with `sample_satisfying_consts`).
+Its "not implied" point and its witness are both replayed with the scalar
+evaluator.
 """
 from __future__ import annotations
 
@@ -388,6 +395,19 @@ def _cross_pools(pools: list, cap: int) -> list:
     return [np.resize(p, n) for p in pools]
 
 
+def _cross_reader(pools: list, cap: int) -> tuple:
+    """`_cross_pools` read by ranges: (its tuple count, a function from a
+    range [a, b) of it to one pattern array per pool).  A range of a cross
+    is unravelled when it is read, so a large cross is never built whole."""
+    shape = tuple(map(len, pools))
+    total = math.prod(shape) if pools else 0
+    if total > cap:
+        diagonal = _cross_pools(pools, cap)
+        return len(diagonal[0]), lambda a, b: [d[a:b] for d in diagonal]
+    return total, lambda a, b: [
+        p[d] for p, d in zip(pools, np.unravel_index(np.arange(a, b), shape))]
+
+
 def _harvested_literals(resolved: Rule) -> list:
     """Integer literals appearing in the precondition."""
     return sorted({e.value for conj in resolved.pre for e in iter_expr(conj)
@@ -442,30 +462,20 @@ def sample_satisfying_consts(resolved: Rule, free: list, defs: list,
     """Rejection-sample satisfying assignments, special values first; None
     when the cap is hit without finding any.
 
-    A special-value cross of at most `_CHUNK` tuples is filtered
-    `_WALK_PIECE` tuples at a time in `_cross_pools`' order, and stops at
-    the end of the piece where the finds reach `constant_sample_count`:
-    the tuples past them would be cut, and no random draw is made."""
+    The special-value cross (`_cross_reader`, capped at `_CHUNK`) is
+    filtered `_WALK_PIECE` tuples at a time and stops at the end of the
+    piece where the finds reach `constant_sample_count`: the tuples past
+    them would be cut, and no random draw is made."""
     batches, found = [], 0
-    pools = _const_special_pools(resolved, free)
-    shape = tuple(map(len, pools))
-    total = math.prod(shape) if pools else 0
-    if total > _CHUNK:
-        diagonal = _cross_pools(pools, _CHUNK)
-        batches.append(_satisfying(free, defs, const_only, diagonal,
-                                   len(diagonal[0]))[0])
-        found = _const_count(batches[0])
-    else:
-        for start in range(0, total, _WALK_PIECE):
-            idx = np.arange(start, min(start + _WALK_PIECE, total))
-            patterns = [p[d] for p, d in
-                        zip(pools, np.unravel_index(idx, shape))]
-            batches.append(_satisfying(free, defs, const_only, patterns,
-                                       len(idx))[0])
-            found += _const_count(batches[-1])
-            # one find decides None for a sample count of 0
-            if found >= max(budget.constant_sample_count, 1):
-                break
+    total, read = _cross_reader(_const_special_pools(resolved, free), _CHUNK)
+    for start in range(0, total, _WALK_PIECE):
+        end = min(start + _WALK_PIECE, total)
+        batches.append(_satisfying(free, defs, const_only, read(start, end),
+                                   end - start)[0])
+        found += _const_count(batches[-1])
+        # one find decides None for a sample count of 0
+        if found >= max(budget.constant_sample_count, 1):
+            break
     drawn = 0
     while found < budget.constant_sample_count and drawn < REJECTION_CAP:
         take = min(8192, REJECTION_CAP - drawn)
@@ -522,25 +532,21 @@ def _columns(decls, patterns: Optional[list] = None):
 def _blocks(rows: int, cols: int, cap: Optional[int]):
     """The [r0, r1) x [c0, c1) blocks that cover the first `cap` of `rows`
     looped entries x `cols` vectorised ones in C order: consecutive rows
-    of about `_BLOCK` points together, and a wider row in pieces that grow
-    from about `_BLOCK` points, each twice the one before, up to `_CHUNK`
-    (a whole row once it fits).  A scan refuted early in a wide row so pays
-    for little more than the points before its violation."""
+    of about `_BLOCK` points together, and a wider row in pieces of
+    `_BLOCK` points, the rest joining the last piece, so every block holds
+    fewer than `2 * _BLOCK` points.  A scan refuted early in a wide row so
+    pays for little more than the points before its violation."""
     rows = min(rows, cap) if cap is not None else rows
     if cols <= _BLOCK:
         step = _BLOCK // cols
         for r in range(0, rows, step):
             yield r, min(r + step, rows), 0, cols
         return
-    size = min(_BLOCK, _CHUNK)
+    pieces = cols // _BLOCK
     for r in range(rows):
-        c = 0
-        while c < cols:
-            # a rest of the row below two pieces (and within a chunk) is
-            # not worth a second one
-            end = cols if cols - c < min(2 * size, _CHUNK + 1) else c + size
-            yield r, r + 1, c, end
-            c, size = end, min(2 * size, _CHUNK)
+        for i in range(pieces):
+            yield (r, r + 1, i * _BLOCK,
+                   cols if i == pieces - 1 else (i + 1) * _BLOCK)
 
 
 def _slices(const_map: dict, grid, points: int, cap: Optional[int] = None,
@@ -795,14 +801,29 @@ def _first_occurrences(columns: list) -> Optional[np.ndarray]:
     """The indices of the first occurrence of each distinct row of the
     equal-length bit-pattern `columns`, in increasing order; None when no
     row repeats."""
-    # a stable sort puts the first occurrence of a row first in its group
-    order = np.lexsort(columns)
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
+    if not len(columns[0]):
+        return None
+    if sum(c.dtype.itemsize for c in columns) > 8:
+        # a stable sort puts the first occurrence of a row first in its group
+        order = np.lexsort(columns)
+        first = np.zeros(len(order), dtype=bool)
+        first[:1] = True
+        for col in columns:
+            s = col[order]
+            first[1:] |= s[1:] != s[:-1]
+        return None if first.all() else np.sort(order[first])
+    # a row of at most 64 bits packs into one key; the sort need not be
+    # stable, as each group's first occurrence is its least index
+    key = np.zeros(len(columns[0]), dtype=np.uint64)
     for col in columns:
-        s = col[order]
-        first[1:] |= s[1:] != s[:-1]
-    return None if first.all() else np.sort(order[first])
+        key <<= np.uint64(8 * col.dtype.itemsize)
+        key |= col
+    order = np.argsort(key)
+    s = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    if len(starts) == len(order):
+        return None
+    return np.sort(np.minimum.reduceat(order, starts))
 
 
 def _distinct_consts(const_map: dict) -> dict:
@@ -901,24 +922,28 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
     space = _space(decls)
     exhaustive = space <= budget.exhaustive_limit
     if exhaustive:
-        columns, total = _columns(decls), space
+        types = [ty for _, ty in decls]
+        ranges = [(space, lambda a, b: engine.unravel_chunk(types, a, b))]
     elif budget.sample_count == 0:
         return Inconclusive("BudgetExceeded",
                             f"point space {space} exceeds the budget "
                             "and sampling is disabled")
+    elif not decls:
+        # no declaration leaves one point, the empty tuple
+        ranges = [(1, lambda a, b: [])]
     else:
+        draws = _sample_free_patterns(np.random.default_rng(budget.rng_seed),
+                                      decls, budget.sample_count)
         # predicates are cheap to evaluate, so the special cross can be much
         # larger here than in function scans
-        pats = _sampled_patterns(np.random.default_rng(budget.rng_seed), decls,
-                                 budget.sample_count, _CHUNK)
-        # no declaration leaves one point, the empty tuple
-        columns, total = _columns(decls, pats), len(pats[0]) if pats else 1
+        ranges = [(budget.sample_count, lambda a, b: [d[a:b] for d in draws]),
+                  _cross_reader(_type_pools([ty for _, ty in decls]),
+                                _CHUNK)]
 
     a_fail = None
     b_witness = None
-    for start in range(0, total, _CHUNK):
-        n = min(_CHUNK, total - start)
-        params = columns(start, start + n)
+    for n, patterns in _pieces(ranges):
+        params = _vvals(decls, patterns)
         consts = {name: (params.pop(name).data, ty) for name, ty in free}
         pre_ok = np.broadcast_to(
             np.asarray(engine.eval_pred_vec(tuple(resolved.pre), params, consts),
@@ -937,14 +962,24 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
             break
 
     if a_fail is not None:
+        _replay_point(resolved, weak, a_fail, True, "not-implied point")
         return EquivalentOrIncomparable("not_implied", a_fail)
     if b_witness is None:
         if exhaustive:
             return EquivalentOrIncomparable("no_witness")
         return Inconclusive("BudgetExceeded",
                             "no separating point found in the sampled space")
-    _replay_witness(resolved, weak, b_witness)
+    _replay_point(resolved, weak, b_witness, False, "strictly-weaker witness")
     return StrictlyWeaker(b_witness)
+
+
+def _pieces(ranges: list):
+    """The (point count, patterns) pieces of at most `_BLOCK` points that
+    read each (count, read) range in turn, in order."""
+    for total, read in ranges:
+        for a in range(0, total, _BLOCK):
+            b = min(a + _BLOCK, total)
+            yield b - a, read(a, b)
 
 
 def _point_at(consts: dict, params: dict, i: int) -> dict:
@@ -955,14 +990,17 @@ def _point_at(consts: dict, params: dict, i: int) -> dict:
     return out
 
 
-def _replay_witness(resolved: Rule, weak: tuple, point: dict) -> None:
+def _replay_point(resolved: Rule, weak: tuple, point: dict, pre_holds: bool,
+                  what: str) -> None:
+    """Check with the scalar evaluator that rule.pre is `pre_holds` at
+    `point` and `weak` is not."""
     consts = {name: (point[name], ty) for name, ty in resolved.sym_consts}
     params = {name: scalar_value(point[name], ty)
               for name, ty in resolved.lhs.params if name in point}
     weak_ok = semantics.eval_predicate(weak, params, consts, {})
     pre_ok = semantics.eval_predicate(resolved.pre, params, consts, {})
-    if not (weak_ok and not pre_ok):
-        raise ReplayMismatch(f"strictly-weaker witness does not replay: {point}")
+    if (bool(pre_ok), bool(weak_ok)) != (pre_holds, not pre_holds):
+        raise ReplayMismatch(f"{what} does not replay: {point}")
 
 
 # ---------------------------------------------------------------------------

@@ -796,6 +796,7 @@ rule "w" {
 """
 
 
+@pytest.mark.parametrize("block", [4, 5, 1 << 16])
 @pytest.mark.parametrize("chunk", [4, 5, 1 << 22])
 @pytest.mark.parametrize("pre, weak, sampled, kind, point", [
     # exhaustive over (C1, C2) or (C1, C2, x): the point's flat index is
@@ -815,10 +816,12 @@ rule "w" {
     ("C1 != 77", "C1 != 77 && C1 != 78", True,
      "not_implied", {"C1": 78}),
 ])
-def test_strictly_weaker_across_chunks(monkeypatch, chunk, pre, weak,
+def test_strictly_weaker_across_chunks(monkeypatch, block, chunk, pre, weak,
                                        sampled, kind, point):
-    # the point space is read in _CHUNK ranges; the first separating or
-    # non-implied point must not depend on where the ranges end
+    # the point space is read in pieces of _BLOCK points, and _CHUNK caps
+    # the sampled special cross (one i8 pool: its diagonal is the pool
+    # itself); the first separating or non-implied point must not depend
+    # on where the pieces end
     rule = parse((SAMPLED_WEAKER_RULE if sampled else CHUNKED_WEAKER_RULE)
                  % pre)
     conj = textfmt.parse_conjuncts(weak, dict(rule.sym_consts))
@@ -829,6 +832,7 @@ def test_strictly_weaker_across_chunks(monkeypatch, chunk, pre, weak,
             np.random.default_rng(budget.rng_seed), rule.sym_consts,
             budget.sample_count, verifier._CHUNK)
         assert list(pats[0]).index(point["C1"]) >= 5
+    monkeypatch.setattr(verifier, "_BLOCK", block)
     monkeypatch.setattr(verifier, "_CHUNK", chunk)
     result = check_strictly_weaker(rule, conj, budget=budget)
     if kind == "strictly_weaker":
@@ -837,6 +841,73 @@ def test_strictly_weaker_across_chunks(monkeypatch, chunk, pre, weak,
     else:
         assert isinstance(result, EquivalentOrIncomparable)
         assert (result.direction, result.point) == (kind, point)
+
+
+@pytest.mark.parametrize("weak_src, flip, what", [
+    # the weakening made false at a point where the scalar evaluator holds
+    # it: a "not implied" point that does not replay
+    ("C1 >=s 0", lambda ok, c1: ok & (c1 != 5), "not-implied point"),
+    # an equivalent weakening made true outside pre: a witness that does
+    # not replay
+    ("C1 >=s 1", lambda ok, c1: ok | (c1 == 0), "strictly-weaker witness"),
+])
+def test_weaker_check_points_are_replayed(monkeypatch, weak_src, flip, what):
+    # a point the vectorised weakening gets wrong is an internal alarm, not
+    # a verdict
+    rule = parse(WEAKER_RULE)
+    weak = _conj(weak_src)
+    eval_pred_vec = engine.eval_pred_vec
+
+    def flipped(conjuncts, params, consts):
+        ok = eval_pred_vec(conjuncts, params, consts)
+        if conjuncts != weak:
+            return ok
+        return flip(np.asarray(ok, dtype=bool), consts["C1"][0])
+
+    monkeypatch.setattr(engine, "eval_pred_vec", flipped)
+    with pytest.raises(verifier.ReplayMismatch, match=what):
+        check_strictly_weaker(rule, weak)
+
+
+# the weakening a replay pass accepts in negate_lshr_or's stage 3: a sampled
+# space of 65536 draws and a 2^20-tuple special cross over (C1, C2, V)
+NEGATE_LSHR_OR_WEAKER = """
+rule "negate_lshr_or" {
+  const C1: i32;
+  const C2: i64;
+  pre: PowerOfTwo(C1 + 1) && popcount(C1) <=u C2 && C2 <=u 32 && RangeU(%V, 0, zext(C1, 64));
+  lhs fn(V: i64) -> i64 {
+    %0 = sub.nsw i64 0, %V;
+    %1 = lshr i64 %0, C2;
+    %2 = or i64 %1, %0;
+    ret %2
+  }
+  rhs fn(V: i64) -> i64 {
+    %0 = icmp.ne i64 %V, 0;
+    %1 = sext i1 %0 to i64;
+    ret %1
+  }
+}
+"""
+
+
+def test_strictly_weaker_memory_stays_at_a_few_pieces():
+    import tracemalloc
+
+    rule = parse(NEGATE_LSHR_OR_WEAKER)
+    weak = textfmt.parse_conjuncts(
+        "PowerOfTwo(C1 + 1) && popcount(C1) <=u C2 && "
+        "C2 <=u 64 - popcount(C1) && RangeU(%V, 0, zext(C1, 64))",
+        dict(rule.sym_consts))
+    tracemalloc.start()
+    try:
+        result = check_strictly_weaker(rule, weak)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole space read as one chunk peaks at about 50 MB
+    assert result == StrictlyWeaker({"C1": 1023, "C2": 51, "V": 31})
+    assert peak < 16 << 20
 
 
 def test_strictly_weaker_samples_a_space_without_declarations():
@@ -1171,9 +1242,9 @@ rule "wide" {{
 
 def test_early_violation_in_a_streamed_grid_scans_few_points(monkeypatch):
     # `x | y` is `y` only while x is 0, so the first violation is at grid
-    # index 2^16; the streamed grid's chunks grow from _BLOCK points, so
-    # the scan evaluates at most 3 * _BLOCK points and builds no chunk of
-    # _CHUNK points
+    # index 2^16; the streamed grid's row is cut into pieces of _BLOCK
+    # points, so the scan evaluates the first two pieces and builds no
+    # chunk of _CHUNK points
     evaluated, chunks = [], []
     eval_function_vec, unravel_chunk = engine.eval_function_vec, engine.unravel_chunk
 
@@ -1192,8 +1263,8 @@ def test_early_violation_in_a_streamed_grid_scans_few_points(monkeypatch):
     verdict = check_refinement(parse(_wide_rule("ret %y")), {}, Budget())
     assert verdict.kind == "refuted"
     assert verdict.counterexample.inputs == {"x": 1, "y": 0}
-    assert sum(evaluated) <= 3 * verifier._BLOCK
-    assert max(chunks) < verifier._CHUNK
+    assert sum(evaluated) == 2 * verifier._BLOCK
+    assert max(chunks) == verifier._BLOCK
 
 
 def test_verified_streamed_grid_counts_every_point():
@@ -1202,6 +1273,62 @@ def test_verified_streamed_grid_counts_every_point():
                                             Budget())) == {
         "kind": "verified", "mode": "exhaustive", "points": 1 << 24,
         "space": "1 constants x 16777216 inputs", "seed": 0}
+
+
+# `x * 8` is `x << 3`: one row of 2^24 inputs and no constant
+WIDE_VERIFIED = """
+rule "wide_verified" {
+  lhs fn(x: i24) -> i24 {
+    %0 = mul i24 %x, 8; %1 = add i24 %0, 5; %2 = xor i24 %1, 3; ret %2
+  }
+  rhs fn(x: i24) -> i24 {
+    %0 = shl i24 %x, 3; %1 = add i24 %0, 5; %2 = xor i24 %1, 3; ret %2
+  }
+}
+"""
+
+
+def test_verified_wide_row_memory_stays_at_a_few_pieces():
+    import tracemalloc
+
+    rule = parse(WIDE_VERIFIED)
+    tracemalloc.start()
+    try:
+        verdict = check_refinement(rule, {}, Budget())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # pieces grown to 2^22 points peak at about 116 MB
+    assert verdict_to_json(verdict) == {
+        "kind": "verified", "mode": "exhaustive", "points": 1 << 24,
+        "space": "1 constants x 16777216 inputs", "seed": 0}
+    assert peak < 16 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 200), st.one_of(st.none(),
+                                                        st.integers(0, 40)),
+       st.integers(1, 16))
+def test_blocks_cover_rows_in_order_with_bounded_pieces(rows, cols, cap,
+                                                        block):
+    saved = verifier._BLOCK
+    verifier._BLOCK = block
+    try:
+        blocks = list(verifier._blocks(rows, cols, cap))
+    finally:
+        verifier._BLOCK = saved
+    covered = [(r, c) for r0, r1, c0, c1 in blocks
+               for r in range(r0, r1) for c in range(c0, c1)]
+    kept = rows if cap is None else min(rows, cap)
+    assert covered == [(r, c) for r in range(kept) for c in range(cols)]
+    for r0, r1, c0, c1 in blocks:
+        if cols > block:
+            # a wide row is cut into pieces of one row each
+            assert r1 - r0 == 1
+            assert block <= c1 - c0 < 2 * block
+        else:
+            assert (c0, c1) == (0, cols)
+            assert (r1 - r0) * cols <= block
 
 
 @pytest.mark.parametrize("ty, cmp, pre", [
@@ -1452,6 +1579,45 @@ rule "nan" {
     nans = xs[((xs & 0x7C00) == 0x7C00) & ((xs & 0x3FF) != 0)]
     assert len(set(nans.tolist())) > 1
     assert verdict["counterexample"]["inputs"] == {"x": hex(nans[0])}
+
+
+def _lexsort_first_occurrences(columns):
+    """The lexsort version of `verifier._first_occurrences`, the oracle of
+    its one-key sort."""
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for col in columns:
+        s = col[order]
+        first[1:] |= s[1:] != s[:-1]
+    return None if first.all() else np.sort(order[first])
+
+
+@st.composite
+def pattern_columns(draw):
+    """1-3 equal-length columns of uint8/16/32/64 bit patterns, drawn from
+    few values (so rows repeat) or many, possibly empty."""
+    n = draw(st.integers(0, 60))
+    few = draw(st.booleans())
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32,
+                                      np.uint64]))
+        top = 2 if few else np.iinfo(dtype).max
+        cols.append(np.array(draw(st.lists(st.integers(0, top), min_size=n,
+                                           max_size=n)), dtype=dtype))
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_columns())
+def test_first_occurrences_match_the_lexsort_oracle(columns):
+    got = verifier._first_occurrences(columns)
+    want = _lexsort_first_occurrences(columns)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
 
 
 _I32_RULE = """

@@ -1,5 +1,5 @@
 """Print the verifier's throughput, in points per second, and its peak
-memory on thirteen fixed kernels, so that a change to the engine, the
+memory on fifteen fixed kernels, so that a change to the engine, the
 constant walk or the scan loop can be measured layer by layer:
 
   enumerate  walk and filter the whole 2^24-tuple free-constant space of
@@ -43,6 +43,16 @@ constant walk or the scan loop can be measured layer by layer:
              tuples; the sampler filters them a piece at a time and stops
              at 64 finds, so peak_MB shows a few pieces, not the cross;
              points are the cross's tuples
+  weaker     check_strictly_weaker on the stage-3 weakening of negate_lshr_or
+             that a replay pass accepts (C2 <=u 32 widened to
+             C2 <=u 64 - popcount(C1)): a sampled point space over (C1: i32,
+             C2: i64, V: i64) of 65536 seeded draws and the 1,048,576-tuple
+             special-value cross, read a piece at a time; points are the
+             space's
+  wide_verified
+             check_refinement on an i24 rule without constants (mul, add and
+             xor against shl, add and xor), exhaustive over its 2^24 inputs:
+             the cost of a verified check whose one row is cut into pieces
   filter64, filter65536
              one engine.eval_pred_vec call on xor_and_distribute's
              constant-only conjunct `C4 == (C1 & C2) ^ C3` over a block of
@@ -227,6 +237,48 @@ rule "clamp_concrete" {
 """
 
 
+# negate_lshr_or's rule when stage 3 proposes the weakening WEAKENED_PRE
+WEAKER_RULE = """
+rule "negate_lshr_or" {
+  const C1: i32;
+  const C2: i64;
+  pre: PowerOfTwo(C1 + 1) && popcount(C1) <=u C2 && C2 <=u 32 && RangeU(%V, 0, zext(C1, 64));
+  lhs fn(V: i64) -> i64 {
+    %0 = sub.nsw i64 0, %V;
+    %1 = lshr i64 %0, C2;
+    %2 = or i64 %1, %0;
+    ret %2
+  }
+  rhs fn(V: i64) -> i64 {
+    %0 = icmp.ne i64 %V, 0;
+    %1 = sext i1 %0 to i64;
+    ret %1
+  }
+}
+"""
+WEAKENED_PRE = ("PowerOfTwo(C1 + 1) && popcount(C1) <=u C2 && "
+                "C2 <=u 64 - popcount(C1) && RangeU(%V, 0, zext(C1, 64))")
+
+
+# `x * 8` is `x << 3` at every width: exhaustive over 2^24 inputs
+WIDE_VERIFIED = """
+rule "wide_verified" {
+  lhs fn(x: i24) -> i24 {
+    %0 = mul i24 %x, 8;
+    %1 = add i24 %0, 5;
+    %2 = xor i24 %1, 3;
+    ret %2
+  }
+  rhs fn(x: i24) -> i24 {
+    %0 = shl i24 %x, 3;
+    %1 = add i24 %0, 5;
+    %2 = xor i24 %1, 3;
+    ret %2
+  }
+}
+"""
+
+
 def _rule(name: str):
     return textfmt.parse_rule(
         (ROOT / "fixtures" / "rules" / f"{name}.peep").read_text())
@@ -291,6 +343,18 @@ def fit_kernel():
     return run
 
 
+def weaker_kernel():
+    rule = textfmt.parse_rule(WEAKER_RULE)
+    weak = textfmt.parse_conjuncts(WEAKENED_PRE, dict(rule.sym_consts))
+
+    def run() -> int:
+        result = verifier.check_strictly_weaker(rule, weak)
+        if result.kind != "strictly_weaker":
+            raise SystemExit(f"{rule.name}: unexpected result {result}")
+        return verifier.Budget().sample_count + 64 * 128 * 128
+    return run
+
+
 def filter_kernel(lanes: int):
     rule = _rule("xor_and_distribute")
     (conj,) = [c for c in rule.pre if not pred_param_refs(c)]
@@ -333,6 +397,10 @@ KERNELS = (
     ("weak_probe", refuting_kernel(
         textfmt.parse_rule(WEAK_CLAMP), {"x": 0}, 39 ** 4,
         proposer._probe_budget(verifier.Budget(rng_seed=0))), 1),
+    ("weaker", weaker_kernel(), 1),
+    ("wide_verified", refinement_kernel(
+        textfmt.parse_rule(WIDE_VERIFIED), "1 constants x 16777216 inputs"),
+     1),
     ("filter64", filter_kernel(64), 2000),
     ("filter65536", filter_kernel(65536), 50),
 )
@@ -353,7 +421,7 @@ def main() -> None:
     if unknown:
         raise SystemExit(f"unknown kernel(s): {', '.join(sorted(unknown))}; "
                          f"choose from {', '.join(n for n, _, _ in KERNELS)}")
-    print(f"{'kernel':10s} {'points':>10s} {'median_s':>9s} {'points/s':>12s} "
+    print(f"{'kernel':13s} {'points':>10s} {'median_s':>9s} {'points/s':>12s} "
           f"{'scaled/s':>12s} {'peak_MB':>8s}")
     for name, run, calls in KERNELS:
         if name not in names:
@@ -372,7 +440,7 @@ def main() -> None:
         peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
         tracemalloc.stop()
         median = statistics.median(times)
-        print(f"{name:10s} {points:10d} {median:9.4g} {points / median:12.4g} "
+        print(f"{name:13s} {points:10d} {median:9.4g} {points / median:12.4g} "
               f"{points / statistics.median(scaled):12.4g} {peak:8.4g}")
 
 
