@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -109,8 +110,9 @@ def _backend(spec: str, budget: verifier.Budget):
             raise CliError(str(e), EXIT_USAGE)
     if spec.startswith("replay:"):
         directory = spec.split(":", 1)[1]
-        if not Path(directory).is_dir():
-            raise CliError(f"replay directory {directory} not found",
+        # Path("") is the working directory: an empty name names none
+        if not directory or not Path(directory).is_dir():
+            raise CliError(f"replay directory {directory!r} not found",
                            EXIT_USAGE)
         return ReplayBackend(directory)
     raise CliError(f"unknown backend {spec!r} "
@@ -173,10 +175,10 @@ def cmd_generalize(instance_file, backend_spec, table_file, out,
     cfg = pipemod.PipelineConfig(budget, _cost_table(table_file),
                                  _backend(backend_spec, budget))
     report = pipemod.run_pipeline(instance, cfg)
-    _emit(report.to_json(), out)
-    if report.final_text is None:
+    _emit(asdict(report), out)
+    if report.final is None:
         sys.exit(EXIT_INCONCLUSIVE)
-    final = textfmt.parse_rule(report.final_text)
+    final = textfmt.parse_rule(report.final)
     # compare at the widths under which the final rule covers the input
     bindings = pipemod.match_rule(final, instance)
     if bindings is None:
@@ -187,7 +189,8 @@ def cmd_generalize(instance_file, backend_spec, table_file, out,
         sys.exit(EXIT_VERIFIED)
     # a width-generalized rule that covers the input is more general across
     # widths even when its domain at the input's own width is identical
-    widened = any(s.stage == "widths" and s.accepted for s in report.stages)
+    widened = any(s.stage == "widths" and s.accepted is not None
+                  for s in report.stages)
     if result.verdict == "Equal" and final.width_vars and widened:
         sys.exit(EXIT_VERIFIED)
     sys.exit(EXIT_REFUTED)
@@ -203,7 +206,7 @@ def cmd_prune(instance_file, budget_exhaustive, budget_samples, seed):
     instance = _load_rule(instance_file, instance=True)
     budget = _budget(budget_exhaustive, budget_samples, seed)
     pruned, log = pruner.prune(instance, budget)
-    _emit({"pruned": textfmt.print_rule(pruned), "log": log.to_json()})
+    _emit({"pruned": textfmt.print_rule(pruned), "log": asdict(log)})
     sys.exit(EXIT_VERIFIED)
 
 
@@ -235,7 +238,7 @@ def cmd_compare(rule_a, rule_b, widths, budget_exhaustive, budget_samples,
     budget = _budget(budget_exhaustive, budget_samples, seed)
     result = pipemod.compare_generality(a, b, _parse_widths(widths, a, b),
                                         budget)
-    _emit(result.to_json())
+    _emit(asdict(result))
     sys.exit(EXIT_INCONCLUSIVE if result.verdict == "Inconclusive"
              else EXIT_VERIFIED)
 
@@ -336,7 +339,7 @@ def _bench_one(path: Path, domain: str, table: costmod.CostTable, backend,
         if (verdict.kind == "refuted"
                 or not costmod.check_profitable(instance, cfg.table)):
             return name, domain, None, None
-        report = pipemod.run_pipeline(instance, cfg).to_json()
+        report = asdict(pipemod.run_pipeline(instance, cfg))
     except (verifier.ReplayMismatch, EvalError) as e:
         # an internal alarm is a fault of peepgen, not of the instance
         return name, domain, None, f"{type(e).__name__}: {e}"

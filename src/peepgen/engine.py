@@ -33,7 +33,8 @@ from .ir import (
     CAST_OPS, CBin, CCast, CConst, CFloat, CInt, CRef, CUn, FloatType,
     Function, Instr, IntType, Literal, Local, Param, PeepError, PAnd, PCmp,
     PKnownBits, PLowBitsZero, PNot, POr, PPow2, PRange, PTrue, Rule,
-    SymConst, iter_expr, mask, pred_param_refs, to_unsigned,
+    SymConst, iter_expr, mask, pred_const_names, pred_param_refs,
+    to_unsigned,
 )
 from .ir import FCMP_PREDS as _FCMP_PREDS
 from .ir import ICMP_PREDS as _ICMP_PREDS
@@ -684,10 +685,6 @@ def _in_domain(r, *poisons):
 # Constant-space handling
 
 
-def _const_names(e) -> set:
-    return {x.name for x in iter_expr(e) if isinstance(x, CConst)}
-
-
 def _mixes_widths(e, ty, types: dict) -> bool:
     """Whether `e` involves a width other than `ty`'s: a cast, or a
     constant of another type."""
@@ -735,7 +732,7 @@ def split_const_defs(rule: Rule):
         for tgt, other in ((conj.a, conj.b), (conj.b, conj.a)):
             if (isinstance(tgt, CConst) and tgt.name in types
                     and tgt.name not in candidates
-                    and tgt.name not in _const_names(other)
+                    and tgt.name not in pred_const_names(other)
                     and not _mixes_widths(other, types[tgt.name], types)):
                 candidates[tgt.name] = other
                 break
@@ -746,7 +743,7 @@ def split_const_defs(rule: Rule):
     while candidates:
         progress = False
         for name, expr in list(candidates.items()):
-            if _const_names(expr) <= available:
+            if pred_const_names(expr) <= available:
                 defs.append((name, expr))
                 available.add(name)
                 del candidates[name]

@@ -457,7 +457,8 @@ def iter_expr(x):
             stack.append(e.a)
 
 
-def pred_const_names(p: Predicate) -> set:
+def pred_const_names(p) -> set:
+    """Symbolic constants named in predicate or constant expression `p`."""
     return {e.name for e in iter_expr(p) if isinstance(e, CConst)}
 
 

@@ -68,67 +68,29 @@ class CandidateOutcome:
     strictly_weaker: Optional[bool] = None
     accepted: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "text": self.text, "syntax_ok": self.syntax_ok,
-            "diagnostics": list(self.diagnostics), "verdict": self.verdict,
-            "profitable": self.profitable,
-            "strictly_weaker": self.strictly_weaker,
-            "accepted": self.accepted,
-        }
-
 
 @dataclass
 class StageOutcome:
     stage: str
     candidates: list = field(default_factory=list)
-    accepted_text: Optional[str] = None
+    accepted: Optional[str] = None  # the accepted rule's text
     counts: dict = field(default_factory=dict)
     note: str = ""
-
-    @property
-    def accepted(self) -> bool:
-        return self.accepted_text is not None
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "candidates": [c.to_json() for c in self.candidates],
-            "accepted": self.accepted_text,
-            "counts": dict(self.counts),
-            "note": self.note,
-        }
 
 
 @dataclass
 class PipelineReport:
-    instance_text: str
-    prune_log: dict
-    pruned_text: str
+    """A run's report; `dataclasses.asdict` of it is the report JSON."""
+    instance: str
+    prune_log: pruner.PruneLog
+    pruned: str
     stages: list
-    final_text: Optional[str]
+    final: Optional[str]
     final_verdict: Optional[dict]
     final_widths: dict
     lhs_cost: str
     rhs_cost: str
     schema: str = "peepgen-report-1"
-
-    def to_json(self) -> dict:
-        return {
-            "schema": self.schema,
-            "instance": self.instance_text,
-            "prune_log": self.prune_log,
-            "pruned": self.pruned_text,
-            "stages": [s.to_json() for s in self.stages],
-            "final": self.final_text,
-            "final_verdict": self.final_verdict,
-            "final_widths": dict(self.final_widths),
-            "lhs_cost": self.lhs_cost,
-            "rhs_cost": self.rhs_cost,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +230,7 @@ def stage1_symbolic_constants(rule: Rule, cfg: PipelineConfig,
             passers.sort(key=lambda t: (-t[0], t[1]))
             count, _idx, accepted, co = passers[0]
             co.accepted = True
-            outcome.accepted_text = print_rule(accepted)
+            outcome.accepted = print_rule(accepted)
             outcome.counts["constants_symbolized"] = (
                 len(accepted.sym_consts) - len(rule.sym_consts))
             return outcome, accepted
@@ -309,7 +271,7 @@ def stage2_structural(rule: Rule, cfg: PipelineConfig,
         passers.sort(key=lambda t: (-t[0], t[1]))
         abstracted, _idx, accepted, co = passers[0]
         co.accepted = True
-        outcome.accepted_text = print_rule(accepted)
+        outcome.accepted = print_rule(accepted)
         outcome.counts["subexpressions_abstracted"] = max(abstracted, 0)
         return outcome, accepted
     return outcome, rule
@@ -397,7 +359,7 @@ def stage3_relax(rule: Rule, cfg: PipelineConfig,
     outcome.counts = {"conjuncts_removed": removed,
                       "conjuncts_weakened": weakened, "flags_removed": flags}
     if removed or weakened or flags:
-        outcome.accepted_text = print_rule(rule)
+        outcome.accepted = print_rule(rule)
     return outcome, rule
 
 
@@ -515,7 +477,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
             failing.append(w)
 
     if not failing and passing:
-        outcome.accepted_text = print_rule(erased)
+        outcome.accepted = print_rule(erased)
         outcome.counts["widths_generalized"] = 1
         outcome.note = f"all widths 1..{WIDTH_CAP} pass"
         return outcome, erased, passing
@@ -539,7 +501,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
                     f"admits {admitted}, passing set is {passing}")
                 continue
             co.accepted = True
-            outcome.accepted_text = print_rule(guarded)
+            outcome.accepted = print_rule(guarded)
             outcome.counts["widths_generalized"] = 1
             outcome.note = f"width predicate admits {admitted}"
             return outcome, guarded, passing
@@ -570,7 +532,7 @@ def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
             co.accepted = True
     outcome.counts["precisions_passing"] = [f"f{p}" for p in passing]
     if len(passing) > 1:
-        outcome.accepted_text = print_rule(rule)
+        outcome.accepted = print_rule(rule)
         outcome.note = ("rule holds at " +
                         ", ".join(f"f{p}" for p in passing))
     else:
@@ -608,11 +570,11 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
     recheck = replace(cfg.budget, rng_seed=cfg.budget.rng_seed + 1)
     passed = _gate(rule, cfg, final, verdicts, final_widths, recheck)
     return PipelineReport(
-        instance_text=print_rule(instance),
-        prune_log=log.to_json(),
-        pruned_text=print_rule(pruned),
+        instance=print_rule(instance),
+        prune_log=log,
+        pruned=print_rule(pruned),
         stages=stages,
-        final_text=final.text if passed else None,
+        final=final.text if passed else None,
         final_verdict=final.verdict,
         final_widths=final_widths,
         lhs_cost=str(costmod.cost(rule.lhs, cfg.table)),
@@ -793,10 +755,6 @@ class CompareResult:
     verdict: str  # AMoreGeneral | BMoreGeneral | Equal | Incomparable | Inconclusive
     mode: str  # exhaustive | sampled
     witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "mode": self.mode,
-                "witness": self.witness}
 
 
 _DOMAIN_CAP = 1 << 12

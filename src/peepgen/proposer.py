@@ -546,7 +546,7 @@ class HeuristicBackend:
 # Remote chat-completion backend
 
 
-_ENV_DEFAULTS = {
+_ENV_VARS = {
     "endpoint": "PEEPGEN_LLM_ENDPOINT",
     "model": "PEEPGEN_LLM_MODEL",
     "api_key": "PEEPGEN_LLM_API_KEY",
@@ -558,17 +558,14 @@ _ENV_DEFAULTS = {
 class LLMBackend:
     """HTTP chat-completion backend.
 
-    Settings come from the PEEPGEN_LLM_* environment variables, all that
-    the CLI reads; a programmatic caller's mapping overrides them key by
-    key.  A missing or malformed setting raises ProposerError before any
-    request is made.
+    Settings come only from the PEEPGEN_LLM_* environment variables.  A
+    missing or malformed setting raises ProposerError before any request
+    is made.
     """
 
-    def __init__(self, config: Optional[dict] = None):
-        cfg = dict(config or {})
-        for key, env in _ENV_DEFAULTS.items():
-            if key not in cfg and env in os.environ:
-                cfg[key] = os.environ[env]
+    def __init__(self):
+        cfg = {key: os.environ[env] for key, env in _ENV_VARS.items()
+               if env in os.environ}
         if "endpoint" not in cfg:
             raise ProposerError(
                 "no endpoint configured (set PEEPGEN_LLM_ENDPOINT)")

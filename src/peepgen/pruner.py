@@ -20,7 +20,7 @@ from .ir import (Function, Rule, abstract_local, dce_function, params_used,
 class PruneAttempt:
     sweep: int
     local: int  # lhs definition index at attempt time
-    fresh_name: str
+    fresh: str
     outcome: str  # accepted | refuted | unprofitable | inconclusive
     lhs_cost: str
     rhs_cost: str
@@ -30,17 +30,6 @@ class PruneAttempt:
 class PruneLog:
     attempts: list = field(default_factory=list)
     sweeps: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "sweeps": self.sweeps,
-            "attempts": [
-                {"sweep": a.sweep, "local": a.local, "fresh": a.fresh_name,
-                 "outcome": a.outcome, "lhs_cost": a.lhs_cost,
-                 "rhs_cost": a.rhs_cost}
-                for a in self.attempts
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -163,12 +163,6 @@ class _Parser:
 
     # -- grammar
 
-    def parse_rules(self) -> list:
-        rules = []
-        while not self.accept("eof"):
-            rules.append(self.parse_rule())
-        return rules
-
     def parse_rule(self) -> Rule:
         self.expect("ident", "rule")
         name_tok = self.expect("string")
@@ -514,10 +508,6 @@ def parse_rule(src: str) -> Rule:
     return rule
 
 
-def parse_rules(src: str) -> list:
-    return _Parser(src).parse_rules()
-
-
 def parse_conjuncts(src: str, consts: Optional[dict] = None,
                     width_vars: Optional[list] = None) -> tuple:
     """Parse a standalone predicate (`&&`-separated conjuncts).
@@ -629,14 +619,14 @@ def _print_instr(fn: Function, instr: Instr, index: int) -> str:
     return f"%{index} = {opspec} {ty} {opnds}"
 
 
-def print_function(fn: Function, label: str, indent: str = "  ") -> str:
+def print_function(fn: Function, label: str) -> str:
     params = ", ".join(f"{n}: {t}" for n, t in fn.params)
     ret_ty = fn.operand_type(fn.ret)
-    lines = [f"{indent}{label} fn({params}) -> {ret_ty} {{"]
+    lines = [f"  {label} fn({params}) -> {ret_ty} {{"]
     for i, instr in enumerate(fn.body):
-        lines.append(f"{indent}  {_print_instr(fn, instr, i)};")
-    lines.append(f"{indent}  ret {_print_operand(fn.ret, ret_ty)}")
-    lines.append(f"{indent}}}")
+        lines.append(f"    {_print_instr(fn, instr, i)};")
+    lines.append(f"    ret {_print_operand(fn.ret, ret_ty)}")
+    lines.append("  }")
     return "\n".join(lines)
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from peepgen import textfmt, verifier
@@ -178,12 +179,12 @@ def test_replayed_pipeline_trace_on_negate_lshr_or_instance():
 
     s1 = stages["symbolic_constants"]
     assert s1.counts["constants_symbolized"] == 2
-    sym = parse(s1.accepted_text)
+    sym = parse(s1.accepted)
     assert [n for n, _ in sym.sym_consts] == ["C1", "C2"]
 
     s2 = stages["structural"]
     assert s2.accepted
-    abstracted = parse(s2.accepted_text)
+    abstracted = parse(s2.accepted)
     assert any(n == "V" for n, _ in abstracted.lhs.params)
     assert any("RangeU" in textfmt.print_pred(c) for c in abstracted.pre)
 
@@ -205,7 +206,7 @@ def test_replayed_pipeline_trace_on_negate_lshr_or_instance():
     assert "static gate" in s4.note and "sext" in s4.note
 
     assert report.final_verdict["kind"] == "verified"
-    final = parse(report.final_text)
+    final = parse(report.final)
     pre = " && ".join(textfmt.print_pred(c) for c in final.pre)
     assert "C2 <=u 64 - popcount(C1)" in pre
     assert "C1 >=s 0" not in pre
@@ -222,7 +223,7 @@ def test_heuristic_generalizes_multiply_to_shift_across_widths():
     elapsed = time.monotonic() - start
     assert elapsed < 300, elapsed
     assert report.final_verdict["kind"] == "verified"
-    final = parse(report.final_text)
+    final = parse(report.final)
     pre = " && ".join(textfmt.print_pred(c) for c in final.pre)
     assert "PowerOfTwo(C1)" in pre
     assert "C2 == log2(C1)" in pre
@@ -273,7 +274,7 @@ def test_seeded_pipeline_is_deterministic():
     def run():
         cfg = PipelineConfig(budget=Budget(rng_seed=3),
                              backend=HeuristicBackend(Budget(rng_seed=3)))
-        return run_pipeline(instance, cfg).dumps()
+        return asdict(run_pipeline(instance, cfg))
     assert run() == run()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ import click
 import jsonschema
 import pytest
 
-from peepgen import cli, pipeline, verifier
+from peepgen import cli, pipeline, pruner, verifier
 from peepgen.cli import EXIT_INTERNAL, summarize_reports
 from peepgen.ir import PeepError
 from peepgen.proposer import LLMBackend
@@ -194,6 +195,7 @@ XOR_SELF = str(FIXTURES / "int" / "xor_self.peep")
     (64, ("generalize", "{negate}", "--table", "no_such_dir/uops.cost")),
     (64, ("generalize", "{negate}", "--table", "{bad_table}")),
     (64, ("bench", "{fixtures}", "--table", "no_such_dir/uops.cost")),
+    (64, ("generalize", "{negate}", "--backend", "replay:")),
     (64, ("cost", "{negate}", "--table", "{bad_table}")),
     # a width map from outside binds exactly the declared width variables,
     # each to a width of at most ir.MAX_INT_WIDTH
@@ -288,6 +290,23 @@ def test_generalize_heuristic_succeeds(tmp_path):
     report = json.loads(outs[0])
     assert report["final"] is not None
     jsonschema.validate(report, _schema("report.schema.json"))
+
+
+def test_report_records_have_the_schema_properties_as_fields():
+    # a report is `dataclasses.asdict` of its records: each record's fields
+    # are the properties its schema object lists
+    report = _schema("report.schema.json")["properties"]
+    log = report["prune_log"]["properties"]
+    stage = report["stages"]["items"]["properties"]
+    for record, properties in (
+            (pipeline.PipelineReport, report),
+            (pruner.PruneLog, log),
+            (pruner.PruneAttempt, log["attempts"]["items"]["properties"]),
+            (pipeline.StageOutcome, stage),
+            (pipeline.CandidateOutcome,
+             stage["candidates"]["items"]["properties"])):
+        fields = {f.name for f in dataclasses.fields(record)}
+        assert fields == properties.keys(), record.__name__
 
 
 def test_generalize_and_bench_survive_an_accepted_width_predicate(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 from peepgen import pipeline, textfmt, verifier
 from peepgen.pipeline import (PipelineConfig, compare_generality,
                               flag_removals, match_rule, relax_to_fixpoint,
@@ -83,7 +85,7 @@ rule "xor_xor" {
     assert candidate.verdict["reason"] == "BudgetExceeded"
     assert not candidate.accepted
     assert report.final_verdict["reason"] == "BudgetExceeded"
-    assert report.final_text is None
+    assert report.final is None
 
 
 def test_unprofitable_final_rule_is_not_reported():
@@ -97,7 +99,7 @@ rule "shl_to_mul" {
     report = run_pipeline(instance, _cfg())
     assert report.final_verdict["kind"] == "verified"
     assert (report.lhs_cost, report.rhs_cost) == ("1", "3")
-    assert report.final_text is None
+    assert report.final is None
 
 
 def test_widths_stage_generalizes_xor_self():
@@ -113,11 +115,11 @@ def test_pipeline_transitions_never_lose_generality():
     instance = parse(
         (FIXTURES / "int" / "strength_reduce_mul8.peep").read_text())
     report = run_pipeline(instance, _cfg())
-    current = parse(report.pruned_text)
+    current = parse(report.pruned)
     for stage in report.stages:
-        if stage.accepted_text is None:
+        if stage.accepted is None:
             continue
-        nxt = parse(stage.accepted_text)
+        nxt = parse(stage.accepted)
         widths = {v: 8 for v in nxt.width_vars}
         result = compare_generality(nxt, current, widths)
         assert result.verdict in ("AMoreGeneral", "Equal"), stage.stage
@@ -129,7 +131,7 @@ def test_pipeline_is_deterministic():
         (FIXTURES / "int" / "strength_reduce_mul8.peep").read_text())
     a = run_pipeline(instance, _cfg())
     b = run_pipeline(instance, _cfg())
-    assert a.dumps() == b.dumps()
+    assert asdict(a) == asdict(b)
 
 
 def _xor_and_pair():
@@ -247,7 +249,7 @@ def test_candidate_with_other_width_variables_is_rejected():
     # fed back like any validation error, until the iterations run out
     assert len(backend.feedback) == pipeline.STAGE1_MAX_ITERATIONS
     assert backend.feedback[-1][0].kind == "SyntaxError"
-    assert report.final_text is not None
+    assert report.final is not None
 
 
 def _counted_checks(monkeypatch) -> list:
@@ -272,7 +274,7 @@ def test_verdicts_are_not_shared_across_runs(monkeypatch):
     calls = len(budgets)
     second = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
     assert calls > 0 and len(budgets) == 2 * calls
-    assert first.dumps() == second.dumps()
+    assert asdict(first) == asdict(second)
 
 
 def test_final_recheck_reuses_the_exhaustive_stage4_verdict(monkeypatch):
@@ -336,5 +338,5 @@ def test_width_predicate_that_fails_validation_is_a_syntax_error():
     assert (bad.syntax_ok, bad.accepted) == (False, False)
     assert bad.diagnostics == ["pre[0]: unknown value reference zz"]
     assert (good.syntax_ok, good.accepted) == (True, True)
-    assert "pre: W >=u 2 && W <=u 16;" in report.final_text
+    assert "pre: W >=u 2 && W <=u 16;" in report.final
     assert report.final_widths == {"W": 16}

@@ -387,20 +387,26 @@ def chat_server():
     server.shutdown()
 
 
-def test_llm_backend_against_mock_server(chat_server):
-    backend = LLMBackend({"endpoint": chat_server, "model": "m",
-                          "timeout_s": 5, "retries": 0})
+def _llm_env(monkeypatch, endpoint, retries):
+    for name, value in (("ENDPOINT", endpoint), ("MODEL", "m"),
+                        ("TIMEOUT_S", "5"), ("RETRIES", retries)):
+        monkeypatch.setenv(f"PEEPGEN_LLM_{name}", value)
+
+
+def test_llm_backend_against_mock_server(chat_server, monkeypatch):
+    _llm_env(monkeypatch, chat_server, "0")
+    backend = LLMBackend()
     proposals = propose(ProposalRequest(SymbolicConstants(), XOR_AND_TEXT),
                         backend)
     assert len(proposals) == 1
     assert 'rule "x"' in proposals[0]
 
 
-def test_llm_backend_error_is_retryable(chat_server):
+def test_llm_backend_error_is_retryable(chat_server, monkeypatch):
     _ChatHandler.status = 500
     try:
-        backend = LLMBackend({"endpoint": chat_server, "model": "m",
-                              "timeout_s": 5, "retries": 1})
+        _llm_env(monkeypatch, chat_server, "1")
+        backend = LLMBackend()
         with pytest.raises(ProposerError):
             backend.respond(ProposalRequest(SymbolicConstants(),
                                             XOR_AND_TEXT))
@@ -411,7 +417,7 @@ def test_llm_backend_error_is_retryable(chat_server):
 def test_llm_backend_requires_endpoint(monkeypatch):
     monkeypatch.delenv("PEEPGEN_LLM_ENDPOINT", raising=False)
     with pytest.raises(ProposerError):
-        LLMBackend({})
+        LLMBackend()
 
 
 def test_propose_caps_at_k():
