@@ -75,7 +75,16 @@ def _signed(data, width: int):
     if width == sb:
         return data.astype(_UINT[sb], copy=False).view(_SINT[sb])
     shift = sb - width
-    return (data.astype(_UINT[sb]) << np.uint8(shift)).view(_SINT[sb]) >> shift
+    return ((data.astype(_UINT[sb], copy=False) << np.uint8(shift))
+            .view(_SINT[sb]) >> shift)
+
+
+def _sext(data, src: int, dst: int):
+    """Sign-extend `src`-bit patterns to `dst` bits.  The signed values are
+    reinterpreted as patterns in place: an int64 to uint64 `astype` copies
+    on a slow per-element loop."""
+    wide = _signed(data, src).astype(_SINT[storage_bits(dst)])
+    return _wrap(wide.view(udtype(dst)), dst)
 
 
 def _wrap(data, width: int):
@@ -135,11 +144,56 @@ def _ctlz64(v, width: int):
 # Each kernel takes operand arrays and the width, and returns the result
 # and the lanes the operation itself makes poison (None when it makes
 # none); it computes only the result its opcode names (and, for `exact`,
-# the remainder that decides poison).  A remainder is `a - (a // b) * b`:
-# numpy's `//` by a scalar or a column divisor is several times faster
-# than its `%`.
+# the remainder that decides poison).  A remainder is `a - (a // b) * b`,
+# as numpy's `%` has no fast loop.
+#
+# numpy runs a ufunc on an operand that repeats along the inner axis (a
+# scalar, or a column against rows) in one of two ways.  Measured with
+# numpy 2.4 on AVX-512: it loops over rows of at least `_INPLACE_LANES`
+# lanes (its buffer size) with the repeated operand in place, and over a
+# block of shorter rows by copying the operands into buffers first (for
+# one row broadcast against a column, from half that length on it loops in
+# place).  Its `//` by an operand in place runs the divide-by-scalar loop,
+# and by a buffered one the per-element loop: a (16, 4096) block by a
+# (16, 1) column takes 250 us, and 40 us row by row, so `_quotient`
+# divides such blocks row by row.  Its minimum and maximum have SIMD loops
+# only for operands that do not repeat: 65,536 i16 lanes against one value
+# in place take 65 us, and 7 us against a full operand, so `_minmax`
+# copies a repeated operand out along long rows.
 
 _BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
+
+_INPLACE_LANES = 8192
+
+
+def _quotient(a, b):
+    """`a // b` for unsigned patterns; a block of rows that numpy would
+    divide by a column of divisors on its per-element loop is divided row
+    by row.  Rows of fewer than 1,024 lanes keep numpy's loop: they cost
+    more in per-row calls than they save."""
+    if np.ndim(a) == 2 and np.ndim(b) == 2 and b.shape[1] == 1 and len(b) > 1:
+        lanes = a.shape[1]
+        if 1024 <= lanes < (_INPLACE_LANES if len(a) > 1
+                            else _INPLACE_LANES // 2):
+            q = np.empty((len(b), lanes), np.result_type(a, b))
+            for row, d, out in zip(np.broadcast_to(a, q.shape), b[:, 0], q):
+                np.floor_divide(row, d, out=out)
+            return q
+    return a // b
+
+
+def _minmax(pick, av, bv):
+    """`pick(av, bv)` for `np.minimum` or `np.maximum`, with an operand
+    that repeats along rows of `_INPLACE_LANES` lanes or more copied out to
+    the full shape first."""
+    if max(np.shape(av)[-1:] + np.shape(bv)[-1:], default=1) >= _INPLACE_LANES:
+        for rep, other in ((av, bv), (bv, av)):
+            if np.shape(rep)[-1:] in ((), (1,)):
+                out = np.empty(np.broadcast_shapes(np.shape(av), np.shape(bv)),
+                               np.result_type(av, bv))
+                out[...] = rep
+                return pick(other, out, out=out)
+    return pick(av, bv)
 
 
 def _int_binop_vec(op: str, flags, av, bv, w: int):
@@ -198,7 +252,7 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
         zero = bv == 0
         safe = np.where(zero, dt(1), bv)
         poison = zero
-        q = av // safe
+        q = _quotient(av, safe)
         if op == "urem":
             return av - q * safe, poison
         if "exact" in flags:
@@ -215,7 +269,7 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
         minneg = (av == _wrap(np.asarray(int_min), w)) & (_wrap(bv, w) == dt(mask(w)))
         safe = np.where(zero, dt(1), mb)
         poison = zero | minneg
-        q = ma // safe
+        q = _quotient(ma, safe)
         if op == "sdiv":
             qs = np.where(na ^ nb, _wrap((~q.astype(dt)) + dt(1), w), q)
             if "exact" in flags:
@@ -249,8 +303,8 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
     if op in ("smin", "smax", "umin", "umax"):
         pick = np.minimum if op.endswith("min") else np.maximum
         if op[0] == "u":
-            return pick(av, bv), poison
-        r = pick(_signed(av, w), _signed(bv, w)).view(dt)
+            return _minmax(pick, av, bv), poison
+        r = _minmax(pick, _signed(av, w), _signed(bv, w)).view(dt)
         return _wrap(r, w), poison
 
     raise UnsupportedConstruct(f"integer binop {op}")
@@ -360,7 +414,7 @@ def eval_instr_vec(instr: Instr, args: list) -> VVal:
         if instr.pred[0] == "s":
             av, bv = _signed(av, a.width), _signed(bv, a.width)
         r = _CMP[instr.pred[-2:]](av, bv)
-        return VVal(r.astype(np.uint8), _por(a.poison, b.poison), instr.ty)
+        return VVal(r.view(np.uint8), _por(a.poison, b.poison), instr.ty)
     if op == "fcmp":
         a, b = args
         poison = _por(a.poison, b.poison)
@@ -377,8 +431,7 @@ def eval_instr_vec(instr: Instr, args: list) -> VVal:
                 poison = _por(poison, _signed(a.data, a.width) < 0)
             return VVal(np.asarray(a.data, dtype=udtype(a.width)).astype(dt), poison, instr.ty)
         if op == "sext":
-            return VVal(_wrap(_signed(a.data, a.width).astype(_SINT[storage_bits(dst)]),
-                              dst), poison, instr.ty)
+            return VVal(_sext(a.data, a.width, dst), poison, instr.ty)
         return VVal(_wrap(np.asarray(a.data), dst), poison, instr.ty)
     if op == "fneg":
         (a,) = args
@@ -526,8 +579,7 @@ def eval_constexpr_vec(e, consts: dict, params: Optional[dict] = None) -> CVal:
                 return CVal(udtype(w)(to_unsigned(int(a.data), w)), w, None, a.poison)
             av = np.asarray(a.data)
             if e.kind == "sext":
-                return CVal(_wrap(_signed(av, a.width).astype(_SINT[storage_bits(w)]), w),
-                            w, None, a.poison)
+                return CVal(_sext(av, a.width, w), w, None, a.poison)
             return CVal(_wrap(av, w), w, None, a.poison)
         if isinstance(e, CBin):
             a, b = ev(e.a), ev(e.b)
@@ -614,8 +666,10 @@ def eval_pred_vec(p, params: dict, consts: dict):
     """Boolean ndarray for predicate `p`; lanes with out-of-domain constant
     arithmetic or poison-bound value references are false."""
     if isinstance(p, (tuple, list)):
-        r = np.asarray(True)
-        for c in p:
+        if not p:
+            return np.asarray(True)
+        r = eval_pred_vec(p[0], params, consts)
+        for c in p[1:]:
             r = r & eval_pred_vec(c, params, consts)
         return r
     if isinstance(p, PTrue):
@@ -839,8 +893,7 @@ def sample_int_patterns(rng: np.random.Generator, width: int, n: int) -> np.ndar
     hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
     uniform = ((hi << np.uint64(32)) | lo) & np.uint64(mask(width))
     blen = rng.integers(1, width + 1, size=n, dtype=np.uint64)
-    bmask = np.where(blen >= 64, np.uint64(mask(64)),
-                     (np.uint64(1) << blen) - np.uint64(1))
+    bmask = np.uint64(mask(64)) >> (np.uint64(64) - blen)
     short = uniform & bmask
     specials = special_int_patterns(width).astype(np.uint64)
     spec = specials[rng.integers(0, len(specials), size=n)]

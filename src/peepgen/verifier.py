@@ -801,29 +801,38 @@ def _first_occurrences(columns: list) -> Optional[np.ndarray]:
     """The indices of the first occurrence of each distinct row of the
     equal-length bit-pattern `columns`, in increasing order; None when no
     row repeats."""
-    if not len(columns[0]):
+    n = len(columns[0])
+    if not n:
         return None
     if sum(c.dtype.itemsize for c in columns) > 8:
         # a stable sort puts the first occurrence of a row first in its group
         order = np.lexsort(columns)
-        first = np.zeros(len(order), dtype=bool)
+        first = np.zeros(n, dtype=bool)
         first[:1] = True
         for col in columns:
             s = col[order]
             first[1:] |= s[1:] != s[:-1]
-        return None if first.all() else np.sort(order[first])
-    # a row of at most 64 bits packs into one key; the sort need not be
-    # stable, as each group's first occurrence is its least index
-    key = np.zeros(len(columns[0]), dtype=np.uint64)
-    for col in columns:
-        key <<= np.uint64(8 * col.dtype.itemsize)
-        key |= col
-    order = np.argsort(key)
-    s = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    if len(starts) == len(order):
-        return None
-    return np.sort(np.minimum.reduceat(order, starts))
+        if first.all():
+            return None
+        firsts = order[first]
+    else:
+        # a row of at most 64 bits packs into one key; the sort need not be
+        # stable, as each group's first occurrence is its least index
+        key = np.zeros(n, dtype=np.uint64)
+        for col in columns:
+            key <<= np.uint64(8 * col.dtype.itemsize)
+            key |= col
+        order = np.argsort(key)
+        s = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+        if len(starts) == n:
+            return None
+        firsts = np.minimum.reduceat(order, starts)
+    # marking the first occurrences puts them in increasing order without
+    # a second sort
+    marked = np.zeros(n, dtype=bool)
+    marked[firsts] = True
+    return np.flatnonzero(marked)
 
 
 def _distinct_consts(const_map: dict) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -113,6 +114,88 @@ def test_binop_kernels_match_scalar_on_block_shapes(op, w):
 KERNEL_WIDTHS = [1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]
 DIVREM_KERNELS = [("udiv", ()), ("udiv", ("exact",)), ("urem", ()),
                   ("sdiv", ()), ("sdiv", ("exact",)), ("srem", ())]
+
+# (rows, lanes) of the block and rows of the column it meets: a block of
+# rows and one row that the division kernels divide by the column row by
+# row, and rows long enough that min and max copy a repeated operand out
+WIDE_BLOCKS = [(4, 4096, 4), (1, 2048, 4), (4, 8192, 4), (1, 8192, 1)]
+
+
+@pytest.mark.parametrize("w", KERNEL_WIDTHS)
+@pytest.mark.parametrize("op", INT_BINOPS)
+def test_binop_kernels_match_rows_on_wide_blocks(op, w):
+    # every lane of a wide block against a column (or a scalar) equals that
+    # row's own evaluation against its scalar, and a seeded sample of lanes
+    # equals the scalar evaluator, poison included
+    ty = IntType(w)
+    dt = engine.udtype(w)
+    rng = np.random.default_rng(w)
+    pats = np.array(_kernel_patterns(w), dtype=dt)
+    col_pats = np.array([0, 1, mask(w), 1 << (w - 1)], dtype=dt)
+    for flags in _flag_sets(op):
+        fn = _kernel_fn(op, flags, w)
+
+        def run(a, b):
+            vec = engine.eval_function_vec(
+                fn, {"p0": engine.VVal(a, None, ty),
+                     "p1": engine.VVal(b, None, ty)}, {})
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            poison = False if vec.poison is None else vec.poison
+            return (np.broadcast_to(np.asarray(vec.data), shape),
+                    np.broadcast_to(np.asarray(poison), shape))
+
+        for rows, lanes, col_rows in WIDE_BLOCKS:
+            block = rng.choice(pats, size=(rows, lanes))
+            col = (col_pats if col_rows > 1
+                   else rng.choice(pats, size=1)).reshape(-1, 1)
+            for a, b in ((block, col), (col, block)):
+                data, poison = run(a, b)
+                assert data.dtype == dt
+                for i in range(len(data)):
+                    row_data, row_poison = run(a[i % len(a)][None],
+                                               b[i % len(b)][None])
+                    assert np.array_equal(data[i], row_data[0]), (op, flags, i)
+                    assert np.array_equal(poison[i], row_poison[0]), (op, flags, i)
+                for idx in zip(rng.integers(0, data.shape[0], 8),
+                               rng.integers(0, data.shape[1], 8)):
+                    av = np.broadcast_to(a, data.shape)[idx]
+                    bv = np.broadcast_to(b, data.shape)[idx]
+                    scalar = semantics.eval_function(
+                        fn, [Bits(w, int(av)), Bits(w, int(bv))])
+                    lane = (op, sorted(flags), int(av), int(bv))
+                    if scalar is POISON:
+                        assert poison[idx], lane
+                    else:
+                        assert not poison[idx], lane
+                        assert int(data[idx]) == scalar.value, lane
+
+
+SAMPLER_DIGESTS = {
+    ("int", 1): "c4b698e068049f37271365de7a9bb1c6ddd468a1af85c2bed8df8a30ca1384e8",
+    ("int", 8): "a7c6b6aa2d5a8e0da107c759d4b259444dbc35fa8919eab53b96a14f1df7d3fe",
+    ("int", 13): "2c3c4de8bdb26fdcdb52b6503a62af25972de3409b0e980a017e56254e22ee04",
+    ("int", 32): "d96d9922344e01a3470324a384e0d83888213ea05e5cadb1b04dae9228efb61e",
+    ("int", 33): "e338a9163b80531cc67db8f5239078a191a95e5d0be36cc96abfe2995be003af",
+    ("int", 64): "448e95ab0741371951dc0cc38d6a39f6f6ba513fdc381c5abc051b6102b2dc1e",
+    ("float", 16): "1a799225c0766d764164e0439b83f47f6e0ae4f56175700e43c67634a47766fb",
+    ("float", 32): "605e7a135fed1dce716480a96951e715a6a4600b167c6459f8d831926b4c7bee",
+    ("float", 64): "5e0a038a5e1252e33f1b3576d2af77a81559068f130b1e894f748eef951534b2",
+}
+
+
+@pytest.mark.parametrize("kind, bits", sorted(SAMPLER_DIGESTS))
+def test_sampled_patterns_are_pinned(kind, bits):
+    # the samplers' draws, and the generator state they leave, are part of
+    # every sampled verdict: a rewrite must keep them bit for bit
+    sample = (engine.sample_int_patterns if kind == "int"
+              else engine.sample_float_patterns)
+    rng = np.random.default_rng(1000 + bits)
+    pats = sample(rng, bits, 70_000)
+    assert pats.dtype == engine.storage_dtype(
+        IntType(bits) if kind == "int" else FloatType(bits))
+    digest = hashlib.sha256(pats.tobytes())
+    digest.update(rng.integers(0, 1 << 63, size=4).tobytes())
+    assert digest.hexdigest() == SAMPLER_DIGESTS[kind, bits]
 
 
 def _kernel_patterns(w):

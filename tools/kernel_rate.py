@@ -1,5 +1,5 @@
 """Print the verifier's throughput, in points per second, and its peak
-memory on fifteen fixed kernels, so that a change to the engine, the
+memory on sixteen fixed kernels, so that a change to the engine, the
 constant walk or the scan loop can be measured layer by layer:
 
   enumerate  walk and filter the whole 2^24-tuple free-constant space of
@@ -15,6 +15,10 @@ constant walk or the scan loop can be measured layer by layer:
              under C != 0 (287 sampled constants, special values
              included, x the full 65536-input grid): the udiv and urem
              kernels
+  divcol     check_refinement on mod_div_zero's final rule at W=12,
+             `(x urem C1) udiv C1` => `and x, 0`, exhaustive (4096 constants
+             x 4096 inputs): blocks of 16 rows of 4096 inputs divided by a
+             column of 16 constants
   range_pre  check_refinement on negate_lshr_or's final rule, whose
              parameter conjunct RangeU(%V, 0, zext(C1, 64)) admits a few
              percent of each constant's sampled i64 inputs (256 sampled
@@ -129,6 +133,25 @@ rule "divrem_i16" {
   }
   rhs fn(x: i16) -> i16 {
     %0 = and i16 %x, 0;
+    ret %0
+  }
+}
+"""
+
+
+# mod_div_zero's generalization (the bench's final rule) at W=12: without
+# a precondition, C1 = 0 is checked too (the lhs is poison there, which any
+# rhs refines)
+DIVCOL_W12 = """
+rule "mod_div_zero_w12" {
+  const C1: i12;
+  lhs fn(x: i12) -> i12 {
+    %0 = urem i12 %x, C1;
+    %1 = udiv i12 %0, C1;
+    ret %1
+  }
+  rhs fn(x: i12) -> i12 {
+    %0 = and i12 %x, 0;
     ret %0
   }
 }
@@ -382,6 +405,8 @@ KERNELS = (
     ("divrem", refinement_kernel(
         textfmt.parse_rule(DIVREM_I16),
         "287 sampled constants x 65536 inputs (full grid)"), 1),
+    ("divcol", refinement_kernel(
+        textfmt.parse_rule(DIVCOL_W12), "4096 constants x 4096 inputs"), 1),
     ("range_pre", refinement_kernel(
         textfmt.parse_rule(NEGATE_LSHR_OR),
         "256 sampled constants x sampled inputs"), 1),
