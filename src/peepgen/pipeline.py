@@ -8,7 +8,7 @@ rule by `_parse_candidate`, a weakening or width predicate as the trial
 rule it makes by `_parse_conjuncts`.  Every candidate of every stage, and
 the final rule, is judged by one gate (`_gate`): refinement at the rule's
 own widths, never reduced, and profitability under the configured cost
-table.  Within one run the gate checks each rule, widths and budget once
+table.  Within one run the gate asks each refinement question once
 (`_refinement`).  Weakenings additionally pass the strictly-weaker check.
 """
 from __future__ import annotations
@@ -126,29 +126,35 @@ def _gate(rule: Rule, cfg: PipelineConfig, co: CandidateOutcome,
 
 def _refinement(rule: Rule, widths: Optional[dict], budget: Budget,
                 verdicts: Optional[dict]):
-    """`verifier.check_refinement`, checked once per rule, widths and
-    budget in `verdicts` (None: a memo for this call alone).
+    """`verifier.check_refinement`, asked once per refinement question in
+    `verdicts` (None: a memo for this call alone).
 
     A run creates `verdicts` and drops it when it returns, so separate runs
-    and `--jobs` threads share no verdict.  An exhaustive Verified verdict
-    is also reused under a budget that differs only in its seed, stamped
-    with that seed: such a check has fewer satisfying constant tuples than
-    the walk's stop bound, so the walk reached the end of the constant
-    space and sorted its finds back to index order, and it scans the grid
-    in index order without a special-value pass; only `seed` depends on the
-    seed."""
+    and `--jobs` threads share no verdict.  The question is the
+    width-resolved rule and the budget: a check resolves the width
+    variables first and reads `widths` after that only to stamp a
+    counterexample, so a verdict is reused under other widths that resolve
+    the rule alike, a counterexample stamped with the caller's widths.  A
+    verdict whose check did not use its seed (`Verified.seeded`) is reused
+    under any seed, stamped with that seed; any other verdict only under
+    its own."""
     verdicts = {} if verdicts is None else verdicts
+    widths = widths or {}
+    resolved = resolve_widths(rule, widths) if rule.width_vars else rule
     # repr, not the rule: `==` takes a literal -0.0 for 0.0
-    key = (repr(rule), tuple(sorted((widths or {}).items())))
-    exact, any_seed = key + (budget,), key + (replace(budget, rng_seed=None),)
-    if exact in verdicts:
-        return verdicts[exact]
-    if any_seed in verdicts:
-        return replace(verdicts[any_seed], seed=budget.rng_seed)
-    verdict = verifier.check_refinement(rule, widths, budget)
-    verdicts[exact] = verdict
-    if verdict.kind == "verified" and verdict.mode == "exhaustive":
-        verdicts[any_seed] = verdict
+    key = (repr(resolved), replace(budget, rng_seed=None))
+    seed = budget.rng_seed
+    verdict = verdicts.get(key + (seed,)) or verdicts.get(key + (None,))
+    if verdict is None:
+        # the resolved rule asks the same question without resolving again
+        verdict = verifier.check_refinement(resolved, widths, budget)
+        seeded = verdict.kind == "inconclusive" or verdict.seeded
+        verdicts[key + (seed if seeded else None,)] = verdict
+    if verdict.kind == "verified":
+        return replace(verdict, seed=seed)
+    if verdict.kind == "refuted":
+        return replace(verdict, seed=seed, counterexample=replace(
+            verdict.counterexample, widths=dict(widths)))
     return verdict
 
 

@@ -37,7 +37,8 @@ same point.  The point count covers every scanned point, admitted or not.
 Grids are enumerated by bit slicing the flat index (`engine.unravel_chunk`,
 `engine.slice_digits`).  The sampled scan evaluates each distinct constant
 tuple and each distinct sampled input tuple once (first occurrences in
-order, compared by bit pattern): a repeated point cannot hold the first
+order, compared by bit pattern through one sorted 64-bit key per tuple,
+`_row_key`): a repeated point cannot hold the first
 violation, because its first occurrence comes earlier.  Its point count
 still covers every drawn point, repeats included.  The last sampled input
 row is remembered and reused by a check whose generator is in the state it
@@ -56,7 +57,7 @@ evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -115,6 +116,8 @@ class Verified:
     points: int
     space: str
     seed: int
+    # the check used its seed (`check_refinement`); not in the JSON
+    seeded: bool = field(default=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -125,6 +128,8 @@ class Verified:
 class Refuted:
     counterexample: Counterexample
     seed: int
+    # as `Verified.seeded`
+    seeded: bool = field(default=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -583,8 +588,8 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
         pre = None
         if param_conjs:
             try:
-                pre = np.broadcast_to(np.asarray(engine.eval_pred_vec(
-                    param_conjs, params, consts), dtype=bool), shape)
+                pre = _block_mask(
+                    engine.eval_pred_vec(param_conjs, params, consts), shape)
             except Exception:
                 # a fault in lhs or rhs is reported before one in the
                 # precondition
@@ -639,14 +644,18 @@ def _admitted(params: dict, consts: dict, pre: np.ndarray) -> tuple:
     return params, consts, flat.shape
 
 
+def _block_mask(mask, shape: tuple) -> np.ndarray:
+    """The boolean `mask` broadcast to `shape`; `np.broadcast_to` is a
+    Python-level call, made only when the shape differs."""
+    m = np.asarray(mask, dtype=bool)
+    return m if m.shape == shape else np.broadcast_to(m, shape)
+
+
 def _first_true(viol, shape: tuple) -> Optional[int]:
     """The flat C-order index of the first True in `viol` broadcast to
     `shape`, or None."""
-    v = np.broadcast_to(np.asarray(viol, dtype=bool), shape).ravel()
-    if not v.size:
-        return None
-    i = int(v.argmax())
-    return i if v[i] else None
+    v = _block_mask(viol, shape)
+    return int(v.argmax()) if v.any() else None
 
 
 def _extract_point(resolved: Rule, widths: dict, params: dict, consts: dict,
@@ -676,6 +685,13 @@ def _extract_point(resolved: Rule, widths: dict, params: dict, consts: dict,
 
 def check_refinement(rule: Rule, widths: Optional[dict] = None,
                      budget: Optional[Budget] = None) -> Verdict:
+    """Does `rule`, its width variables bound by `widths`, refine under
+    `budget`?
+
+    A Verified or Refuted verdict is `seeded` when the check used its
+    seed: its permuted constant walk stopped at its bound, or it drew
+    constants or inputs from its generator.  Any other check gives the same
+    verdict under every seed but for the `seed` it carries."""
     widths = widths or {}
     budget = budget or Budget()
     try:
@@ -700,6 +716,7 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
     pspace = _space(resolved.lhs.params)
 
     const_map = None  # None: too many constants to walk, sample them
+    stopped = False  # the permuted walk stopped at its bound
     if space.size <= min(budget.exhaustive_limit, _ENUM_CAP):
         # past this many satisfying tuples the check is sampled, and the
         # first `constant_sample_count` of them are its sample
@@ -726,6 +743,7 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
         # a complete walk has at most `constant_sample_count` finds here
         # (more than `exhaustive_limit // pspace`), so all are kept; a
         # stopped walk keeps its first finds in the seeded order
+        stopped = stop < space.size and sat >= stop
         const_map = {name: (arr[:budget.constant_sample_count], ty)
                      for name, (arr, ty) in const_map.items()}
     elif budget.sample_count == 0:
@@ -735,19 +753,22 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
             "and sampling is disabled")
 
     # the special-value pass, then the sampled scan
+    start = rng.bit_generator.state
     specials = _satisfying_specials(resolved, free, defs, const_only)
-    refuted = _special_cross_refute(resolved, widths, specials, budget)
-    if refuted is not None:
-        return refuted
-    if const_map is None:
-        const_map = sample_satisfying_consts(resolved, free, defs, const_only,
-                                             budget, rng)
+    verdict = _special_cross_refute(resolved, widths, specials, budget)
+    if verdict is None:
         if const_map is None:
-            return Inconclusive("NoSatisfyingConstants",
-                                f"no satisfying constants in {REJECTION_CAP} draws")
-    elif specials:
-        const_map = _join(resolved, [const_map, specials])
-    return _scan_sampled(resolved, widths, const_map, budget, rng)
+            const_map = sample_satisfying_consts(resolved, free, defs,
+                                                 const_only, budget, rng)
+            if const_map is None:
+                return Inconclusive(
+                    "NoSatisfyingConstants",
+                    f"no satisfying constants in {REJECTION_CAP} draws")
+        elif specials:
+            const_map = _join(resolved, [const_map, specials])
+        verdict = _scan_sampled(resolved, widths, const_map, budget, rng)
+    # a draw of constants or inputs moves the generator
+    return replace(verdict, seeded=stopped or rng.bit_generator.state != start)
 
 
 def _special_cross_refute(resolved: Rule, widths: dict,
@@ -804,35 +825,66 @@ def _first_occurrences(columns: list) -> Optional[np.ndarray]:
     n = len(columns[0])
     if not n:
         return None
-    if sum(c.dtype.itemsize for c in columns) > 8:
-        # a stable sort puts the first occurrence of a row first in its group
-        order = np.lexsort(columns)
-        first = np.zeros(n, dtype=bool)
-        first[:1] = True
-        for col in columns:
-            s = col[order]
-            first[1:] |= s[1:] != s[:-1]
-        if first.all():
-            return None
-        firsts = order[first]
+    key, exact = _row_key(columns, n)
+    # the sort need not be stable, as each group's first occurrence is its
+    # least index
+    order = np.argsort(key)
+    s = key[order]
+    same = s[1:] == s[:-1]
+    if not exact and _collides(columns, order, same):
+        firsts = _lexsort_firsts(columns)
     else:
-        # a row of at most 64 bits packs into one key; the sort need not be
-        # stable, as each group's first occurrence is its least index
-        key = np.zeros(n, dtype=np.uint64)
-        for col in columns:
-            key <<= np.uint64(8 * col.dtype.itemsize)
-            key |= col
-        order = np.argsort(key)
-        s = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-        if len(starts) == n:
-            return None
-        firsts = np.minimum.reduceat(order, starts)
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        firsts = (None if len(starts) == n
+                  else np.minimum.reduceat(order, starts))
+    if firsts is None:
+        return None
     # marking the first occurrences puts them in increasing order without
     # a second sort
     marked = np.zeros(n, dtype=bool)
     marked[firsts] = True
     return np.flatnonzero(marked)
+
+
+def _row_key(columns: list, n: int) -> tuple:
+    """One uint64 key per row of `columns`, and whether equal keys mean
+    equal rows: a row of at most 64 bits is packed into its key, a wider
+    one mixed into it by a splitmix64 finalizer per column."""
+    key = np.zeros(n, dtype=np.uint64)
+    if sum(c.dtype.itemsize for c in columns) <= 8:
+        for col in columns:
+            key <<= np.uint64(8 * col.dtype.itemsize)
+            key |= col
+        return key, True
+    for col in columns:
+        key ^= col
+        key ^= key >> np.uint64(30)
+        key *= np.uint64(0xBF58476D1CE4E5B9)
+        key ^= key >> np.uint64(27)
+        key *= np.uint64(0x94D049BB133111EB)
+        key ^= key >> np.uint64(31)
+    return key, False
+
+
+def _collides(columns: list, order: np.ndarray, same: np.ndarray) -> bool:
+    """Two different rows share a key: some neighbours in key order
+    (`order`) whose keys are equal (`same`) differ in a column."""
+    at = np.flatnonzero(same)
+    a, b = order[at], order[at + 1]
+    return any(np.any(col[a] != col[b]) for col in columns)
+
+
+def _lexsort_firsts(columns: list) -> Optional[np.ndarray]:
+    """The first occurrence of each distinct row, by a stable sort of the
+    rows themselves, which puts it first in its group; None when no row
+    repeats."""
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for col in columns:
+        s = col[order]
+        first[1:] |= s[1:] != s[:-1]
+    return None if first.all() else order[first]
 
 
 def _distinct_consts(const_map: dict) -> dict:

@@ -1,5 +1,7 @@
 from dataclasses import asdict
 
+import pytest
+
 from peepgen import pipeline, textfmt, verifier
 from peepgen.pipeline import (PipelineConfig, compare_generality,
                               flag_removals, match_rule, relax_to_fixpoint,
@@ -8,7 +10,7 @@ from peepgen.pipeline import (PipelineConfig, compare_generality,
 from peepgen.proposer import (HeuristicBackend, ProposerError, ReplayBackend,
                               SymbolicConstants, WeakenPrecondition,
                               WidthPredicate, fence)
-from peepgen.verifier import Budget
+from peepgen.verifier import Budget, verdict_to_json
 
 from conftest import FIXTURES, SLT_ONE, parse
 
@@ -253,27 +255,46 @@ def test_candidate_with_other_width_variables_is_rejected():
 
 
 def _counted_checks(monkeypatch) -> list:
-    """Record the budget of every `verifier.check_refinement` call."""
-    budgets = []
+    """Record the widths and budget of every `verifier.check_refinement`
+    call."""
+    calls = []
     check = verifier.check_refinement
 
     def counted(rule, widths=None, budget=None):
-        budgets.append(budget)
+        calls.append((widths, budget))
         return check(rule, widths, budget)
 
     monkeypatch.setattr(verifier, "check_refinement", counted)
-    return budgets
+    return calls
+
+
+def _marked_stage4(monkeypatch, calls: list) -> list:
+    """Record the number of `calls` when stage 4 returns."""
+    after_stage4 = []
+    stage4 = pipeline.stage4_widths
+
+    def marked(rule, cfg, verdicts=None):
+        result = stage4(rule, cfg, verdicts)
+        after_stage4.append(len(calls))
+        return result
+
+    monkeypatch.setattr(pipeline, "stage4_widths", marked)
+    return after_stage4
+
+
+def _instance(name: str):
+    return parse((FIXTURES / "int" / f"{name}.peep").read_text())
 
 
 def test_verdicts_are_not_shared_across_runs(monkeypatch):
     # each run reuses verdicts within itself only: a second run of the same
     # instance in the same process checks as much as the first
-    instance = parse((FIXTURES / "int" / "cttz_concrete.peep").read_text())
-    budgets = _counted_checks(monkeypatch)
+    instance = _instance("cttz_concrete")
+    calls = _counted_checks(monkeypatch)
     first = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
-    calls = len(budgets)
+    count = len(calls)
     second = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
-    assert calls > 0 and len(budgets) == 2 * calls
+    assert count > 0 and len(calls) == 2 * count
     assert asdict(first) == asdict(second)
 
 
@@ -281,24 +302,101 @@ def test_final_recheck_reuses_the_exhaustive_stage4_verdict(monkeypatch):
     # cttz_concrete's width-generalized rule is checked exhaustively at its
     # largest passing width in stage 4; the recheck under the next seed
     # takes that verdict with the new seed instead of checking again
-    instance = parse((FIXTURES / "int" / "cttz_concrete.peep").read_text())
-    budgets = _counted_checks(monkeypatch)
-    after_stage4 = []
-    stage4 = pipeline.stage4_widths
-
-    def marked(rule, cfg, verdicts=None):
-        result = stage4(rule, cfg, verdicts)
-        after_stage4.append(len(budgets))
-        return result
-
-    monkeypatch.setattr(pipeline, "stage4_widths", marked)
-    report = run_pipeline(instance, _cfg(backend=ReplayBackend(REPLAY)))
+    calls = _counted_checks(monkeypatch)
+    after_stage4 = _marked_stage4(monkeypatch, calls)
+    report = run_pipeline(_instance("cttz_concrete"),
+                          _cfg(backend=ReplayBackend(REPLAY)))
     assert report.final_widths == {"W": 16}
     assert report.final_verdict["kind"] == "verified"
     assert report.final_verdict["mode"] == "exhaustive"
     assert report.final_verdict["seed"] == 1
-    assert after_stage4 == [len(budgets)]
-    assert all(b.rng_seed == 0 for b in budgets)
+    assert after_stage4 == [len(calls)]
+    assert all(budget.rng_seed == 0 for _, budget in calls)
+
+
+def test_stage4_and_the_recheck_reuse_seed_free_verdicts(monkeypatch):
+    # add_fold's erased rule at its own width W=8 is stage 3's rule, and its
+    # sampled W=16 check takes its constants from the special-value cross
+    # and scans the full input grid, so the recheck under the next seed asks
+    # nothing new either
+    calls = _counted_checks(monkeypatch)
+    after_stage4 = _marked_stage4(monkeypatch, calls)
+    report = run_pipeline(_instance("add_fold"),
+                          _cfg(backend=ReplayBackend(REPLAY)))
+    assert report.final_widths == {"W": 16}
+    assert report.final_verdict["kind"] == "verified"
+    assert report.final_verdict["mode"] == "sampled"
+    assert report.final_verdict["seed"] == 1
+    assert after_stage4 == [len(calls)]
+    assert {"W": 8} not in [widths for widths, _ in calls]
+    assert {"W": 16} in [widths for widths, _ in calls]
+
+
+def test_recheck_of_a_seeded_verdict_is_checked_again(monkeypatch):
+    # mod_div_zero's W=16 check walks a seeded order of its constants and
+    # stops at its bound, so the recheck under the next seed runs
+    calls = _counted_checks(monkeypatch)
+    after_stage4 = _marked_stage4(monkeypatch, calls)
+    report = run_pipeline(_instance("mod_div_zero"),
+                          _cfg(backend=ReplayBackend(REPLAY)))
+    assert report.final_widths == {"W": 16}
+    assert report.final_verdict["seed"] == 1
+    assert after_stage4 == [len(calls) - 1]
+    widths, budget = calls[-1]
+    assert (widths, budget.rng_seed) == ({"W": 16}, 1)
+
+
+def test_refuted_verdict_is_reused_with_the_callers_widths(monkeypatch):
+    # the erased rule at its own width resolves to the concrete rule: its
+    # verdict is reused, the counterexample stamped with the widths asked
+    wrong = parse("""
+rule "wrong" {
+  lhs fn(x: i8) -> i8 { %0 = add i8 %x, 3; %1 = sub i8 %0, 2; ret %1 }
+  rhs fn(x: i8) -> i8 { ret %x }
+}
+""")
+    erased = pipeline._erase_widths(wrong, 8, "W")
+    calls = _counted_checks(monkeypatch)
+    verdicts, budget = {}, Budget()
+    concrete = pipeline._refinement(wrong, None, budget, verdicts)
+    reused = pipeline._refinement(erased, {"W": 8}, budget, verdicts)
+    assert len(calls) == 1
+    assert concrete.kind == "refuted"
+    assert concrete.counterexample.widths == {}
+    assert verdict_to_json(reused) == verdict_to_json(
+        verifier.check_refinement(erased, {"W": 8}, budget))
+    assert reused.counterexample.widths == {"W": 8}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("backend", ["heuristic", "replay"])
+def test_every_reused_verdict_equals_a_fresh_check(monkeypatch, backend,
+                                                   seed):
+    calls = _counted_checks(monkeypatch)
+    reused = []
+    refinement = pipeline._refinement
+
+    def watched(rule, widths, budget, verdicts):
+        count = len(calls)
+        verdict = refinement(rule, widths, budget, verdicts)
+        if len(calls) == count:
+            reused.append((rule, widths, budget, verdict))
+        return verdict
+
+    monkeypatch.setattr(pipeline, "_refinement", watched)
+    budget = Budget(rng_seed=seed)
+    for name in ("add_fold", "xor_and_distribute", "clamp_concrete",
+                 "mod_div_zero", "cttz_concrete"):
+        run_pipeline(_instance(name), _cfg(
+            budget=budget, backend=(HeuristicBackend(budget)
+                                    if backend == "heuristic"
+                                    else ReplayBackend(REPLAY))))
+    assert reused
+    for rule, widths, budget, verdict in reused:
+        fresh = verifier.check_refinement(rule, widths, budget)
+        assert verdict_to_json(verdict) == verdict_to_json(fresh)
+        assert (getattr(verdict, "seeded", None)
+                == getattr(fresh, "seeded", None))
 
 
 class _ScriptedBackend:

@@ -1620,6 +1620,42 @@ def test_first_occurrences_match_the_lexsort_oracle(columns):
         assert np.array_equal(got, want)
 
 
+def test_first_occurrences_fall_back_to_lexsort_on_a_key_collision(
+        monkeypatch):
+    # a key that keeps only the low bit of the first column makes different
+    # rows share it: the neighbour check sees them differ and the stable
+    # sort of the rows themselves answers
+    sorted_rows = []
+    lexsort_firsts = verifier._lexsort_firsts
+
+    def spied(columns):
+        sorted_rows.append(len(columns[0]))
+        return lexsort_firsts(columns)
+
+    monkeypatch.setattr(verifier, "_lexsort_firsts", spied)
+    monkeypatch.setattr(verifier, "_row_key", lambda columns, n: (
+        columns[0].astype(np.uint64) & np.uint64(1), False))
+    columns = [np.array([5, 7, 5, 9, 7, 2, 4], dtype=np.uint64),
+               np.array([1, 2, 1, 3, 2, 1, 1], dtype=np.uint32)]
+    assert np.array_equal(verifier._first_occurrences(columns),
+                          [0, 1, 3, 5, 6])
+    assert sorted_rows == [7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern_columns())
+def test_colliding_keys_match_the_lexsort_oracle(columns):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_row_key", lambda columns, n: (
+            columns[0].astype(np.uint64) & np.uint64(3), False))
+        got = verifier._first_occurrences(columns)
+    want = _lexsort_first_occurrences(columns)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
+
+
 _I32_RULE = """
 rule "memo" {{
   lhs fn(x: i32, y: {ty}) -> i1 {{ %0 = icmp.ult i32 %x, {k}; ret %0 }}
@@ -1695,3 +1731,66 @@ def test_remembered_inputs_are_a_draw(counted_draws):
         assert not p.flags.writeable
         with pytest.raises(ValueError):
             p[0] = 0
+
+
+_ADD_SUB = """
+rule "add_sub" {
+  const C1: i8;
+  lhs fn(x: i8) -> i8 { %0 = add i8 %x, C1; %1 = sub i8 %0, C1; ret %1 }
+  rhs fn(x: i8) -> i8 { ret %x }
+}
+"""
+
+
+@pytest.mark.parametrize("text, budget, mode, seeded", [
+    pytest.param(_ADD_SUB, Budget(), "exhaustive", False, id="exhaustive"),
+    # too many constants to walk: the special-value cross holds the four
+    # constants, and the 256 inputs are the full grid
+    pytest.param(_ADD_SUB, Budget(exhaustive_limit=100,
+                                  constant_sample_count=4),
+                 "sampled", False, id="special-constants-full-grid"),
+    # the cross holds fewer than 1000 satisfying constants: the rest are
+    # drawn
+    pytest.param(_ADD_SUB, Budget(exhaustive_limit=100,
+                                  constant_sample_count=1000),
+                 "sampled", True, id="drawn-constants"),
+    pytest.param(_I32_RULE.format(ty="i8", k=7), Budget(sample_count=1000),
+                 "sampled", True, id="sampled-inputs"),
+    # all 2^24 constant tuples satisfy the precondition: the permuted walk
+    # stops at its bound, and the 256 inputs are the full grid
+    pytest.param((FIXTURES / "rules" / "xor_and_distribute.peep").read_text(),
+                 Budget(), "sampled", True, id="stopped-walk"),
+])
+def test_verdict_records_whether_the_check_used_its_seed(text, budget, mode,
+                                                         seeded):
+    rule = parse(text)
+    verdict = check_refinement(rule, {}, budget)
+    assert (verdict.kind, verdict.mode, verdict.seeded) == (
+        "verified", mode, seeded)
+    assert verdict_to_json(verdict).keys() == {"kind", "mode", "points",
+                                               "space", "seed"}
+    assert verdict == dataclasses.replace(verdict, seeded=not seeded)
+    if not seeded:
+        # the same check under another seed but for the seed it carries
+        other = check_refinement(rule, {}, dataclasses.replace(
+            budget, rng_seed=budget.rng_seed + 1))
+        assert other == dataclasses.replace(verdict, seed=other.seed)
+
+
+def test_refuted_verdict_records_whether_the_check_used_its_seed():
+    wrong = parse(_ADD_SUB.replace("sub i8 %0, C1", "sub i8 %0, 1"))
+    exhaustive = check_refinement(wrong, {}, Budget())
+    # refuted in the special-value pass, before any draw
+    special = check_refinement(wrong, {}, Budget(exhaustive_limit=100,
+                                                 constant_sample_count=1000))
+    # wrong only at inputs in [1100, 1500), which hold no special value
+    drawn = check_refinement(parse("""
+rule "range" {
+  lhs fn(x: i32) -> i1 { %0 = icmp.ult i32 %x, 1100; ret %0 }
+  rhs fn(x: i32) -> i1 { %0 = icmp.ugt i32 1500, %x; ret %0 }
+}
+"""), {}, Budget(sample_count=1000))
+    assert [(v.kind, v.seeded) for v in (exhaustive, special, drawn)] == [
+        ("refuted", False), ("refuted", False), ("refuted", True)]
+    for v in (exhaustive, special, drawn):
+        assert verdict_to_json(v).keys() == {"kind", "seed", "counterexample"}
