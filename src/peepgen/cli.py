@@ -17,7 +17,7 @@ import click
 
 from . import cost as costmod
 from . import pipeline as pipemod
-from . import pruner, textfmt, verifier
+from . import generality, pruner, textfmt, verifier
 from .ir import MAX_INT_WIDTH, PeepError, rule_types, validate
 from .proposer import (HeuristicBackend, LLMBackend, ProposerError,
                        ReplayBackend)
@@ -179,21 +179,8 @@ def cmd_generalize(instance_file, backend_spec, table_file, out,
     if report.final is None:
         sys.exit(EXIT_INCONCLUSIVE)
     final = textfmt.parse_rule(report.final)
-    # compare at the widths under which the final rule covers the input
-    bindings = pipemod.match_rule(final, instance)
-    if bindings is None:
-        sys.exit(EXIT_REFUTED)
-    widths = {v: bindings[v] for v in final.width_vars}
-    result = pipemod.compare_generality(final, instance, widths, budget)
-    if result.verdict == "AMoreGeneral":
-        sys.exit(EXIT_VERIFIED)
-    # a width-generalized rule that covers the input is more general across
-    # widths even when its domain at the input's own width is identical
-    widened = any(s.stage == "widths" and s.accepted is not None
-                  for s in report.stages)
-    if result.verdict == "Equal" and final.width_vars and widened:
-        sys.exit(EXIT_VERIFIED)
-    sys.exit(EXIT_REFUTED)
+    sys.exit(EXIT_VERIFIED if generality.generalizes(final, instance, budget)
+             else EXIT_REFUTED)
 
 
 @cli.command("prune")
@@ -236,8 +223,8 @@ def cmd_compare(rule_a, rule_b, widths, budget_exhaustive, budget_samples,
     a = _load_rule(rule_a)
     b = _load_rule(rule_b)
     budget = _budget(budget_exhaustive, budget_samples, seed)
-    result = pipemod.compare_generality(a, b, _parse_widths(widths, a, b),
-                                        budget)
+    result = generality.compare_generality(a, b, _parse_widths(widths, a, b),
+                                           budget)
     _emit(asdict(result))
     sys.exit(EXIT_INCONCLUSIVE if result.verdict == "Inconclusive"
              else EXIT_VERIFIED)

@@ -85,9 +85,3 @@ def load_fixtures(root: Optional[Path] = None,
             out.append(_load_one(path, domain))
     return out
 
-
-def get_fixture(name: str, root: Optional[Path] = None) -> Fixture:
-    for fx in load_fixtures(root):
-        if fx.name == name:
-            return fx
-    raise FixtureError(f"no fixture named {name}")

@@ -648,14 +648,6 @@ def print_rule(rule: Rule) -> str:
 # Structural comparison
 
 
-def structural_eq(a: Rule, b: Rule) -> bool:
-    """Equality up to rule name and precondition conjunct order."""
-    return (a.sym_consts == b.sym_consts
-            and a.width_vars == b.width_vars
-            and frozenset(a.pre) == frozenset(b.pre)
-            and a.lhs == b.lhs and a.rhs == b.rhs)
-
-
 def canonical_text(rule: Rule) -> str:
     """Canonical printed form, rule name elided, for use as a set key."""
     return print_rule(Rule("", rule.sym_consts, rule.width_vars,

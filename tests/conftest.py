@@ -26,6 +26,14 @@ rule "slt_one" {
 """
 
 
+def structural_eq(a, b) -> bool:
+    """Rule equality up to rule name and precondition conjunct order."""
+    return (a.sym_consts == b.sym_consts
+            and a.width_vars == b.width_vars
+            and frozenset(a.pre) == frozenset(b.pre)
+            and a.lhs == b.lhs and a.rhs == b.rhs)
+
+
 def _sval(x: int, w: int) -> int:
     x &= (1 << w) - 1
     return x - (1 << w) if x >> (w - 1) else x

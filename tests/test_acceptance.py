@@ -16,8 +16,8 @@ from pathlib import Path
 from peepgen import textfmt, verifier
 from peepgen.cli import summarize_reports
 from peepgen.ir import Rule, substitute, to_unsigned
-from peepgen.pipeline import (PipelineConfig, _retype_floats,
-                              compare_generality, match_rule, run_pipeline)
+from peepgen.generality import compare_generality, match_rule
+from peepgen.pipeline import PipelineConfig, _retype_floats, run_pipeline
 from peepgen.proposer import HeuristicBackend, ReplayBackend
 from peepgen.pruner import prune
 from peepgen.verifier import (Budget, check_refinement, check_strictly_weaker,

@@ -1,14 +1,13 @@
 import pytest
 
 from peepgen import textfmt, verifier
-from peepgen.fixtures import (Fixture, FixtureError, fixtures_root,
-                              get_fixture, load_fixtures)
+from peepgen.fixtures import FixtureError, fixtures_root, load_fixtures
+from peepgen.generality import match_rule
 from peepgen.ir import IntType, substitute, to_unsigned, validate
-from peepgen.pipeline import match_rule
 from peepgen.pruner import prune
 from peepgen.verifier import Budget
 
-from conftest import FIXTURES
+from conftest import FIXTURES, structural_eq
 
 
 def test_corpus_loads_and_validates(fixture_corpus):
@@ -23,12 +22,6 @@ def test_corpus_loads_and_validates(fixture_corpus):
 def test_fixtures_root_discovery():
     assert fixtures_root() == FIXTURES
     assert fixtures_root(FIXTURES / "int") == FIXTURES
-
-
-def test_get_fixture_by_name():
-    assert get_fixture("cttz_general").domain == "rules"
-    with pytest.raises(FixtureError):
-        get_fixture("no_such_fixture")
 
 
 def test_corrupted_fixture_is_named(tmp_path):
@@ -51,7 +44,7 @@ def test_bad_expectation_file_is_named(tmp_path):
 
 def test_round_trip_invariant(fixture_corpus):
     for fx in fixture_corpus:
-        assert textfmt.structural_eq(
+        assert structural_eq(
             textfmt.parse_rule(textfmt.print_rule(fx.rule)), fx.rule), fx.name
 
 

@@ -3,10 +3,10 @@ from dataclasses import asdict
 import pytest
 
 from peepgen import pipeline, textfmt, verifier
-from peepgen.pipeline import (PipelineConfig, compare_generality,
-                              flag_removals, match_rule, relax_to_fixpoint,
-                              run_pipeline, stage3_relax, stage4_widths,
-                              StageOutcome, weaken_conjuncts)
+from peepgen.generality import compare_generality
+from peepgen.pipeline import (PipelineConfig, flag_removals,
+                              relax_to_fixpoint, run_pipeline, stage3_relax,
+                              stage4_widths, StageOutcome, weaken_conjuncts)
 from peepgen.proposer import (HeuristicBackend, ProposerError, ReplayBackend,
                               SymbolicConstants, WeakenPrecondition,
                               WidthPredicate, fence)
@@ -134,68 +134,6 @@ def test_pipeline_is_deterministic():
     a = run_pipeline(instance, _cfg())
     b = run_pipeline(instance, _cfg())
     assert asdict(a) == asdict(b)
-
-
-def _xor_and_pair():
-    rule = parse((FIXTURES / "rules" / "xor_and_distribute.peep").read_text())
-    concrete = parse(
-        (FIXTURES / "int" / "xor_and_distribute.peep").read_text())
-    return rule, concrete
-
-
-def test_match_rule_binds_constants():
-    rule, concrete = _xor_and_pair()
-    env = match_rule(rule, concrete)
-    assert env is not None
-    assert env["C1"] == 173 and env["C2"] == 94 and env["C3"] == 57
-    assert env["C4"] == 53
-
-
-def test_match_rule_rejects_broken_relation():
-    rule, concrete = _xor_and_pair()
-    broken = parse((FIXTURES / "int" / "xor_and_distribute.peep")
-                   .read_text().replace(", 53", ", 54"))
-    assert match_rule(rule, broken) is None
-
-
-def test_match_rule_handles_commuted_operands():
-    rule, concrete = _xor_and_pair()
-    commuted = parse((FIXTURES / "int" / "xor_and_distribute.peep")
-                     .read_text().replace("xor i8 %x, 173", "xor i8 173, %x"))
-    env = match_rule(rule, commuted)
-    assert env is not None and env["C1"] == 173
-
-
-def test_match_then_substitute_reproduces_instance():
-    from peepgen.ir import substitute
-
-    rule, concrete = _xor_and_pair()
-    env = match_rule(rule, concrete)
-    widths = {v: env[v] for v in rule.width_vars}
-    bindings = {n for n, _ in rule.sym_consts}
-    inst = substitute(rule, {n: env[n] for n in bindings}, widths)
-    assert textfmt.structural_eq(
-        textfmt.parse_rule(textfmt.print_rule(inst)), concrete)
-
-
-def test_compare_generality_reflexive_and_disjoint():
-    rule = parse((FIXTURES / "rules" / "cttz_general.peep").read_text())
-    assert compare_generality(rule, rule).verdict == "Equal"
-    other = parse("""
-rule "o" {
-  lhs fn(x: i8) -> i8 { %0 = add i8 %x, 1; ret %0 }
-  rhs fn(x: i8) -> i8 { %0 = sub i8 %x, 255; ret %0 }
-}
-""")
-    assert compare_generality(rule, other).verdict == "Incomparable"
-
-
-def test_compare_generality_strict_superset():
-    a = parse((FIXTURES / "rules" / "cttz_general.peep").read_text())
-    b = parse((FIXTURES / "rules" / "cttz_fixed_rhs.peep").read_text())
-    result = compare_generality(a, b)
-    assert result.verdict == "AMoreGeneral"
-    assert result.witness is not None
 
 
 class _FailingBackend:

@@ -9,7 +9,7 @@ from peepgen.ir import (CAST_OPS, CBIN_OPS, CUN_OPS, FLOAT_BINOPS,
                         validate)
 from peepgen.textfmt import ParseError
 
-from conftest import parse
+from conftest import parse, structural_eq
 
 WIDTHS = st.sampled_from([1, 4, 8, 13, 16, 32, 64])
 BINOPS = ["add", "sub", "mul", "and", "or", "xor", "udiv", "urem",
@@ -70,14 +70,14 @@ def int_rules(draw):
 def test_round_trip_property(rule):
     text = textfmt.print_rule(rule)
     again = textfmt.parse_rule(text)
-    assert textfmt.structural_eq(rule, again)
+    assert structural_eq(rule, again)
     assert textfmt.print_rule(again) == text
 
 
 def test_fixture_round_trip(fixture_corpus):
     for fx in fixture_corpus:
         printed = textfmt.print_rule(fx.rule)
-        assert textfmt.structural_eq(fx.rule, textfmt.parse_rule(printed)), fx.name
+        assert structural_eq(fx.rule, textfmt.parse_rule(printed)), fx.name
 
 
 def test_canonical_text_idempotent(fixture_corpus):
