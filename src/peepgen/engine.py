@@ -145,7 +145,9 @@ def _ctlz64(v, width: int):
 # and the lanes the operation itself makes poison (None when it makes
 # none); it computes only the result its opcode names (and, for `exact`,
 # the remainder that decides poison).  A remainder is `a - (a // b) * b`,
-# as numpy's `%` has no fast loop.
+# as numpy's `%` has no fast loop.  `mul` takes one path at every width: the
+# product in the storage dtype, whose wrap the `nuw`/`nsw` checks detect by
+# dividing back.
 #
 # numpy runs a ufunc on an operand that repeats along the inner axis (a
 # scalar, or a column against rows) in one of two ways.  Measured with
@@ -216,38 +218,29 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
             poison = _por(poison, ovf)
         return r, poison
 
+    dt = udtype(w)
     if op == "mul":
-        if w <= 32:
-            wide = av.astype(np.uint64) * bv.astype(np.uint64)
-            r = _wrap(wide, w)
-            if "nuw" in flags:
-                poison = _por(poison, wide > np.uint64(mask(w)))
-            if "nsw" in flags:
-                ws = _signed(av, w).astype(np.int64) * _signed(bv, w).astype(np.int64)
-                poison = _por(poison, (ws < -(1 << (w - 1))) | (ws > (1 << (w - 1)) - 1))
-        else:
-            wide = av * bv  # the product modulo 2**64
-            r = _wrap(wide, w)
-            if "nuw" in flags:
-                # divide-back overflow check: sound because when a*b wraps,
-                # wide // a is strictly below b
-                safe = np.where(av == 0, np.uint64(1), av)
-                poison = _por(poison, ((av != 0) & (wide // safe != bv))
-                              | (wide > np.uint64(mask(w))))
-            if "nsw" in flags:
-                sa, sb = _signed(av, w), _signed(bv, w)
-                na, nb = sa < 0, sb < 0
-                ma = _wrap(np.where(na, (~av) + np.uint64(1), av), w)
-                mb = _wrap(np.where(nb, (~bv) + np.uint64(1), bv), w)
-                prod = ma * mb
-                safe = np.where(ma == 0, np.uint64(1), ma)
-                ovf_u = (ma != 0) & (prod // safe != mb)
-                # |a*b| may reach 2**(w-1) only when the product is negative
-                limit = np.uint64((1 << (w - 1)) - 1) + (na ^ nb).astype(np.uint64)
-                poison = _por(poison, ovf_u | (prod > limit))
+        wide = av * bv  # the product modulo 2**(storage bits)
+        r = _wrap(wide, w)
+        if "nuw" in flags:
+            # divide-back overflow check: sound because when a*b wraps,
+            # wide // a is strictly below b
+            safe = av | (av == 0)
+            poison = _por(poison, ((av != 0) & (wide // safe != bv))
+                          | (wide > dt(mask(w))))
+        if "nsw" in flags:
+            sa, sb = _signed(av, w), _signed(bv, w)
+            # the magnitudes as patterns: abs wraps only at the storage
+            # dtype's minimum, whose pattern is its magnitude
+            ma, mb = np.abs(sa).view(dt), np.abs(sb).view(dt)
+            prod = ma * mb
+            safe = ma | (ma == 0)
+            ovf_u = (ma != 0) & (prod // safe != mb)
+            # |a*b| may reach 2**(w-1) only when the product is negative
+            limit = dt((1 << (w - 1)) - 1) + ((sa < 0) ^ (sb < 0))
+            poison = _por(poison, ovf_u | (prod > limit))
         return r, poison
 
-    dt = udtype(w)
     if op in ("udiv", "urem"):
         zero = bv == 0
         safe = np.where(zero, dt(1), bv)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .ir import PeepError, Rule
 from . import textfmt
@@ -24,37 +23,14 @@ class FixtureError(PeepError):
 class Fixture:
     name: str
     domain: str  # int | float | rules
-    peep_path: Path
-    text: str
     rule: Rule
     expect: dict = field(default_factory=dict)
-
-    @property
-    def expect_path(self) -> Path:
-        return self.peep_path.with_suffix(".expect.json")
-
-
-def fixtures_root(start: Optional[Path] = None) -> Path:
-    """Locate the fixtures/ directory by walking up from `start` (default:
-    this package's source checkout, then the current directory)."""
-    candidates = []
-    if start is not None:
-        candidates.append(Path(start))
-    candidates.append(Path(__file__).resolve())
-    candidates.append(Path.cwd())
-    for base in candidates:
-        for parent in [base] + list(base.parents):
-            probe = parent / "fixtures"
-            if probe.is_dir():
-                return probe
-    raise FixtureError("no fixtures/ directory found")
 
 
 def _load_one(path: Path, domain: str) -> Fixture:
     name = path.stem
     try:
-        text = path.read_text()
-        rule = textfmt.parse_rule(text)
+        rule = textfmt.parse_rule(path.read_text())
     except (OSError, PeepError) as e:
         raise FixtureError(f"fixture {domain}/{name}: {e}") from e
     expect_path = path.with_suffix(".expect.json")
@@ -68,17 +44,15 @@ def _load_one(path: Path, domain: str) -> Fixture:
         if not isinstance(expect, dict):
             raise FixtureError(
                 f"fixture {domain}/{name}: expectation file is not an object")
-    return Fixture(name, domain, path, text, rule, expect)
+    return Fixture(name, domain, rule, expect)
 
 
-def load_fixtures(root: Optional[Path] = None,
+def load_fixtures(root: Path,
                   domains: tuple = ("int", "float", "rules")) -> list:
-    """All fixtures under root (auto-located when omitted), sorted by
-    (domain, name)."""
-    base = Path(root) if root is not None else fixtures_root()
+    """All fixtures under `root`, sorted by (domain, name)."""
     out = []
     for domain in domains:
-        ddir = base / domain
+        ddir = Path(root) / domain
         if not ddir.is_dir():
             continue
         for path in sorted(ddir.glob("*.peep")):

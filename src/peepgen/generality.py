@@ -119,28 +119,16 @@ _PARAM_SPACE_CAP = 1 << 16
 
 def _residual_implied(rule_conjs: tuple, inst: Rule) -> bool:
     """Every input admitted by the instance's residual precondition must be
-    admitted by the rule's (bound) parameter conjuncts."""
+    admitted by the rule's (bound) parameter conjuncts.  The verifier's
+    implication scan checks this exhaustively; a space over
+    `_PARAM_SPACE_CAP` points, or one it cannot evaluate, is not certified."""
     if not rule_conjs:
         return True
-    refs = set()
-    for c in rule_conjs + tuple(inst.pre):
-        refs |= pred_param_refs(c)
-    dims = [(n, ty) for n, ty in inst.lhs.params if n in refs]
-    sizes = [engine.space_of(ty) for _n, ty in dims]
-    space = math.prod(sizes)
-    if space > _PARAM_SPACE_CAP:
-        return False  # conservatively refuse to certify
-    for flat in range(space):
-        point = {}
-        rem = flat
-        for (name, ty), size in zip(dims, sizes):
-            point[name] = verifier.scalar_value(rem % size, ty)
-            rem //= size
-        if not semantics.eval_predicate(tuple(inst.pre), point, {}, {}):
-            continue
-        if not semantics.eval_predicate(rule_conjs, point, {}, {}):
-            return False
-    return True
+    answer = verifier.check_strictly_weaker(
+        inst, rule_conjs, Budget(exhaustive_limit=_PARAM_SPACE_CAP,
+                                 sample_count=0))
+    return (isinstance(answer, verifier.StrictlyWeaker)
+            or answer == verifier.EquivalentOrIncomparable("no_witness"))
 
 
 def match_rule(rule: Rule, concrete: Rule,

@@ -335,8 +335,7 @@ def weaken_conjuncts(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
             outcome.candidates.append(co)
             if trial is None or not _gate(trial, cfg, co, verdicts):
                 continue
-            sw = verifier.check_strictly_weaker(rule, trial.pre, {},
-                                                cfg.budget)
+            sw = verifier.check_strictly_weaker(rule, trial.pre, cfg.budget)
             co.strictly_weaker = isinstance(sw, StrictlyWeaker)
             if not co.strictly_weaker:
                 continue

@@ -381,7 +381,7 @@ def _drop_to_fixpoint(keep: list, removable: list, verified) -> list:
     return keep
 
 
-def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
+def heuristic_fit_constants(instance: Rule,
                             budget: Optional[verifier.Budget] = None) -> list:
     """Symbolize literals and search templates for precondition conjuncts.
 
@@ -397,7 +397,6 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
     Returns a list of (assignment, conjunct tuple) candidates; the
     symbolized rule itself is `symbolize_literals(instance)[0]`.
     """
-    widths = dict(widths or {})
     budget = budget or verifier.Budget()
     probe = _probe_budget(budget)
     skeleton, assignment = symbolize_literals(instance)
@@ -434,7 +433,7 @@ def heuristic_fit_constants(instance: Rule, widths: Optional[dict] = None,
         pre = tuple(conjuncts)
         if pre not in probed:
             verdict = verifier.check_refinement(
-                replace(skeleton, pre=pre), widths, probe)
+                replace(skeleton, pre=pre), {}, probe)
             probed[pre] = verdict.kind == "verified"
         return probed[pre]
 
@@ -531,7 +530,7 @@ class HeuristicBackend:
             skeleton, _ = symbolize_literals(rule)
             texts = [textfmt.print_rule(replace(skeleton, pre=conjuncts))
                      for _assignment, conjuncts in heuristic_fit_constants(
-                         rule, {}, self.budget)]
+                         rule, self.budget)]
         elif isinstance(stage, Structural):
             texts = [textfmt.print_rule(c) for c in _structural_candidates(rule)]
         elif isinstance(stage, WeakenPrecondition):

@@ -585,7 +585,7 @@ def print_pred(p, top: bool = True) -> str:
     raise PeepError(f"unknown predicate {p!r}")
 
 
-def _print_operand(opnd, ty) -> str:
+def _print_operand(opnd) -> str:
     if isinstance(opnd, Param):
         return f"%{opnd.name}"
     if isinstance(opnd, Local):
@@ -607,25 +607,22 @@ def _print_instr(fn: Function, instr: Instr, index: int) -> str:
     opspec = ".".join(parts)
     if instr.op in CAST_OPS:
         src_ty = fn.operand_type(instr.operands[0])
-        opnd = _print_operand(instr.operands[0], src_ty)
+        opnd = _print_operand(instr.operands[0])
         return f"%{index} = {opspec} {src_ty} {opnd} to {instr.ty}"
     if instr.op in ("icmp", "fcmp"):
         ty = fn.operand_type(instr.operands[0])
-    elif instr.op == "select":
-        ty = instr.ty
     else:
         ty = instr.ty
-    opnds = ", ".join(_print_operand(o, fn.operand_type(o)) for o in instr.operands)
+    opnds = ", ".join(_print_operand(o) for o in instr.operands)
     return f"%{index} = {opspec} {ty} {opnds}"
 
 
 def print_function(fn: Function, label: str) -> str:
     params = ", ".join(f"{n}: {t}" for n, t in fn.params)
-    ret_ty = fn.operand_type(fn.ret)
-    lines = [f"  {label} fn({params}) -> {ret_ty} {{"]
+    lines = [f"  {label} fn({params}) -> {fn.operand_type(fn.ret)} {{"]
     for i, instr in enumerate(fn.body):
         lines.append(f"    {_print_instr(fn, instr, i)};")
-    lines.append(f"    ret {_print_operand(fn.ret, ret_ty)}")
+    lines.append(f"    ret {_print_operand(fn.ret)}")
     lines.append("  }")
     return "\n".join(lines)
 

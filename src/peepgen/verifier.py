@@ -66,8 +66,8 @@ from . import engine, semantics
 from .ir import (
     CBin, CInt, CUn, FloatType, IntType, Literal, PeepError, Rule,
     VarWidthType, bind_consts, iter_expr, literal_fits, map_rule,
-    pred_const_names, pred_exprs, pred_param_refs, resolve_predicate,
-    resolve_widths, retype_float_literal, to_signed, to_unsigned,
+    pred_const_names, pred_exprs, pred_param_refs, resolve_widths,
+    retype_float_literal, to_signed, to_unsigned,
 )
 
 REJECTION_CAP = 10 ** 6
@@ -953,21 +953,18 @@ class EquivalentOrIncomparable:
 
 
 def check_strictly_weaker(rule: Rule, weakened_pre: tuple,
-                          widths: Optional[dict] = None,
                           budget: Optional[Budget] = None):
     """Is `weakened_pre` implied by rule.pre with some point separating them?
+    `rule` and `weakened_pre` have concrete widths.
 
     Direction A: every point satisfying pre satisfies weakened_pre.
     Direction B: some point satisfies weakened_pre but not pre.
     """
-    widths = widths or {}
     budget = budget or Budget()
     if not isinstance(weakened_pre, tuple):
         weakened_pre = (weakened_pre,)
     try:
-        resolved = resolve_widths(rule, widths) if rule.width_vars else rule
-        weak = tuple(resolve_predicate(c, widths) for c in weakened_pre)
-        return _strictly_weaker(resolved, weak, budget)
+        return _strictly_weaker(rule, weakened_pre, budget)
     except engine.UnsupportedConstruct as e:
         return Inconclusive("UnsupportedConstruct", str(e))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from peepgen import textfmt, verifier
-from peepgen.fixtures import FixtureError, fixtures_root, load_fixtures
+from peepgen.fixtures import FixtureError, load_fixtures
 from peepgen.generality import match_rule
 from peepgen.ir import IntType, substitute, to_unsigned, validate
 from peepgen.pruner import prune
@@ -17,11 +17,6 @@ def test_corpus_loads_and_validates(fixture_corpus):
         assert not validate(fx.rule), fx.name
         assert fx.expect, f"{fx.name} has no expectation file"
         assert fx.expect["schema"] == "peepgen-expect-1"
-
-
-def test_fixtures_root_discovery():
-    assert fixtures_root() == FIXTURES
-    assert fixtures_root(FIXTURES / "int") == FIXTURES
 
 
 def test_corrupted_fixture_is_named(tmp_path):

@@ -77,6 +77,39 @@ def test_compare_generality_strict_superset():
     assert result.witness is not None
 
 
+_AND_RANGE = """
+rule "and_range" {{
+  {decl}pre: {pre};
+  lhs fn({params}) -> i16 {{ %0 = and i16 %x, {k}; {ret} }}
+  rhs fn({params}) -> i16 {{ %0 = and i16 %x, {k}; {ret} }}
+}}
+"""
+
+
+def _and_range(pre: str, k: str, two: bool = False):
+    """`and i16 %x, k` under `pre`; with `two`, or'ed with a second
+    parameter %y.  k is the constant C1 or a literal."""
+    return parse(_AND_RANGE.format(
+        decl="const C1: i16;\n  " if k == "C1" else "", pre=pre, k=k,
+        params="x: i16, y: i16" if two else "x: i16",
+        ret="%1 = or i16 %0, %y; ret %1" if two else "ret %0"))
+
+
+def test_match_rule_requires_the_instance_pre_to_imply_param_conjuncts():
+    rule = _and_range("RangeU(%x, 0, 2000)", "C1")
+    assert match_rule(rule, _and_range("RangeU(%x, 0, 1000)", "255")) \
+        == {"C1": 255}
+    assert match_rule(rule, _and_range("RangeU(%x, 0, 3000)", "255")) is None
+
+
+def test_match_rule_refuses_residual_spaces_over_the_cap():
+    # the implication holds, but (x, y) spans 2^32 points
+    both = "RangeU(%x, 0, {0}) && RangeU(%y, 0, {0})"
+    rule = _and_range(both.format(2000), "C1", two=True)
+    assert match_rule(rule, _and_range(both.format(1000), "255", two=True)) \
+        is None
+
+
 # -- generalize's answer per fixture -----------------------------------------
 
 

@@ -55,7 +55,7 @@ def test_heuristic_generalizes_clamp_concrete():
     # five i16 constants: the pinned seed check only passes when the pins
     # define the constants instead of leaving them to rejection sampling
     rule = parse((FIXTURES / "int" / "clamp_concrete.peep").read_text())
-    assert heuristic_fit_constants(rule, {}, Budget())
+    assert heuristic_fit_constants(rule, Budget())
 
 
 # The scalar template screen that `template_equalities` replaces, kept as its
@@ -156,7 +156,7 @@ def test_pinned_probes_do_not_exhaust_the_rejection_cap(monkeypatch):
         return out
 
     monkeypatch.setattr(verifier, "sample_satisfying_consts", counted)
-    heuristic_fit_constants(parse(XOR_AND_TEXT), {}, Budget(rng_seed=0))
+    heuristic_fit_constants(parse(XOR_AND_TEXT), Budget(rng_seed=0))
     assert calls and sum(calls) <= 1
 
 
@@ -193,9 +193,9 @@ def _pruned(name: str):
     "clamp_concrete", "xor_and_distribute"])
 def test_block_drop_fits_as_one_at_a_time_dropping(name, monkeypatch):
     rule = _pruned(name)
-    fit = heuristic_fit_constants(rule, {}, Budget(rng_seed=0))
+    fit = heuristic_fit_constants(rule, Budget(rng_seed=0))
     monkeypatch.setattr(proposer, "_drop_to_fixpoint", oracle_drop_to_fixpoint)
-    assert fit == heuristic_fit_constants(rule, {}, Budget(rng_seed=0))
+    assert fit == heuristic_fit_constants(rule, Budget(rng_seed=0))
 
 
 @st.composite
@@ -257,7 +257,7 @@ def test_fit_of_clamp_concrete_drops_conjuncts_in_blocks(monkeypatch):
         return check(rule, widths, budget)
 
     monkeypatch.setattr(verifier, "check_refinement", counted)
-    heuristic_fit_constants(_pruned("clamp_concrete"), {}, Budget(rng_seed=0))
+    heuristic_fit_constants(_pruned("clamp_concrete"), Budget(rng_seed=0))
     assert len(probes) <= 64
 
 
@@ -443,7 +443,7 @@ def test_no_verified_fit_trial_admits_an_earlier_counterexample(monkeypatch):
         return verdict
 
     monkeypatch.setattr(verifier, "check_refinement", recorded)
-    proposer.heuristic_fit_constants(pruned, {}, Budget(rng_seed=0))
+    proposer.heuristic_fit_constants(pruned, Budget(rng_seed=0))
     # the probes share the fit's skeleton, so a refuted probe's
     # counterexample refutes every later trial whose precondition admits it
     refuted = []

@@ -357,7 +357,7 @@ def fit_kernel():
         verifier.check_refinement = counted
         try:
             fit = proposer.heuristic_fit_constants(
-                rule, {}, verifier.Budget(rng_seed=0))
+                rule, verifier.Budget(rng_seed=0))
         finally:
             verifier.check_refinement = check
         if not fit:
