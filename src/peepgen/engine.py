@@ -108,12 +108,42 @@ class VVal:
         return self.ty.width
 
 
+# Boolean masks of different shapes (a (k, 1) column of constant lanes
+# against a (1, m) row of input lanes, or a 0-d mask against either) are
+# combined on uint8 views: numpy's boolean `|`, `&` and `^` take a slow loop
+# when an operand repeats, 50-83 us per 65,600 lanes with numpy 2.4 against
+# about 5 us for the same operation on uint8 views of the masks.  Masks of
+# one shape keep the boolean loop, which is as fast.
+
+
+def _mask_op(ufunc, a, b):
+    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
+    if a.shape == b.shape:
+        return ufunc(a, b)
+    return ufunc(a.view(np.uint8), b.view(np.uint8)).view(bool)
+
+
+def mask_or(a, b):
+    """`a | b` of boolean masks that broadcast together."""
+    return _mask_op(np.bitwise_or, a, b)
+
+
+def mask_and(a, b):
+    """`a & b` of boolean masks that broadcast together."""
+    return _mask_op(np.bitwise_and, a, b)
+
+
+def mask_xor(a, b):
+    """`a ^ b` of boolean masks that broadcast together."""
+    return _mask_op(np.bitwise_xor, a, b)
+
+
 def _por(a, b):
     if a is None:
         return b
     if b is None:
         return a
-    return a | b
+    return mask_or(a, b)
 
 
 # the comparison each predicate names, without its u/s/o prefix
@@ -198,6 +228,13 @@ def _minmax(pick, av, bv):
     return pick(av, bv)
 
 
+def _negate_where(v, neg, w: int):
+    """`v` negated (modulo 2**w) in the lanes where the mask `neg` holds:
+    `(v ^ m) - m` for `m` all ones there and 0 elsewhere."""
+    m = np.negative(neg, dtype=v.dtype)
+    return _wrap(np.subtract(v ^ m, m), w)
+
+
 def _int_binop_vec(op: str, flags, av, bv, w: int):
     poison = None
 
@@ -207,11 +244,12 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
     if op in ("add", "sub"):
         r = _wrap(av + bv if op == "add" else av - bv, w)
         if "nsw" in flags:
-            sa, sb, sr = _signed(av, w), _signed(bv, w), _signed(r, w)
-            if op == "add":
-                ovf = ((sa >= 0) == (sb >= 0)) & ((sr >= 0) != (sa >= 0))
-            else:
-                ovf = ((sa >= 0) != (sb >= 0)) & ((sr >= 0) != (sa >= 0))
+            na, nb, nr = (_signed(v, w) < 0 for v in (av, bv, r))
+            # a sum overflows when its sign differs from both operands'; a
+            # difference when the operands' signs differ and its own
+            # differs from the minuend's
+            ovf = mask_and(mask_xor(nr, na), mask_xor(nr, nb) if op == "add"
+                           else mask_xor(na, nb))
             poison = _por(poison, ovf)
         if "nuw" in flags:
             ovf = r < av if op == "add" else av < bv
@@ -226,8 +264,8 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
             # divide-back overflow check: sound because when a*b wraps,
             # wide // a is strictly below b
             safe = av | (av == 0)
-            poison = _por(poison, ((av != 0) & (wide // safe != bv))
-                          | (wide > dt(mask(w))))
+            poison = _por(poison, mask_or(mask_and(av != 0, wide // safe != bv),
+                                          wide > dt(mask(w))))
         if "nsw" in flags:
             sa, sb = _signed(av, w), _signed(bv, w)
             # the magnitudes as patterns: abs wraps only at the storage
@@ -235,15 +273,16 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
             ma, mb = np.abs(sa).view(dt), np.abs(sb).view(dt)
             prod = ma * mb
             safe = ma | (ma == 0)
-            ovf_u = (ma != 0) & (prod // safe != mb)
+            ovf_u = mask_and(ma != 0, prod // safe != mb)
             # |a*b| may reach 2**(w-1) only when the product is negative
-            limit = dt((1 << (w - 1)) - 1) + ((sa < 0) ^ (sb < 0))
-            poison = _por(poison, ovf_u | (prod > limit))
+            limit = dt((1 << (w - 1)) - 1) + mask_xor(sa < 0, sb < 0)
+            poison = _por(poison, mask_or(ovf_u, prod > limit))
         return r, poison
 
+    # a zero divisor is poison; it divides as 1 (`b | (b == 0)`)
     if op in ("udiv", "urem"):
         zero = bv == 0
-        safe = np.where(zero, dt(1), bv)
+        safe = bv | zero
         poison = zero
         q = _quotient(av, safe)
         if op == "urem":
@@ -254,23 +293,18 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
 
     if op in ("sdiv", "srem"):
         sa, sb = _signed(av, w), _signed(bv, w)
-        na, nb = sa < 0, sb < 0
-        ma = _wrap(np.where(na, (~av.astype(dt)) + dt(1), av), w)
-        mb = _wrap(np.where(nb, (~bv.astype(dt)) + dt(1), bv), w)
+        # the magnitudes as patterns, as in `mul nsw`
+        ma, mb = np.abs(sa).view(dt), np.abs(sb).view(dt)
         zero = bv == 0
-        int_min = dt(1 << (w - 1)) if w < 64 else np.uint64(1 << 63)
-        minneg = (av == _wrap(np.asarray(int_min), w)) & (_wrap(bv, w) == dt(mask(w)))
-        safe = np.where(zero, dt(1), mb)
-        poison = zero | minneg
+        minneg = mask_and(av == dt(1 << (w - 1)), bv == dt(mask(w)))
+        safe = mb | zero
+        poison = mask_or(zero, minneg)
         q = _quotient(ma, safe)
         if op == "sdiv":
-            qs = np.where(na ^ nb, _wrap((~q.astype(dt)) + dt(1), w), q)
             if "exact" in flags:
                 poison = _por(poison, ma != q * safe)
-            return _wrap(qs, w), poison
-        rem = ma - q * safe
-        rs = np.where(na, _wrap((~rem.astype(dt)) + dt(1), w), rem)
-        return _wrap(rs, w), poison
+            return _negate_where(q, mask_xor(sa < 0, sb < 0), w), poison
+        return _negate_where(ma - q * safe, sa < 0, w), poison
 
     if op in ("shl", "lshr", "ashr"):
         big = bv >= dt(w)
@@ -332,15 +366,15 @@ def _int_unop_vec(op: str, flags, av, w: int):
 
 def _fcmp_vec(pred: str, fa, fb):
     with np.errstate(all="ignore"):
-        unordered = np.isnan(fa) | np.isnan(fb)
+        unordered = mask_or(np.isnan(fa), np.isnan(fb))
         if pred == "ord":
             return ~unordered
         if pred == "uno":
             return unordered
         cmp = _CMP[pred[1:]](fa, fb)
     if pred.startswith("o"):
-        return cmp & ~unordered
-    return cmp | unordered
+        return mask_and(cmp, ~unordered)
+    return mask_or(cmp, unordered)
 
 
 def _float_flag_poison(flags, poison, *arrs):
@@ -461,7 +495,7 @@ def values_equal_vec(a: VVal, b: VVal):
         fa, fb = np.asarray(a.data), np.asarray(b.data)
         pa = fa.view(_FUINT[a.ty.bits])
         pb = fb.view(_FUINT[b.ty.bits])
-        return (pa == pb) | (np.isnan(fa) & np.isnan(fb))
+        return mask_or(pa == pb, mask_and(np.isnan(fa), np.isnan(fb)))
     return np.asarray(a.data) == np.asarray(b.data)
 
 
@@ -513,7 +547,7 @@ def _as_floats(a: CVal, b: CVal):
 
 
 def _is_pow2(v64):
-    return (v64 != 0) & ((v64 & (v64 - np.uint64(1))) == 0)
+    return mask_and(v64 != 0, (v64 & (v64 - np.uint64(1))) == 0)
 
 
 # the instruction each constant operator is (see the module docstring)
@@ -634,7 +668,7 @@ def _cmp_vec(pred: str, a: CVal, b: CVal):
         if (a.width is not None and b.width is not None and a.width == b.width):
             r = np.asarray(a.data) == np.asarray(b.data)
         else:
-            r = _num_cmp("eq", a, b, False) | _num_cmp("eq", a, b, True)
+            r = mask_or(_num_cmp("eq", a, b, False), _num_cmp("eq", a, b, True))
         return r if pred == "eq" else ~np.asarray(r, dtype=bool)
     signed = pred[0] == "s"
     return _num_cmp(pred[1:], a, b, signed)
@@ -663,16 +697,18 @@ def eval_pred_vec(p, params: dict, consts: dict):
             return np.asarray(True)
         r = eval_pred_vec(p[0], params, consts)
         for c in p[1:]:
-            r = r & eval_pred_vec(c, params, consts)
+            r = mask_and(r, eval_pred_vec(c, params, consts))
         return r
     if isinstance(p, PTrue):
         return np.asarray(True)
     if isinstance(p, PNot):
         return ~np.asarray(eval_pred_vec(p.a, params, consts), dtype=bool)
     if isinstance(p, POr):
-        return eval_pred_vec(p.a, params, consts) | eval_pred_vec(p.b, params, consts)
+        return mask_or(eval_pred_vec(p.a, params, consts),
+                       eval_pred_vec(p.b, params, consts))
     if isinstance(p, PAnd):
-        return eval_pred_vec(p.a, params, consts) & eval_pred_vec(p.b, params, consts)
+        return mask_and(eval_pred_vec(p.a, params, consts),
+                        eval_pred_vec(p.b, params, consts))
 
     if isinstance(p, PCmp):
         a = eval_constexpr_vec(p.a, consts, params)
@@ -694,13 +730,14 @@ def eval_pred_vec(p, params: dict, consts: dict):
         vd = np.asarray(v.data).astype(np.uint64)
         zd = np.asarray(_as_width(z, v.width)).astype(np.uint64)
         od = np.asarray(_as_width(o, v.width)).astype(np.uint64)
-        r = ((vd & zd) == 0) & ((vd & od) == od)
+        r = mask_and((vd & zd) == 0, (vd & od) == od)
         return _in_domain(r, v.poison, z.poison, o.poison)
     if isinstance(p, PRange):
         v = _ref_cval(params[p.ref])
         lo = eval_constexpr_vec(p.lo, consts, params)
         hi = eval_constexpr_vec(p.hi, consts, params)
-        r = _num_cmp("le", lo, v, p.signed) & _num_cmp("le", v, hi, p.signed)
+        r = mask_and(_num_cmp("le", lo, v, p.signed),
+                     _num_cmp("le", v, hi, p.signed))
         return _in_domain(r, v.poison, lo.poison, hi.poison)
     if isinstance(p, PLowBitsZero):
         v = _ref_cval(params[p.ref])
@@ -724,7 +761,7 @@ def _in_domain(r, *poisons):
     r = np.asarray(r, dtype=bool)
     for poison in poisons:
         if poison is not None:
-            r = r & ~poison
+            r = mask_and(r, ~poison)
     return r
 
 
@@ -881,18 +918,36 @@ def special_float_patterns(prec: int) -> np.ndarray:
 
 
 def sample_int_patterns(rng: np.random.Generator, width: int, n: int) -> np.ndarray:
-    """Mixture: uniform bits, geometric bit-length, and special values."""
-    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    uniform = ((hi << np.uint64(32)) | lo) & np.uint64(mask(width))
-    blen = rng.integers(1, width + 1, size=n, dtype=np.uint64)
-    bmask = np.uint64(mask(64)) >> (np.uint64(64) - blen)
-    short = uniform & bmask
-    specials = special_int_patterns(width).astype(np.uint64)
+    """Mixture: uniform bits, geometric bit-length, and special values.
+
+    Each draw takes a branch: 0 keeps its uniform bits, 1 their low
+    `blen` bits, 2 a special value.  The branches are applied as masks, in
+    place, without a select: a nested `np.where` and its temporaries cost
+    about as much as the five draws."""
+    u64 = np.uint64
+    out = rng.integers(0, 1 << 32, size=n, dtype=u64)
+    hi = rng.integers(0, 1 << 32, size=n, dtype=u64)
+    hi <<= u64(32)
+    out |= hi
+    out &= u64(mask(width))
+    del hi
+    keep = rng.integers(1, width + 1, size=n, dtype=u64)  # blen
+    np.subtract(u64(64), keep, out=keep)
+    np.right_shift(u64(mask(64)), keep, out=keep)
+    specials = special_int_patterns(width).astype(u64)
     spec = specials[rng.integers(0, len(specials), size=n)]
     branch = rng.integers(0, 3, size=n)
-    out = np.where(branch == 0, uniform, np.where(branch == 1, short, spec))
-    return out.astype(udtype(width))
+    # all ones where the branch is 0, else none: (0 - 1) >> 63 is -1
+    keep |= ((branch - 1) >> 63).view(u64)
+    # all ones where the branch is 2, else none: -(2 >> 1) is -1
+    np.right_shift(branch, 1, out=branch)
+    np.negative(branch, out=branch)
+    special = branch.view(u64)
+    keep &= ~special
+    out &= keep
+    spec &= special
+    out |= spec
+    return out.astype(udtype(width), copy=False)
 
 
 def sample_float_patterns(rng: np.random.Generator, prec: int, n: int) -> np.ndarray:

@@ -25,9 +25,9 @@ sampled scan loops over its constants.  Inputs come from one column source
 (`_columns`): given patterns, or the full grid, built once when it holds at
 most `_CHUNK` tuples and otherwise range by range as the blocks ask for it.
 `_blocks` is the one block-size policy: a block is a column of consecutive
-looped entries x the vectorised row (about `_BLOCK` points); a row wider
-than that is cut into pieces of `_BLOCK` points (the rest joining the
-last), so a check refuted early pays for little more than the points
+looped entries x the vectorised row (about `_BLOCK`, 2^17, points); a row
+wider than that is cut into pieces of `_BLOCK` points (the rest joining
+the last), so a check refuted early pays for little more than the points
 before its violation, and memory stays at a few pieces.  A block's first
 violation is taken in row-major order, the order of looping one entry at a
 time.  A block evaluates the parameter precondition first; when it admits
@@ -47,10 +47,11 @@ by one filter (`_satisfying`).  Every Refuted verdict carries a
 counterexample that is re-checked with the scalar evaluator before being
 returned (self-validation).
 
-The strictly-weaker check reads its point space `_BLOCK` points at a time
-(`_pieces`): the exhaustive grid through `engine.unravel_chunk`, or the
-seeded draws and then the special cross, whose ranges are unravelled as
-they are read (`_cross_reader`, shared with `sample_satisfying_consts`).
+The strictly-weaker check reads its point space `_WEAKER_PIECE` (2^16)
+points at a time (`_pieces`): the exhaustive grid through
+`engine.unravel_chunk`, or the seeded draws and then the special cross,
+whose ranges are unravelled as they are read (`_cross_reader`, shared with
+`sample_satisfying_consts`).
 Its "not implied" point and its witness are both replayed with the scalar
 evaluator.
 """
@@ -75,7 +76,9 @@ _SPECIAL_CROSS_CAP = 1 << 16
 _SPECIAL_LOOP_CAP = 512
 _CHUNK = 1 << 22
 # a scan evaluates about this many points at once when its rows are short
-_BLOCK = 1 << 16
+_BLOCK = 1 << 17
+# the strictly-weaker check reads its point space this many points at a time
+_WEAKER_PIECE = 1 << 16
 # a walk can materialize every constant assignment of the space it filters;
 # above this cap memory would blow up, so rejection sampling takes over even
 # when the budget would nominally allow a walk
@@ -605,11 +608,11 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
         rv = engine.eval_function_vec(resolved.rhs, params, consts)
         viol = ~np.asarray(engine.values_equal_vec(lv, rv), dtype=bool)
         if rv.poison is not None:
-            viol = viol | rv.poison
+            viol = engine.mask_or(viol, rv.poison)
         if lv.poison is not None:
-            viol = viol & ~lv.poison
+            viol = engine.mask_and(viol, ~lv.poison)
         if pre is not None:
-            viol = viol & pre
+            viol = engine.mask_and(viol, pre)
         hit = _first_true(viol, shape)
         if hit is not None:
             cx = _extract_point(resolved, widths, params, consts, lv, rv,
@@ -1032,11 +1035,11 @@ def _strictly_weaker(resolved: Rule, weak: tuple, budget: Budget):
 
 
 def _pieces(ranges: list):
-    """The (point count, patterns) pieces of at most `_BLOCK` points that
-    read each (count, read) range in turn, in order."""
+    """The (point count, patterns) pieces of at most `_WEAKER_PIECE` points
+    that read each (count, read) range in turn, in order."""
     for total, read in ranges:
-        for a in range(0, total, _BLOCK):
-            b = min(a + _BLOCK, total)
+        for a in range(0, total, _WEAKER_PIECE):
+            b = min(a + _WEAKER_PIECE, total)
             yield b - a, read(a, b)
 
 

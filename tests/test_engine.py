@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peepgen import engine, semantics, verifier
+from peepgen import engine, semantics, textfmt, verifier
 from peepgen.ir import (FCMP_PREDS, FLOAT_BINOPS, INT_BINOPS, INT_UNOPS, CBin,
                         CCast, CConst, CInt, CUn, FloatType, Function, Instr,
-                        IntType, Local, Param, PCmp, PPow2, mask,
+                        IntType, Local, Param, PAnd, PCmp, PPow2, mask,
                         iter_expr, opcode_arity, pred_const_names)
 from peepgen.semantics import Bits, FloatBits, POISON
 
@@ -622,3 +622,73 @@ def test_pcmp_matches_scalar_on_corner_lane_pairs(wa, wb):
                     scalar = semantics.eval_predicate(conj, {}, scalar_consts,
                                                       {})
                     assert bool(vec[i, j]) == scalar, (conj, col[i], values[j])
+
+
+@pytest.mark.parametrize("w", [3, 8, 16, 33, 64])
+@pytest.mark.parametrize("op, amounts", [
+    # shift amounts at and past the width, and a zero divisor: a (k, 1)
+    # column of poison lanes
+    ("lshr", lambda w: [0, 1, w - 1, w, w + 1, mask(w)]),
+    ("udiv", lambda w: [0, 1, 2, 3, mask(w)]),
+])
+def test_masks_of_different_shapes_match_scalar(op, amounts, w):
+    # `add nsw` on the (1, m) row of x makes a row of poison lanes; the
+    # kernel of the second instruction makes a (k, 1) column of them from
+    # its column operand c, and the two masks meet in one (k, m) block
+    ty = IntType(w)
+    dt = engine.udtype(w)
+    row = _lane_values(w)
+    col = [v & mask(w) for v in amounts(w)]
+    fn = Function("lhs", (("x", ty), ("c", ty)),
+                  (Instr("add", (Param("x"), Param("x")), ty,
+                         frozenset({"nsw"}), None),
+                   Instr(op, (Local(0), Param("c")), ty, frozenset(), None)),
+                  Local(1))
+    vec = engine.eval_function_vec(fn, {
+        "x": engine.VVal(np.array(row, dtype=dt).reshape(1, -1), None, ty),
+        "c": engine.VVal(np.array(col, dtype=dt).reshape(-1, 1), None, ty)},
+        {})
+    shape = (len(col), len(row))
+    data = np.broadcast_to(np.asarray(vec.data), shape)
+    poison = np.broadcast_to(np.asarray(vec.poison), shape)
+    for i, j in np.ndindex(*shape):
+        scalar = semantics.eval_function(fn, [Bits(w, row[j]), Bits(w, col[i])])
+        lane = (op, w, row[j], col[i])
+        if scalar is POISON:
+            assert poison[i, j], lane
+        else:
+            assert not poison[i, j], lane
+            assert int(data[i, j]) == scalar.value, lane
+
+
+def test_predicate_masks_of_different_shapes_match_scalar():
+    # a constant-only conjunct over a (k, 1) column of constants (out of
+    # domain where C2 is 0) and a parameter conjunct over a (1, m) row of
+    # inputs (false where x is poison), joined by `&&` (as a tuple and as
+    # an operator), `||` and `!`
+    ty = IntType(8)
+    consts_ty = {"C1": ty, "C2": ty}
+    c1 = [0, 7, 40, 200, 255, 90]
+    c2 = [0, 1, 3, 0, 255, 2]
+    xs = [0, 2, 3, 100, 200, 201, 255]
+    x_poison = [False, False, True, False, False, True, False]
+    consts = {"C1": (np.array(c1, dtype=np.uint8).reshape(-1, 1), ty),
+              "C2": (np.array(c2, dtype=np.uint8).reshape(-1, 1), ty)}
+    params = {"x": engine.VVal(np.array(xs, dtype=np.uint8).reshape(1, -1),
+                               np.array(x_poison).reshape(1, -1), ty)}
+    for src in ["C1 / C2 <=u 40 && RangeU(%x, 3, 200)",
+                "C1 / C2 <=u 40 || RangeU(%x, 3, 200)",
+                "!(C1 / C2 <=u 40) || RangeU(%x, 3, 200)",
+                "C1 / C2 <=u 40 && !RangeU(%x, 3, 200)",
+                "!(C1 / C2 <=u 40 && RangeU(%x, 3, 200))",
+                "!(C1 / C2 <=u 40 || RangeU(%x, 3, 200))"]:
+        conjs = textfmt.parse_conjuncts(src, consts_ty)
+        for p in (conjs, PAnd(*conjs)) if len(conjs) == 2 else conjs:
+            vec = np.broadcast_to(np.asarray(
+                engine.eval_pred_vec(p, params, consts), dtype=bool),
+                (len(c1), len(xs)))
+            for i, j in np.ndindex(*vec.shape):
+                x = POISON if x_poison[j] else Bits(8, xs[j])
+                scalar = semantics.eval_predicate(
+                    p, {"x": x}, {"C1": (c1[i], ty), "C2": (c2[i], ty)}, {})
+                assert bool(vec[i, j]) == scalar, (src, c1[i], c2[i], xs[j])

@@ -818,8 +818,8 @@ rule "w" {
 ])
 def test_strictly_weaker_across_chunks(monkeypatch, block, chunk, pre, weak,
                                        sampled, kind, point):
-    # the point space is read in pieces of _BLOCK points, and _CHUNK caps
-    # the sampled special cross (one i8 pool: its diagonal is the pool
+    # the point space is read in pieces of _WEAKER_PIECE points, and _CHUNK
+    # caps the sampled special cross (one i8 pool: its diagonal is the pool
     # itself); the first separating or non-implied point must not depend
     # on where the pieces end
     rule = parse((SAMPLED_WEAKER_RULE if sampled else CHUNKED_WEAKER_RULE)
@@ -832,7 +832,7 @@ def test_strictly_weaker_across_chunks(monkeypatch, block, chunk, pre, weak,
             np.random.default_rng(budget.rng_seed), rule.sym_consts,
             budget.sample_count, verifier._CHUNK)
         assert list(pats[0]).index(point["C1"]) >= 5
-    monkeypatch.setattr(verifier, "_BLOCK", block)
+    monkeypatch.setattr(verifier, "_WEAKER_PIECE", block)
     monkeypatch.setattr(verifier, "_CHUNK", chunk)
     result = check_strictly_weaker(rule, conj, budget=budget)
     if kind == "strictly_weaker":
@@ -1243,8 +1243,8 @@ rule "wide" {{
 def test_early_violation_in_a_streamed_grid_scans_few_points(monkeypatch):
     # `x | y` is `y` only while x is 0, so the first violation is at grid
     # index 2^16; the streamed grid's row is cut into pieces of _BLOCK
-    # points, so the scan evaluates the first two pieces and builds no
-    # chunk of _CHUNK points
+    # points, so the scan evaluates the pieces up to and including the one
+    # that holds that index and builds no chunk of _CHUNK points
     evaluated, chunks = [], []
     eval_function_vec, unravel_chunk = engine.eval_function_vec, engine.unravel_chunk
 
@@ -1263,7 +1263,8 @@ def test_early_violation_in_a_streamed_grid_scans_few_points(monkeypatch):
     verdict = check_refinement(parse(_wide_rule("ret %y")), {}, Budget())
     assert verdict.kind == "refuted"
     assert verdict.counterexample.inputs == {"x": 1, "y": 0}
-    assert sum(evaluated) == 2 * verifier._BLOCK
+    pieces = (1 << 16) // verifier._BLOCK + 1
+    assert sum(evaluated) == pieces * verifier._BLOCK
     assert max(chunks) == verifier._BLOCK
 
 

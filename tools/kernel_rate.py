@@ -1,5 +1,5 @@
 """Print the verifier's throughput, in points per second, and its peak
-memory on sixteen fixed kernels, so that a change to the engine, the
+memory on seventeen fixed kernels, so that a change to the engine, the
 constant walk or the scan loop can be measured layer by layer:
 
   enumerate  walk and filter the whole 2^24-tuple free-constant space of
@@ -29,6 +29,14 @@ constant walk or the scan loop can be measured layer by layer:
              distinct, x 65600 sampled inputs, 36670 of them distinct): the
              scan of each distinct point once, with the input row drawn on
              the first run and remembered on the others
+  poison_column
+             check_refinement on an i32 rule whose `lshr` by a constant
+             C1 <=u 40 meets `add nsw` of the input, which carries its own
+             poison (256 sampled constants x 65600 sampled inputs, 36766
+             of them distinct): each block ORs a (k, 1) column of poison,
+             all poison on the rows where C1 >= 32, into a (1, m) row of
+             it, several constant rows to a block: the masks of different
+             shapes
   refute_wide
              check_refinement on a rule over (x: i8, y: i16) whose first
              violation is at index 65536 of the 2^24-point input grid, which
@@ -200,6 +208,27 @@ rule "negate_lshr_or" {
     %1 = icmp.ne i32 %0, 0;
     %2 = sext i1 %1 to i64;
     ret %2
+  }
+}
+"""
+
+
+# `(x + x) >>u C1` with `nsw` refines `(x << 1) >>u C1`: the lhs is poison
+# on a row of inputs (where x + x overflows) and on a column of constants
+# (C1 >= 32), and both masks meet in every block
+POISON_COLUMN = """
+rule "poison_column" {
+  const C1: i32;
+  pre: C1 <=u 40;
+  lhs fn(x: i32) -> i32 {
+    %0 = add.nsw i32 %x, %x;
+    %1 = lshr i32 %0, C1;
+    ret %1
+  }
+  rhs fn(x: i32) -> i32 {
+    %0 = shl i32 %x, 1;
+    %1 = lshr i32 %0, C1;
+    ret %1
   }
 }
 """
@@ -412,6 +441,9 @@ KERNELS = (
         "256 sampled constants x sampled inputs"), 1),
     ("dup_inputs", refinement_kernel(
         textfmt.parse_rule(DUP_INPUTS),
+        "256 sampled constants x sampled inputs"), 1),
+    ("poison_column", refinement_kernel(
+        textfmt.parse_rule(POISON_COLUMN),
         "256 sampled constants x sampled inputs"), 1),
     ("refute_wide", refuting_kernel(
         textfmt.parse_rule(REFUTE_WIDE), {"x": 1, "y": 0}, 65537), 1),
