@@ -108,18 +108,16 @@ class VVal:
         return self.ty.width
 
 
-# Boolean masks of different shapes (a (k, 1) column of constant lanes
+# Boolean masks that may differ in shape (a (k, 1) column of constant lanes
 # against a (1, m) row of input lanes, or a 0-d mask against either) are
 # combined on uint8 views: numpy's boolean `|`, `&` and `^` take a slow loop
-# when an operand repeats, 50-83 us per 65,600 lanes with numpy 2.4 against
-# about 5 us for the same operation on uint8 views of the masks.  Masks of
-# one shape keep the boolean loop, which is as fast.
+# when an operand repeats, whether by broadcasting or through a stride-0
+# view, 50-83 us per 65,600 lanes with numpy 2.4 against about 5 us for the
+# same operation on uint8 views of the masks.
 
 
 def _mask_op(ufunc, a, b):
     a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
-    if a.shape == b.shape:
-        return ufunc(a, b)
     return ufunc(a.view(np.uint8), b.view(np.uint8)).view(bool)
 
 
@@ -248,8 +246,8 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
             # a sum overflows when its sign differs from both operands'; a
             # difference when the operands' signs differ and its own
             # differs from the minuend's
-            ovf = mask_and(mask_xor(nr, na), mask_xor(nr, nb) if op == "add"
-                           else mask_xor(na, nb))
+            ovf = mask_xor(nr, na) & (mask_xor(nr, nb) if op == "add"
+                                      else mask_xor(na, nb))
             poison = _por(poison, ovf)
         if "nuw" in flags:
             ovf = r < av if op == "add" else av < bv
@@ -264,8 +262,8 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
             # divide-back overflow check: sound because when a*b wraps,
             # wide // a is strictly below b
             safe = av | (av == 0)
-            poison = _por(poison, mask_or(mask_and(av != 0, wide // safe != bv),
-                                          wide > dt(mask(w))))
+            poison = _por(poison, mask_and(av != 0, wide // safe != bv)
+                          | (wide > dt(mask(w))))
         if "nsw" in flags:
             sa, sb = _signed(av, w), _signed(bv, w)
             # the magnitudes as patterns: abs wraps only at the storage
@@ -276,7 +274,7 @@ def _int_binop_vec(op: str, flags, av, bv, w: int):
             ovf_u = mask_and(ma != 0, prod // safe != mb)
             # |a*b| may reach 2**(w-1) only when the product is negative
             limit = dt((1 << (w - 1)) - 1) + mask_xor(sa < 0, sb < 0)
-            poison = _por(poison, mask_or(ovf_u, prod > limit))
+            poison = _por(poison, ovf_u | (prod > limit))
         return r, poison
 
     # a zero divisor is poison; it divides as 1 (`b | (b == 0)`)
@@ -373,8 +371,8 @@ def _fcmp_vec(pred: str, fa, fb):
             return unordered
         cmp = _CMP[pred[1:]](fa, fb)
     if pred.startswith("o"):
-        return mask_and(cmp, ~unordered)
-    return mask_or(cmp, unordered)
+        return cmp & ~unordered
+    return cmp | unordered
 
 
 def _float_flag_poison(flags, poison, *arrs):
@@ -495,7 +493,7 @@ def values_equal_vec(a: VVal, b: VVal):
         fa, fb = np.asarray(a.data), np.asarray(b.data)
         pa = fa.view(_FUINT[a.ty.bits])
         pb = fb.view(_FUINT[b.ty.bits])
-        return mask_or(pa == pb, mask_and(np.isnan(fa), np.isnan(fb)))
+        return (pa == pb) | mask_and(np.isnan(fa), np.isnan(fb))
     return np.asarray(a.data) == np.asarray(b.data)
 
 
@@ -547,7 +545,7 @@ def _as_floats(a: CVal, b: CVal):
 
 
 def _is_pow2(v64):
-    return mask_and(v64 != 0, (v64 & (v64 - np.uint64(1))) == 0)
+    return (v64 != 0) & ((v64 & (v64 - np.uint64(1))) == 0)
 
 
 # the instruction each constant operator is (see the module docstring)
