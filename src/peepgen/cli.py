@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 verified/success, 1 refuted (or generalize produced no
-strictly-more-general rule), 2 inconclusive, 64 usage error, 65 parse or
+strictly-more-general rule, or rejected its instance as refuted or
+unprofitable), 2 inconclusive, 64 usage error, 65 parse or
 validation error, 70 internal error (a bench instance raised an internal
 alarm, or a PeepError escaped a command).
 """
@@ -174,7 +175,10 @@ def cmd_generalize(instance_file, backend_spec, table_file, out,
     budget = _budget(budget_exhaustive, budget_samples, seed)
     cfg = pipemod.PipelineConfig(budget, _cost_table(table_file),
                                  _backend(backend_spec, budget))
-    report = pipemod.run_pipeline(instance, cfg)
+    try:
+        report = pipemod.run_pipeline(instance, cfg)
+    except pipemod.InstanceRejected as e:
+        raise CliError(str(e), EXIT_REFUTED)
     _emit(asdict(report), out)
     if report.final is None:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -192,7 +196,7 @@ def cmd_prune(instance_file, budget_exhaustive, budget_samples, seed):
     """Strip data flow irrelevant to the rewrite."""
     instance = _load_rule(instance_file, instance=True)
     budget = _budget(budget_exhaustive, budget_samples, seed)
-    pruned, log = pruner.prune(instance, budget)
+    pruned, log = pruner.prune(instance, pipemod.PipelineConfig(budget))
     _emit({"pruned": textfmt.print_rule(pruned), "log": asdict(log)})
     sys.exit(EXIT_VERIFIED)
 
@@ -244,7 +248,7 @@ def summarize_reports(rows: list) -> dict:
     alarm (`ReplayMismatch`, `EvalError`): status "error", counted under
     "errors", a key present only when some instance has one.  Otherwise a
     None report marks an instance rejected at ingestion (it failed parsing,
-    validation, refinement or profitability before the pipeline ran);
+    validation, refinement or profitability before any stage ran);
     rejected and errored instances are excluded from success denominators.
     """
     domains: dict = {}
@@ -317,15 +321,8 @@ def _bench_one(path: Path, domain: str, table: costmod.CostTable, backend,
     name = path.stem
     try:
         instance = textfmt.parse_rule(path.read_text())
-        diags = validate(instance)
-        if diags:
-            return name, domain, None, None
         cfg = pipemod.PipelineConfig(budget, table, backend)
-        # ingestion rejects only refuted or unprofitable instances
-        verdict = verifier.check_refinement(instance, {}, budget)
-        if (verdict.kind == "refuted"
-                or not costmod.check_profitable(instance, cfg.table)):
-            return name, domain, None, None
+        # an invalid, refuted or unprofitable instance raises a PeepError
         report = asdict(pipemod.run_pipeline(instance, cfg))
     except (verifier.ReplayMismatch, EvalError) as e:
         # an internal alarm is a fault of peepgen, not of the instance

@@ -1,20 +1,22 @@
-"""Closed-loop rule generalization: prune, then four gated stages.
+"""Closed-loop rule generalization: ingest, prune, then four gated stages.
 
 Stage 1 symbolizes constants (with a feedback loop to the backend), stage 2
 abstracts preserved subexpressions into fresh inputs, stage 3 relaxes the
 precondition and instruction flags, and stage 4 generalizes bitwidths or
 float precisions.  A proposed candidate is parsed and validated first: a
 rule by `_parse_candidate`, a weakening or width predicate as the trial
-rule it makes by `_parse_conjuncts`.  Every candidate of every stage, and
-the final rule, is judged by one gate (`_gate`): refinement at the rule's
-own widths, never reduced, and profitability under the configured cost
-table.  Within one run the gate asks each refinement question once
-(`_refinement`).  Weakenings additionally pass the strictly-weaker check.
+rule it makes by `_parse_conjuncts`.  The instance at ingestion, every
+pruning trial, every candidate of every stage, and the final rule are
+judged by one gate (`_gate`): refinement at the rule's own widths, never
+reduced, and profitability under the configured cost table.  Within one
+run the gate asks each refinement question once (`_refinement`).
+Weakenings additionally pass the strictly-weaker check.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain, count
 from typing import Optional
 
 from . import cost as costmod
@@ -460,12 +462,8 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
                         "joint erasure not attempted")
         return outcome, rule, []
     original = widths[0]
-    var = "W"
-    taken = set(rule.width_vars)
-    n = 1
-    while var in taken:
-        n += 1
-        var = f"W{n}"
+    var = next(v for v in chain(["W"], (f"W{n}" for n in count(2)))
+               if v not in rule.width_vars)
     erased = _erase_widths(rule, original, var)
 
     passing, failing = [], []
@@ -521,15 +519,12 @@ def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
         return outcome, rule
     passing = []
     for prec in (16, 32, 64):
-        retyped = _retype_floats(rule, prec)
-        if retyped is None:
-            outcome.candidates.append(CandidateOutcome(
-                f"precision f{prec}", True,
-                diagnostics=["literal not exactly representable"]))
-            continue
         co = CandidateOutcome(f"precision f{prec}", True)
         outcome.candidates.append(co)
-        if _gate(retyped, cfg, co, verdicts):
+        retyped = _retype_floats(rule, prec)
+        if retyped is None:
+            co.diagnostics.append("literal not exactly representable")
+        elif _gate(retyped, cfg, co, verdicts):
             passing.append(prec)
             co.accepted = True
     outcome.counts["precisions_passing"] = [f"f{p}" for p in passing]
@@ -546,17 +541,28 @@ def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
 # The pipeline
 
 
+class InstanceRejected(PeepError):
+    """An instance that is refuted, or unprofitable, before any stage."""
+
+
 def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
                  ) -> PipelineReport:
     cfg = cfg or PipelineConfig()
     diags = validate(instance)
     if diags:
         raise PeepError("invalid instance: " + "; ".join(str(d) for d in diags))
-    pruned, log = pruner.prune(instance, cfg.budget, cfg.table)
-    rule = pruned
-    stages = []
     # every verdict of this run, for the gate to reuse
     verdicts: dict = {}
+    # ingestion rejects only refuted or unprofitable instances
+    ingested = CandidateOutcome(print_rule(instance), True)
+    _gate(instance, cfg, ingested, verdicts)
+    refuted = ingested.verdict["kind"] == "refuted"
+    if refuted or not ingested.profitable:
+        raise InstanceRejected("instance rejected: " + (
+            "refuted" if refuted else "unprofitable"))
+    pruned, log = pruner.prune(instance, cfg, verdicts)
+    rule = pruned
+    stages = []
     for stage_fn in (stage1_symbolic_constants, stage2_structural,
                      stage3_relax):
         outcome, rule = stage_fn(rule, cfg, verdicts)
@@ -572,7 +578,7 @@ def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
     recheck = replace(cfg.budget, rng_seed=cfg.budget.rng_seed + 1)
     passed = _gate(rule, cfg, final, verdicts, final_widths, recheck)
     return PipelineReport(
-        instance=print_rule(instance),
+        instance=ingested.text,
         prune_log=log,
         pruned=print_rule(pruned),
         stages=stages,

@@ -1,18 +1,21 @@
 """Verification-guided pruning of concrete instances.
 
 Each defined local is tentatively replaced (in both functions when the same
-computation appears on both sides) by a fresh parameter; the substitution is
-kept only when the instance still refines and stays profitable.  Dead code
-is eliminated after every acceptance and the sweep repeats to a fixpoint.
+computation appears on both sides) by a fresh parameter, and dead code is
+eliminated; the pipeline's gate keeps the substitution only when the
+instance still refines and stays profitable.  Stage 3's fixpoint loop
+(`pipeline.relax_to_fixpoint`) applies the first substitution the gate
+passes and starts over, until none passes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain, count
 from typing import Optional
 
 from . import cost as costmod
-from . import verifier
-from .ir import (Function, Rule, abstract_local, dce_function, params_used,
+from . import pipeline
+from .ir import (Rule, abstract_local, dce_function, params_used,
                  pred_param_refs)
 
 
@@ -44,53 +47,46 @@ def dce(rule: Rule) -> Rule:
     for conj in rule.pre:
         used |= pred_param_refs(conj)
     params = tuple((n, t) for n, t in lhs.params if n in used)
-    lhs = Function(lhs.name, params, lhs.body, lhs.ret)
-    rhs = Function(rhs.name, params, rhs.body, rhs.ret)
-    return Rule(rule.name, rule.sym_consts, rule.width_vars, rule.pre, lhs, rhs)
+    return replace(rule, lhs=replace(lhs, params=params),
+                   rhs=replace(rhs, params=params))
 
 
 # ---------------------------------------------------------------------------
 # Pruning
 
 
-def prune(instance: Rule, budget: Optional[verifier.Budget] = None,
-          table: Optional[costmod.CostTable] = None):
-    """Fixpoint pruning; returns (pruned instance, PruneLog)."""
-    budget = budget or verifier.Budget()
-    table = table or costmod.default_table()
+def prune(rule: Rule, cfg: Optional[pipeline.PipelineConfig] = None,
+          verdicts: Optional[dict] = None):
+    """Fixpoint pruning through the pipeline's gate under `cfg`, asking
+    each refinement question once in the run's verdict memo `verdicts`;
+    returns (pruned rule, PruneLog).
+
+    A sweep is one pass over the current rule's locals: it ends at its
+    first accepted substitution, or after its last local."""
+    cfg = cfg or pipeline.PipelineConfig()
     log = PruneLog()
-    current = dce(instance)
-    sweep = 0
-    changed = True
-    while changed:
-        changed = False
-        sweep += 1
-        i = 0
-        while i < len(current.lhs.body):
-            fresh = f"newvar_v{i}"
-            suffix = 0
-            names = {n for n, _ in current.lhs.params}
-            while fresh in names:
-                suffix += 1
-                fresh = f"newvar_v{i}_{suffix}"
+    judged = []  # (sweep, local, fresh, trial) in the order the gate saw
+
+    def abstractions(current: Rule):
+        log.sweeps += 1
+        names = {n for n, _ in current.lhs.params}
+        for i in range(len(current.lhs.body)):
+            fresh = next(n for n in chain([f"newvar_v{i}"], (
+                f"newvar_v{i}_{k}" for k in count(1))) if n not in names)
             lhs, rhs = abstract_local(current.lhs, current.rhs, i, fresh)
-            candidate = dce(Rule(current.name, current.sym_consts,
-                                 current.width_vars, current.pre, lhs, rhs))
-            lc, rc = costmod.cost(candidate.lhs, table), costmod.cost(candidate.rhs, table)
-            verdict = verifier.check_refinement(candidate, {}, budget)
-            if verdict.kind != "verified":
-                outcome = "refuted" if verdict.kind == "refuted" else "inconclusive"
-            elif not costmod.check_profitable(candidate, table):
-                outcome = "unprofitable"
-            else:
-                outcome = "accepted"
-            log.attempts.append(PruneAttempt(sweep, i, fresh, outcome,
-                                             str(lc), str(rc)))
-            if outcome == "accepted":
-                current = candidate
-                changed = True
-                i = 0  # restart the sweep on the shrunken body
-            else:
-                i += 1
-    log.sweeps = sweep
-    return current, log
+            trial = dce(replace(current, lhs=lhs, rhs=rhs))
+            judged.append((log.sweeps, i, fresh, trial))
+            yield f"abstract %{i} as {fresh}", trial
+
+    outcome = pipeline.StageOutcome("prune")
+    pruned, _applied = pipeline.relax_to_fixpoint(
+        dce(rule), abstractions, cfg, outcome, verdicts)
+    for (sweep, i, fresh, trial), co in zip(judged, outcome.candidates):
+        kind = co.verdict["kind"]
+        log.attempts.append(PruneAttempt(
+            sweep, i, fresh,
+            "accepted" if co.accepted
+            else "unprofitable" if kind == "verified" else kind,
+            str(costmod.cost(trial.lhs, cfg.table)),
+            str(costmod.cost(trial.rhs, cfg.table))))
+    return pruned, log

@@ -363,6 +363,48 @@ def test_generalize_unknown_backend():
     assert proc.returncode == 64
 
 
+SHL_TO_MUL = """
+rule "shl_to_mul" {
+  lhs fn(x: i8) -> i8 { %0 = shl i8 %x, 3; ret %0 }
+  rhs fn(x: i8) -> i8 { %0 = mul i8 %x, 8; ret %0 }
+}
+"""
+
+
+@pytest.mark.parametrize("text, reason", [(BAD_RULE, "refuted"),
+                                          (SHL_TO_MUL, "unprofitable")],
+                         ids=["refuted", "unprofitable"])
+def test_generalize_rejects_instance_before_any_stage(tmp_path, monkeypatch,
+                                                      capsys, text, reason):
+    path = tmp_path / "instance.peep"
+    path.write_text(text)
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran on a rejected instance")
+
+    for name in ("stage1_symbolic_constants", "stage2_structural",
+                 "stage3_relax", "stage4_widths"):
+        monkeypatch.setattr(pipeline, name, no_stage)
+    monkeypatch.setattr(pruner, "prune", no_stage)
+    code, out, err = _main(monkeypatch, capsys, "generalize", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: instance rejected: {reason}\n"
+    proc = run_cli("generalize", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: instance rejected: {reason}\n"
+
+
+def test_prune_prints_the_generalize_reports_pruning(tmp_path):
+    instance = str(FIXTURES / "int" / "mod_div_zero.peep")
+    pruned = run_cli("prune", instance, "--seed", "0")
+    assert pruned.returncode == 0, pruned.stderr
+    out = tmp_path / "report.json"
+    run_cli("generalize", instance, "--seed", "0", "--out", str(out))
+    report = json.loads(out.read_text())
+    assert json.loads(pruned.stdout) == {"pruned": report["pruned"],
+                                         "log": report["prune_log"]}
+
+
 def test_prune_output():
     proc = run_cli("prune", str(FIXTURES / "int" / "mod_div_zero.peep"))
     assert proc.returncode == 0

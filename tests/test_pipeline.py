@@ -4,6 +4,7 @@ import pytest
 
 from peepgen import pipeline, textfmt, verifier
 from peepgen.generality import compare_generality
+from peepgen.ir import resolve_widths
 from peepgen.pipeline import (PipelineConfig, flag_removals,
                               relax_to_fixpoint, run_pipeline, stage3_relax,
                               stage4_widths, StageOutcome, weaken_conjuncts)
@@ -90,7 +91,7 @@ rule "xor_xor" {
     assert report.final is None
 
 
-def test_unprofitable_final_rule_is_not_reported():
+def test_unprofitable_instance_is_rejected_at_ingestion():
     # shl costs 1 and mul 3: the rule is correct but not worth applying
     instance = parse("""
 rule "shl_to_mul" {
@@ -98,10 +99,31 @@ rule "shl_to_mul" {
   rhs fn(x: i8) -> i8 { %0 = mul i8 %x, 8; ret %0 }
 }
 """)
-    report = run_pipeline(instance, _cfg())
-    assert report.final_verdict["kind"] == "verified"
-    assert (report.lhs_cost, report.rhs_cost) == ("1", "3")
-    assert report.final is None
+    co = pipeline.CandidateOutcome("shl_to_mul", True)
+    assert not pipeline._gate(instance, _cfg(), co, None)
+    assert (co.verdict["kind"], co.profitable) == ("verified", False)
+    with pytest.raises(pipeline.InstanceRejected,
+                       match="^instance rejected: unprofitable$"):
+        run_pipeline(instance, _cfg())
+
+
+@pytest.mark.parametrize("name", ["mod_div_zero", "xor_self"])
+def test_each_refinement_question_is_asked_once_per_run(monkeypatch, name):
+    # ingestion, pruning and the stages share the run's verdict memo
+    instance = parse((FIXTURES / "int" / f"{name}.peep").read_text())
+    asked = []
+    check = verifier.check_refinement
+
+    def recorded(rule, widths=None, budget=None):
+        resolved = resolve_widths(rule, widths) if rule.width_vars else rule
+        asked.append((repr(resolved), budget or Budget()))
+        return check(rule, widths, budget)
+
+    monkeypatch.setattr(verifier, "check_refinement", recorded)
+    run_pipeline(instance, _cfg(budget=Budget(rng_seed=0)))
+    assert asked[0] == (repr(instance), Budget(rng_seed=0))
+    repeated = [q for i, q in enumerate(asked) if q in asked[:i]]
+    assert repeated == []
 
 
 def test_widths_stage_generalizes_xor_self():

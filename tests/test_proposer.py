@@ -179,10 +179,10 @@ def oracle_drop_to_fixpoint(keep: list, removable: list, verified) -> list:
 
 
 def _pruned(name: str):
-    from peepgen import cost, pruner
+    from peepgen import pruner
 
     instance = parse((FIXTURES / "int" / f"{name}.peep").read_text())
-    return pruner.prune(instance, Budget(), cost.default_table())[0]
+    return pruner.prune(instance)[0]
 
 
 @pytest.mark.parametrize("name", [
@@ -430,10 +430,10 @@ def test_propose_caps_at_k():
     "counterexample refutes: heuristic clamp_concrete at seed 0 verifies a "
     "trial whose constants admit the counterexample of probe 11"))
 def test_no_verified_fit_trial_admits_an_earlier_counterexample(monkeypatch):
-    from peepgen import cost, pruner
+    from peepgen import pruner
 
     instance = parse((FIXTURES / "int" / "clamp_concrete.peep").read_text())
-    pruned, _log = pruner.prune(instance, Budget(), cost.default_table())
+    pruned, _log = pruner.prune(instance)
     probes = []
     check = verifier.check_refinement
 

@@ -1,7 +1,8 @@
 from dataclasses import asdict
 
-from peepgen import textfmt
+from peepgen import textfmt, verifier
 from peepgen.cost import check_profitable
+from peepgen.pipeline import PipelineConfig
 from peepgen.pruner import dce, prune
 from peepgen.verifier import Budget, check_refinement
 
@@ -18,6 +19,23 @@ def test_prune_eliminates_irrelevant_trunc():
     assert "trunc" not in text
     assert "newvar_v0: i8" in text
     assert any(a.outcome == "accepted" for a in log.attempts)
+
+
+def test_prune_judges_no_trial_twice(monkeypatch):
+    asked = []
+    check = verifier.check_refinement
+
+    def recorded(rule, widths=None, budget=None):
+        asked.append(repr(rule))
+        return check(rule, widths, budget)
+
+    monkeypatch.setattr(verifier, "check_refinement", recorded)
+    _pruned, log = prune(_prune_instance(), PipelineConfig(Budget(rng_seed=0)))
+    # a sweep ends at its acceptance, and the last one after its last local
+    assert [(a.sweep, a.local, a.outcome) for a in log.attempts] == [
+        (1, 0, "accepted"), (2, 0, "refuted"), (2, 1, "refuted")]
+    assert log.sweeps == 2
+    assert len(asked) == len(set(asked)) == 3
 
 
 def test_prune_output_passes_both_gates():

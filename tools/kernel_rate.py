@@ -71,6 +71,13 @@ constant walk or the scan loop can be measured layer by layer:
              64 or 65536 seeded random constant tuples: the constant
              operators and the constant filter, one call at a time
 
+Each kernel is built and timed in a fresh process of its own: with one
+kernel named, this process; otherwise one child process per kernel.  So no
+figure depends on which kernels ran before it.  In one long process it
+would, because glibc hands large numpy temporaries back to the operating
+system, and faults them in again, until an earlier large allocation has
+raised its trim and mmap thresholds.
+
 Each kernel runs 5 times (a filter kernel 5 batches of many calls);
 median_s is the median time of one call (for a filter kernel, times 1e6 it
 is microseconds per call), and points/s is the points of one call over it.
@@ -87,6 +94,7 @@ Run from anywhere:  python3 tools/kernel_rate.py [kernel ...]
 """
 import pathlib
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -99,7 +107,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from peepgen import (  # noqa: E402
-    cost, engine, proposer, pruner, textfmt, verifier)
+    engine, proposer, pruner, textfmt, verifier)
 from peepgen.ir import pred_param_refs  # noqa: E402
 import hostspeed  # noqa: E402
 
@@ -373,7 +381,7 @@ def refuting_kernel(rule, inputs: dict, points: int,
 def fit_kernel():
     instance = textfmt.parse_rule(
         (ROOT / "fixtures" / "int" / "clamp_concrete.peep").read_text())
-    rule = pruner.prune(instance, verifier.Budget(), cost.default_table())[0]
+    rule = pruner.prune(instance)[0]
     check = verifier.check_refinement
 
     def run() -> int:
@@ -420,46 +428,47 @@ def filter_kernel(lanes: int):
     return run
 
 
-# (name, kernel, calls timed together)
+# (name, kernel factory, calls timed together); a kernel is built only in
+# the process that times it
 KERNELS = (
-    ("enumerate", enumerate_kernel(), 1),
-    ("xor_and", refinement_kernel(
+    ("enumerate", enumerate_kernel, 1),
+    ("xor_and", lambda: refinement_kernel(
         _rule("xor_and_distribute"),
         "4352 sampled constants x 256 inputs (full grid)"), 1),
-    ("narrow", refinement_kernel(
+    ("narrow", lambda: refinement_kernel(
         textfmt.parse_rule(CTTZ_W12), "78 constants x 4096 inputs"), 1),
-    ("clamp", refinement_kernel(
+    ("clamp", lambda: refinement_kernel(
         _rule("clamp_range"),
         "256 sampled constants x 65536 inputs (full grid)"), 1),
-    ("divrem", refinement_kernel(
+    ("divrem", lambda: refinement_kernel(
         textfmt.parse_rule(DIVREM_I16),
         "287 sampled constants x 65536 inputs (full grid)"), 1),
-    ("divcol", refinement_kernel(
+    ("divcol", lambda: refinement_kernel(
         textfmt.parse_rule(DIVCOL_W12), "4096 constants x 4096 inputs"), 1),
-    ("range_pre", refinement_kernel(
+    ("range_pre", lambda: refinement_kernel(
         textfmt.parse_rule(NEGATE_LSHR_OR),
         "256 sampled constants x sampled inputs"), 1),
-    ("dup_inputs", refinement_kernel(
+    ("dup_inputs", lambda: refinement_kernel(
         textfmt.parse_rule(DUP_INPUTS),
         "256 sampled constants x sampled inputs"), 1),
-    ("poison_column", refinement_kernel(
+    ("poison_column", lambda: refinement_kernel(
         textfmt.parse_rule(POISON_COLUMN),
         "256 sampled constants x sampled inputs"), 1),
-    ("refute_wide", refuting_kernel(
+    ("refute_wide", lambda: refuting_kernel(
         textfmt.parse_rule(REFUTE_WIDE), {"x": 1, "y": 0}, 65537), 1),
-    ("sparse_walk", refinement_kernel(
+    ("sparse_walk", lambda: refinement_kernel(
         textfmt.parse_rule(SPARSE_WALK), "256 constants x 256 inputs",
         1 << 24), 1),
-    ("fit", fit_kernel(), 1),
-    ("weak_probe", refuting_kernel(
+    ("fit", fit_kernel, 1),
+    ("weak_probe", lambda: refuting_kernel(
         textfmt.parse_rule(WEAK_CLAMP), {"x": 0}, 39 ** 4,
         proposer._probe_budget(verifier.Budget(rng_seed=0))), 1),
-    ("weaker", weaker_kernel(), 1),
-    ("wide_verified", refinement_kernel(
+    ("weaker", weaker_kernel, 1),
+    ("wide_verified", lambda: refinement_kernel(
         textfmt.parse_rule(WIDE_VERIFIED), "1 constants x 16777216 inputs"),
      1),
-    ("filter64", filter_kernel(64), 2000),
-    ("filter65536", filter_kernel(65536), 50),
+    ("filter64", lambda: filter_kernel(64), 2000),
+    ("filter65536", lambda: filter_kernel(65536), 50),
 )
 
 
@@ -472,6 +481,26 @@ def _reference_jobs() -> list:
     return times
 
 
+def _row(name: str, build, calls: int) -> str:
+    run = build()
+    times, scaled = [], []
+    for _ in range(RUNS):
+        jobs = _reference_jobs()
+        start = time.perf_counter()
+        for _ in range(calls):
+            points = run()
+        times.append((time.perf_counter() - start) / calls)
+        job_s = statistics.median(jobs + _reference_jobs())
+        scaled.append(times[-1] * hostspeed.NOMINAL_S / job_s)
+    tracemalloc.start()
+    run()
+    peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
+    tracemalloc.stop()
+    median = statistics.median(times)
+    return (f"{name:13s} {points:10d} {median:9.4g} {points / median:12.4g} "
+            f"{points / statistics.median(scaled):12.4g} {peak:8.4g}")
+
+
 def main() -> None:
     names = sys.argv[1:] or [name for name, _, _ in KERNELS]
     unknown = set(names) - {name for name, _, _ in KERNELS}
@@ -479,26 +508,19 @@ def main() -> None:
         raise SystemExit(f"unknown kernel(s): {', '.join(sorted(unknown))}; "
                          f"choose from {', '.join(n for n, _, _ in KERNELS)}")
     print(f"{'kernel':13s} {'points':>10s} {'median_s':>9s} {'points/s':>12s} "
-          f"{'scaled/s':>12s} {'peak_MB':>8s}")
-    for name, run, calls in KERNELS:
+          f"{'scaled/s':>12s} {'peak_MB':>8s}", flush=True)
+    for name, build, calls in KERNELS:
         if name not in names:
             continue
-        times, scaled = [], []
-        for _ in range(RUNS):
-            jobs = _reference_jobs()
-            start = time.perf_counter()
-            for _ in range(calls):
-                points = run()
-            times.append((time.perf_counter() - start) / calls)
-            job_s = statistics.median(jobs + _reference_jobs())
-            scaled.append(times[-1] * hostspeed.NOMINAL_S / job_s)
-        tracemalloc.start()
-        run()
-        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
-        tracemalloc.stop()
-        median = statistics.median(times)
-        print(f"{name:13s} {points:10d} {median:9.4g} {points / median:12.4g} "
-              f"{points / statistics.median(scaled):12.4g} {peak:8.4g}")
+        if len(names) == 1:
+            print(_row(name, build, calls))
+            continue
+        # a fresh process per kernel: see the module docstring
+        proc = subprocess.run([sys.executable, __file__, name],
+                              stdout=subprocess.PIPE, text=True, check=False)
+        if proc.returncode:
+            raise SystemExit(proc.returncode)
+        print(proc.stdout.splitlines()[-1], flush=True)
 
 
 if __name__ == "__main__":
