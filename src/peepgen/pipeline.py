@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain, count
 from typing import Optional
 
 from . import cost as costmod
@@ -462,8 +461,12 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
                         "joint erasure not attempted")
         return outcome, rule, []
     original = widths[0]
-    var = next(v for v in chain(["W"], (f"W{n}" for n in count(2)))
-               if v not in rule.width_vars)
+    var = "W"
+    taken = set(rule.width_vars)
+    n = 1
+    while var in taken:
+        n += 1
+        var = f"W{n}"
     erased = _erase_widths(rule, original, var)
 
     passing, failing = [], []
@@ -519,12 +522,15 @@ def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
         return outcome, rule
     passing = []
     for prec in (16, 32, 64):
-        co = CandidateOutcome(f"precision f{prec}", True)
-        outcome.candidates.append(co)
         retyped = _retype_floats(rule, prec)
         if retyped is None:
-            co.diagnostics.append("literal not exactly representable")
-        elif _gate(retyped, cfg, co, verdicts):
+            outcome.candidates.append(CandidateOutcome(
+                f"precision f{prec}", True,
+                diagnostics=["literal not exactly representable"]))
+            continue
+        co = CandidateOutcome(f"precision f{prec}", True)
+        outcome.candidates.append(co)
+        if _gate(retyped, cfg, co, verdicts):
             passing.append(prec)
             co.accepted = True
     outcome.counts["precisions_passing"] = [f"f{p}" for p in passing]

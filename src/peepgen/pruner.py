@@ -10,12 +10,11 @@ passes and starts over, until none passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, count
 from typing import Optional
 
 from . import cost as costmod
 from . import pipeline
-from .ir import (Rule, abstract_local, dce_function, params_used,
+from .ir import (Function, Rule, abstract_local, dce_function, params_used,
                  pred_param_refs)
 
 
@@ -47,8 +46,9 @@ def dce(rule: Rule) -> Rule:
     for conj in rule.pre:
         used |= pred_param_refs(conj)
     params = tuple((n, t) for n, t in lhs.params if n in used)
-    return replace(rule, lhs=replace(lhs, params=params),
-                   rhs=replace(rhs, params=params))
+    lhs = Function(lhs.name, params, lhs.body, lhs.ret)
+    rhs = Function(rhs.name, params, rhs.body, rhs.ret)
+    return Rule(rule.name, rule.sym_consts, rule.width_vars, rule.pre, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +71,11 @@ def prune(rule: Rule, cfg: Optional[pipeline.PipelineConfig] = None,
         log.sweeps += 1
         names = {n for n, _ in current.lhs.params}
         for i in range(len(current.lhs.body)):
-            fresh = next(n for n in chain([f"newvar_v{i}"], (
-                f"newvar_v{i}_{k}" for k in count(1))) if n not in names)
+            fresh = f"newvar_v{i}"
+            suffix = 0
+            while fresh in names:
+                suffix += 1
+                fresh = f"newvar_v{i}_{suffix}"
             lhs, rhs = abstract_local(current.lhs, current.rhs, i, fresh)
             trial = dce(replace(current, lhs=lhs, rhs=rhs))
             judged.append((log.sweeps, i, fresh, trial))

@@ -107,6 +107,21 @@ rule "shl_to_mul" {
         run_pipeline(instance, _cfg())
 
 
+def test_unprofitable_final_rule_is_not_reported():
+    # the dead mul makes the instance cost 4 > 3 at ingestion; pruning
+    # removes it, and the live shl (cost 1) is not worth the mul (cost 3)
+    instance = parse("""
+rule "shl_to_mul_dead" {
+  lhs fn(x: i8) -> i8 { %0 = mul i8 %x, 3; %1 = shl i8 %x, 3; ret %1 }
+  rhs fn(x: i8) -> i8 { %0 = mul i8 %x, 8; ret %0 }
+}
+""")
+    report = run_pipeline(instance, _cfg())
+    assert report.final_verdict["kind"] == "verified"
+    assert (report.lhs_cost, report.rhs_cost) == ("1", "3")
+    assert report.final is None
+
+
 @pytest.mark.parametrize("name", ["mod_div_zero", "xor_self"])
 def test_each_refinement_question_is_asked_once_per_run(monkeypatch, name):
     # ingestion, pruning and the stages share the run's verdict memo
