@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 verified/success, 1 refuted (or generalize produced no
-strictly-more-general rule, or rejected its instance as refuted or
-unprofitable), 2 inconclusive, 64 usage error, 65 parse or
+strictly-more-general rule, or generalize or prune rejected its instance
+as refuted or unprofitable), 2 inconclusive, 64 usage error, 65 parse or
 validation error, 70 internal error (a bench instance raised an internal
 alarm, or a PeepError escaped a command).
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +91,18 @@ def _budget(exhaustive, samples, seed) -> verifier.Budget:
     return verifier.Budget(**values)
 
 
+def _budget_options(command):
+    """Declares --budget-exhaustive, --budget-samples and --seed, and calls
+    `command` with the budget they make (`_budget`) as `budget`."""
+    @functools.wraps(command)
+    def run(budget_exhaustive, budget_samples, seed, **kwargs):
+        return command(budget=_budget(budget_exhaustive, budget_samples, seed),
+                       **kwargs)
+    for flag in ("--seed", "--budget-samples", "--budget-exhaustive"):
+        run = click.option(flag, type=int, default=None)(run)
+    return run
+
+
 def _cost_table(path) -> costmod.CostTable:
     """The default cost table with the overrides of file `path`, if any."""
     if path is None:
@@ -135,13 +148,10 @@ def cli():
 @cli.command("verify")
 @click.argument("rule_file", type=click.Path(exists=True))
 @click.option("--width", "widths", multiple=True, metavar="VAR=N")
-@click.option("--budget-exhaustive", type=int, default=None)
-@click.option("--budget-samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_verify(rule_file, widths, budget_exhaustive, budget_samples, seed):
+@_budget_options
+def cmd_verify(rule_file, widths, budget):
     """Check LHS-to-RHS refinement of a rule file."""
     rule = _load_rule(rule_file)
-    budget = _budget(budget_exhaustive, budget_samples, seed)
     verdict, final, used = verifier.verify_with_reduction(
         rule, _parse_widths(widths, rule), budget)
     data = verifier.verdict_to_json(verdict)
@@ -162,23 +172,16 @@ def cmd_verify(rule_file, widths, budget_exhaustive, budget_samples, seed):
               metavar="{llm|heuristic|replay:<dir>}")
 @click.option("--table", "table_file", type=click.Path())
 @click.option("--out", type=click.Path())
-@click.option("--budget-exhaustive", type=int, default=None)
-@click.option("--budget-samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_generalize(instance_file, backend_spec, table_file, out,
-                   budget_exhaustive, budget_samples, seed):
+@_budget_options
+def cmd_generalize(instance_file, backend_spec, table_file, out, budget):
     """Run the full generalization pipeline on a concrete instance.
 
     Exits 0 only when the final rule is strictly more general than the
     input instance."""
     instance = _load_rule(instance_file, instance=True)
-    budget = _budget(budget_exhaustive, budget_samples, seed)
     cfg = pipemod.PipelineConfig(budget, _cost_table(table_file),
                                  _backend(backend_spec, budget))
-    try:
-        report = pipemod.run_pipeline(instance, cfg)
-    except pipemod.InstanceRejected as e:
-        raise CliError(str(e), EXIT_REFUTED)
+    report = pipemod.run_pipeline(instance, cfg)
     _emit(asdict(report), out)
     if report.final is None:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -189,14 +192,13 @@ def cmd_generalize(instance_file, backend_spec, table_file, out,
 
 @cli.command("prune")
 @click.argument("instance_file", type=click.Path(exists=True))
-@click.option("--budget-exhaustive", type=int, default=None)
-@click.option("--budget-samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_prune(instance_file, budget_exhaustive, budget_samples, seed):
+@_budget_options
+def cmd_prune(instance_file, budget):
     """Strip data flow irrelevant to the rewrite."""
     instance = _load_rule(instance_file, instance=True)
-    budget = _budget(budget_exhaustive, budget_samples, seed)
-    pruned, log = pruner.prune(instance, pipemod.PipelineConfig(budget))
+    cfg, verdicts = pipemod.PipelineConfig(budget), {}
+    pipemod.ingest(instance, cfg, verdicts)
+    pruned, log = pruner.prune(instance, cfg, verdicts)
     _emit({"pruned": textfmt.print_rule(pruned), "log": asdict(log)})
     sys.exit(EXIT_VERIFIED)
 
@@ -218,15 +220,11 @@ def cmd_cost(rule_file, table_file):
 @click.argument("rule_a", type=click.Path(exists=True))
 @click.argument("rule_b", type=click.Path(exists=True))
 @click.option("--width", "widths", multiple=True, metavar="VAR=N")
-@click.option("--budget-exhaustive", type=int, default=None)
-@click.option("--budget-samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-def cmd_compare(rule_a, rule_b, widths, budget_exhaustive, budget_samples,
-                seed):
+@_budget_options
+def cmd_compare(rule_a, rule_b, widths, budget):
     """Compare the applicability domains of two rules."""
     a = _load_rule(rule_a)
     b = _load_rule(rule_b)
-    budget = _budget(budget_exhaustive, budget_samples, seed)
     result = generality.compare_generality(a, b, _parse_widths(widths, a, b),
                                            budget)
     _emit(asdict(result))
@@ -379,9 +377,9 @@ def cmd_bench(dataset_dir, backend_spec, table_file, out, report_dir, jobs,
 def main() -> None:
     try:
         cli.main(standalone_mode=False)
-    except CliError as e:
+    except (CliError, pipemod.InstanceRejected) as e:
         click.echo(f"error: {e}", err=True)
-        sys.exit(e.code)
+        sys.exit(e.code if isinstance(e, CliError) else EXIT_REFUTED)
     except PeepError as e:
         # exit 1 means refuted, so a fault that escapes a command is not 1
         click.echo(f"error: internal: {type(e).__name__}: {e}", err=True)

@@ -5,11 +5,11 @@ abstracts preserved subexpressions into fresh inputs, stage 3 relaxes the
 precondition and instruction flags, and stage 4 generalizes bitwidths or
 float precisions.  A proposed candidate is parsed and validated first: a
 rule by `_parse_candidate`, a weakening or width predicate as the trial
-rule it makes by `_parse_conjuncts`.  The instance at ingestion, every
-pruning trial, every candidate of every stage, and the final rule are
-judged by one gate (`_gate`): refinement at the rule's own widths, never
-reduced, and profitability under the configured cost table.  Within one
-run the gate asks each refinement question once (`_refinement`).
+rule it makes by `_parse_conjuncts`.  The dead-code-free instance at
+ingestion, every pruning trial, every candidate of every stage, and the
+final rule are judged by one gate (`_gate`): refinement at the rule's own
+widths, never reduced, and profitability under the configured cost table.
+Within one run the gate asks each refinement question once (`_refinement`).
 Weakenings additionally pass the strictly-weaker check.
 """
 from __future__ import annotations
@@ -23,8 +23,8 @@ from . import proposer, pruner, semantics, textfmt, verifier
 from .ir import (
     CAST_OPS, CCast, FloatType, IntType, Literal, PeepError, Rule,
     VarWidthType, guards_partial_op, iter_expr, map_rule, params_used,
-    replace_instr, resolve_widths, retype_float_literal, rule_types,
-    to_signed, validate,
+    pred_const_names, pred_param_refs, replace_instr, resolve_widths,
+    retype_float_literal, rule_types, to_signed, validate,
 )
 from .proposer import (
     FeedbackItem, ProposalRequest, ProposerError, Structural,
@@ -376,18 +376,15 @@ def _uses_floats(rule: Rule) -> bool:
 
 def _int_static_gate(rule: Rule) -> Optional[str]:
     for fn in (rule.lhs, rule.rhs):
-        for instr in fn.body:
-            if instr.op in CAST_OPS:
-                return f"width-changing cast {instr.op} in {fn.name}"
-            for o in instr.operands:
-                if (isinstance(o, Literal) and isinstance(o.ty, IntType)
-                        and to_signed(o.value, o.ty.width) not in (0, 1, -1)):
-                    return (f"literal {to_signed(o.value, o.ty.width)} "
-                            "outside {0, 1, -1}")
-        if (isinstance(fn.ret, Literal) and isinstance(fn.ret.ty, IntType)
-                and to_signed(fn.ret.value, fn.ret.ty.width) not in (0, 1, -1)):
-            return (f"literal {to_signed(fn.ret.value, fn.ret.ty.width)} "
-                    "outside {0, 1, -1}")
+        for op, operands in ([(i.op, i.operands) for i in fn.body]
+                             + [("ret", (fn.ret,))]):
+            if op in CAST_OPS:
+                return f"width-changing cast {op} in {fn.name}"
+            for o in operands:
+                if isinstance(o, Literal) and isinstance(o.ty, IntType):
+                    value = to_signed(o.value, o.ty.width)
+                    if value not in (0, 1, -1):
+                        return f"literal {value} outside {{0, 1, -1}}"
     for conj in rule.pre:
         if any(isinstance(e, CCast) for e in iter_expr(conj)):
             return "width-changing cast in the precondition"
@@ -427,9 +424,10 @@ def _retype_floats(rule: Rule, prec: int) -> Optional[Rule]:
     return None if bad else out
 
 
-def _admitted_widths(conjuncts: tuple, var: str, cap: int) -> list:
+def _admitted_widths(conjuncts: tuple, var: str) -> list:
+    """The widths 1..WIDTH_CAP at which `conjuncts` hold, binding `var`."""
     out = []
-    for w in range(1, cap + 1):
+    for w in range(1, WIDTH_CAP + 1):
         try:
             if semantics.eval_predicate(conjuncts, {}, {}, {var: w}):
                 out.append(w)
@@ -440,50 +438,45 @@ def _admitted_widths(conjuncts: tuple, var: str, cap: int) -> list:
 
 def stage4_widths(rule: Rule, cfg: PipelineConfig,
                   verdicts: Optional[dict] = None):
-    """Returns (outcome, rule, the widths 1..WIDTH_CAP at which the
-    width-erased rule passed the gate, empty when none was swept)."""
+    """Returns (outcome, rule): the rule's one integer width erased to W,
+    under a width predicate when some width 1..WIDTH_CAP fails the gate."""
     outcome = StageOutcome("widths", counts={"widths_generalized": 0,
                                              "precisions_passing": []})
     if _uses_floats(rule):
-        return (*_stage4_floats(rule, cfg, outcome, verdicts), [])
+        return _stage4_floats(rule, cfg, outcome, verdicts)
 
     reason = _int_static_gate(rule)
     if reason is not None:
         outcome.note = f"static gate: {reason}"
-        return outcome, rule, []
+        return outcome, rule
     widths = sorted({t.width for t in rule_types(rule)
                      if isinstance(t, IntType) and t.width != 1})
     if not widths:
         outcome.note = "no concrete integer widths to erase"
-        return outcome, rule, []
+        return outcome, rule
     if len(widths) > 1:
         outcome.note = (f"multiple distinct widths {widths}; "
                         "joint erasure not attempted")
-        return outcome, rule, []
+        return outcome, rule
     original = widths[0]
-    var = "W"
-    taken = set(rule.width_vars)
-    n = 1
-    while var in taken:
-        n += 1
-        var = f"W{n}"
-    erased = _erase_widths(rule, original, var)
+    # no rule reaching stage 4 declares a width variable
+    erased = _erase_widths(rule, original, "W")
 
     passing, failing = [], []
     for w in range(1, WIDTH_CAP + 1):
-        co = CandidateOutcome(f"width {var}={w}", True)
+        co = CandidateOutcome(f"width W={w}", True)
         outcome.candidates.append(co)
-        if _gate(erased, cfg, co, verdicts, {var: w}):
+        if _gate(erased, cfg, co, verdicts, {"W": w}):
             passing.append(w)
             co.accepted = True
         else:
             failing.append(w)
 
-    if not failing and passing:
+    if not failing:
         outcome.accepted = print_rule(erased)
         outcome.counts["widths_generalized"] = 1
         outcome.note = f"all widths 1..{WIDTH_CAP} pass"
-        return outcome, erased, passing
+        return outcome, erased
     if passing:
         req = ProposalRequest(WidthPredicate(tuple(passing), tuple(failing)),
                               print_rule(erased), (), K)
@@ -494,7 +487,7 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
             outcome.candidates.append(co)
             if guarded is None:
                 continue
-            admitted = _admitted_widths(parsed, var, WIDTH_CAP)
+            admitted = _admitted_widths(parsed, "W")
             ok = (admitted
                   and set(admitted) <= set(passing)
                   and (original in admitted or original > WIDTH_CAP)
@@ -507,10 +500,10 @@ def stage4_widths(rule: Rule, cfg: PipelineConfig,
             outcome.accepted = print_rule(guarded)
             outcome.counts["widths_generalized"] = 1
             outcome.note = f"width predicate admits {admitted}"
-            return outcome, guarded, passing
+            return outcome, guarded
     _add_note(outcome, f"passing widths {passing}, failing {failing}; "
                        "no predicate accepted")
-    return outcome, rule, passing
+    return outcome, rule
 
 
 def _stage4_floats(rule: Rule, cfg: PipelineConfig, outcome: StageOutcome,
@@ -551,40 +544,47 @@ class InstanceRejected(PeepError):
     """An instance that is refuted, or unprofitable, before any stage."""
 
 
-def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
-                 ) -> PipelineReport:
-    cfg = cfg or PipelineConfig()
+def ingest(instance: Rule, cfg: PipelineConfig, verdicts: dict) -> None:
+    """Validate `instance` and gate its dead-code-free form, where pruning
+    starts; raises InstanceRejected when it is refuted or unprofitable."""
     diags = validate(instance)
     if diags:
         raise PeepError("invalid instance: " + "; ".join(str(d) for d in diags))
-    # every verdict of this run, for the gate to reuse
-    verdicts: dict = {}
-    # ingestion rejects only refuted or unprofitable instances
-    ingested = CandidateOutcome(print_rule(instance), True)
-    _gate(instance, cfg, ingested, verdicts)
-    refuted = ingested.verdict["kind"] == "refuted"
-    if refuted or not ingested.profitable:
+    co = CandidateOutcome("instance", True)
+    _gate(pruner.dce(instance), cfg, co, verdicts)
+    refuted = co.verdict["kind"] == "refuted"
+    if refuted or not co.profitable:
         raise InstanceRejected("instance rejected: " + (
             "refuted" if refuted else "unprofitable"))
+
+
+def run_pipeline(instance: Rule, cfg: Optional[PipelineConfig] = None
+                 ) -> PipelineReport:
+    cfg = cfg or PipelineConfig()
+    # every verdict of this run, for the gate to reuse
+    verdicts: dict = {}
+    ingest(instance, cfg, verdicts)
     pruned, log = pruner.prune(instance, cfg, verdicts)
     rule = pruned
     stages = []
+    # looked up per run, so a stage replaced in this module's namespace runs
     for stage_fn in (stage1_symbolic_constants, stage2_structural,
-                     stage3_relax):
+                     stage3_relax, stage4_widths):
         outcome, rule = stage_fn(rule, cfg, verdicts)
         stages.append(outcome)
-    outcome, rule, passing = stage4_widths(rule, cfg, verdicts)
-    stages.append(outcome)
 
-    # re-verify a width-generalized rule at its largest passing width
-    final_widths = {v: max(passing, default=WIDTH_CAP)
+    # recheck a width-generalized rule at the largest width its width-only
+    # conjuncts admit (WIDTH_CAP when it has none)
+    width_only = tuple(c for c in rule.pre
+                       if not pred_const_names(c) | pred_param_refs(c))
+    final_widths = {v: max(_admitted_widths(width_only, v))
                     for v in rule.width_vars}
     # the final rule passes the gate again, under a fresh seed
     final = CandidateOutcome(print_rule(rule), True)
     recheck = replace(cfg.budget, rng_seed=cfg.budget.rng_seed + 1)
     passed = _gate(rule, cfg, final, verdicts, final_widths, recheck)
     return PipelineReport(
-        instance=ingested.text,
+        instance=print_rule(instance),
         prune_log=log,
         pruned=print_rule(pruned),
         stages=stages,

@@ -405,6 +405,22 @@ def test_prune_prints_the_generalize_reports_pruning(tmp_path):
                                          "log": report["prune_log"]}
 
 
+def test_prune_rejects_instance_like_generalize(tmp_path, monkeypatch,
+                                                capsys):
+    path = tmp_path / "bad.peep"
+    path.write_text(BAD_RULE)
+
+    def no_prune(*args):
+        raise AssertionError("a rejected instance was pruned")
+
+    monkeypatch.setattr(pruner, "prune", no_prune)
+    code, out, err = _main(monkeypatch, capsys, "prune", str(path))
+    assert (code, out, err) == (1, "", "error: instance rejected: refuted\n")
+    proc = run_cli("prune", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: instance rejected: refuted\n"
+
+
 def test_prune_output():
     proc = run_cli("prune", str(FIXTURES / "int" / "mod_div_zero.peep"))
     assert proc.returncode == 0

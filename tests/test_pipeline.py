@@ -16,6 +16,8 @@ from peepgen.verifier import Budget, verdict_to_json
 from conftest import FIXTURES, SLT_ONE, parse
 
 REPLAY = FIXTURES / "replay"
+STAGES = ("stage1_symbolic_constants", "stage2_structural", "stage3_relax",
+          "stage4_widths")
 
 
 def _cfg(**kw):
@@ -107,19 +109,26 @@ rule "shl_to_mul" {
         run_pipeline(instance, _cfg())
 
 
-def test_unprofitable_final_rule_is_not_reported():
-    # the dead mul makes the instance cost 4 > 3 at ingestion; pruning
-    # removes it, and the live shl (cost 1) is not worth the mul (cost 3)
+def test_ingestion_prices_the_instance_without_its_dead_code(monkeypatch):
+    # the dead mul would make the lhs cost 4 > 3; pruning starts from the
+    # instance without it, where the live shl (cost 1) is not worth the mul
+    # (cost 3), so no stage runs
     instance = parse("""
 rule "shl_to_mul_dead" {
   lhs fn(x: i8) -> i8 { %0 = mul i8 %x, 3; %1 = shl i8 %x, 3; ret %1 }
   rhs fn(x: i8) -> i8 { %0 = mul i8 %x, 8; ret %0 }
 }
 """)
-    report = run_pipeline(instance, _cfg())
-    assert report.final_verdict["kind"] == "verified"
-    assert (report.lhs_cost, report.rhs_cost) == ("1", "3")
-    assert report.final is None
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran on a rejected instance")
+
+    for name in STAGES:
+        monkeypatch.setattr(pipeline, name, no_stage)
+    monkeypatch.setattr(pipeline.pruner, "prune", no_stage)
+    with pytest.raises(pipeline.InstanceRejected,
+                       match="^instance rejected: unprofitable$"):
+        run_pipeline(instance, _cfg())
 
 
 @pytest.mark.parametrize("name", ["mod_div_zero", "xor_self"])
@@ -143,11 +152,12 @@ def test_each_refinement_question_is_asked_once_per_run(monkeypatch, name):
 
 def test_widths_stage_generalizes_xor_self():
     rule = parse((FIXTURES / "int" / "xor_self.peep").read_text())
-    outcome, erased, passing = stage4_widths(rule, _cfg())
+    outcome, erased = stage4_widths(rule, _cfg())
     assert outcome.counts["widths_generalized"] == 1
     assert erased.width_vars == ("W",)
     assert "all widths" in outcome.note
-    assert passing == list(range(1, pipeline.WIDTH_CAP + 1))
+    assert [co.text for co in outcome.candidates if co.accepted] == [
+        f"width W={w}" for w in range(1, pipeline.WIDTH_CAP + 1)]
 
 
 def test_pipeline_transitions_never_lose_generality():
@@ -402,7 +412,7 @@ def test_weakening_that_fails_validation_is_a_syntax_error():
 
 def test_width_predicate_that_fails_validation_is_a_syntax_error():
     # the accepted predicate is a stage-4 candidate too: the final width
-    # comes from the widths stage 4 passed, not from candidate labels
+    # is the largest one the final rule admits, not a candidate label
     backend = _ScriptedBackend({WidthPredicate.tag: [
         "RangeU(%zz, 0, 5)", "W >=u 2 && W <=u 16"]})
     report = run_pipeline(parse(SLT_ONE), _cfg(backend=backend))
@@ -413,3 +423,70 @@ def test_width_predicate_that_fails_validation_is_a_syntax_error():
     assert (good.syntax_ok, good.accepted) == (True, True)
     assert "pre: W >=u 2 && W <=u 16;" in report.final
     assert report.final_widths == {"W": 16}
+
+
+def test_recheck_runs_at_the_largest_width_the_final_rule_admits():
+    # slt_one fails at W=1 only, so every W in 2..8 passes stage 4; the
+    # recheck runs at W=8, the largest width `W <=u 8` admits
+    backend = _ScriptedBackend({WidthPredicate.tag: ["W >=u 2 && W <=u 8"]})
+    report = run_pipeline(parse(SLT_ONE), _cfg(backend=backend))
+    assert report.stages[-1].note == (
+        "width predicate admits [2, 3, 4, 5, 6, 7, 8]")
+    assert "pre: W >=u 2 && W <=u 8;" in report.final
+    assert report.final_verdict["kind"] == "verified"
+    assert report.final_widths == {"W": 8}
+
+
+@pytest.mark.parametrize("backend", ["heuristic", "replay"])
+def test_every_stage_returns_its_outcome_and_rule(monkeypatch,
+                                                  fixture_corpus, backend):
+    # each stage returns (outcome, rule): the rule its outcome accepted, or
+    # the rule it was given; the loop looks each stage up when it runs
+    returned = []
+
+    def watched(name):
+        stage = getattr(pipeline, name)
+
+        def run(rule, cfg, verdicts=None):
+            outcome, out = stage(rule, cfg, verdicts)
+            returned.append((name, rule, outcome, out))
+            return outcome, out
+        return run
+
+    for name in STAGES:
+        monkeypatch.setattr(pipeline, name, watched(name))
+    budget = Budget(rng_seed=0)
+    instances = [fx for fx in fixture_corpus if fx.domain in ("int", "float")]
+    assert len(instances) == 12
+    for fx in instances:
+        run_pipeline(fx.rule, _cfg(budget=budget, backend=(
+            HeuristicBackend(budget) if backend == "heuristic"
+            else ReplayBackend(REPLAY))))
+    assert [name for name, *_ in returned] == list(STAGES) * 12
+    for name, rule, outcome, out in returned:
+        if outcome.accepted is not None:
+            assert outcome.accepted == textfmt.print_rule(out), name
+        else:
+            assert out is rule, name
+
+
+@pytest.mark.parametrize("lhs, rhs, note", [
+    ("fn(x: i8) -> i16 { %0 = zext i8 %x to i16; %1 = add i16 %0, 5; "
+     "ret %1 }",
+     "fn(x: i8) -> i16 { %0 = zext i8 %x to i16; ret %0 }",
+     "width-changing cast zext in lhs"),
+    ("fn(x: i8) -> i16 { %0 = add i8 %x, 5; %1 = zext i8 %0 to i16; "
+     "ret %1 }",
+     "fn(x: i8) -> i16 { %0 = zext i8 %x to i16; ret %0 }",
+     "literal 5 outside {0, 1, -1}"),
+    ("fn(x: i8) -> i8 { %0 = add i8 %x, 1; ret 7 }",
+     "fn(x: i8) -> i8 { %0 = zext i8 %x to i16; %1 = trunc i16 %0 to i8; "
+     "ret %1 }",
+     "literal 7 outside {0, 1, -1}"),
+], ids=["cast-before-literal", "literal-before-cast", "lhs-ret-before-rhs"])
+def test_static_gate_names_the_first_offender_in_instruction_order(lhs, rhs,
+                                                                   note):
+    # a cast, then the same instruction's literals, then the next
+    # instruction, and `ret` after the body
+    rule = parse(f'rule "r" {{ lhs {lhs} rhs {rhs} }}')
+    assert pipeline._int_static_gate(rule) == note
