@@ -6,7 +6,9 @@ concrete types (width variables already resolved).  Integer values are kept
 as unsigned bit patterns in the narrowest ufunc dtype that fits; floats are
 kept in their native dtype and compared by bit pattern.
 
-Poison is tracked as a parallel boolean mask per value.
+Poison is tracked as a parallel boolean mask per value.  `dead_rows` marks
+the constant tuples at which the constants alone make a function poison on
+every input, so that the verifier need not scan them.
 
 Each constant-expression operator is the instruction it names and runs
 through that instruction's kernel: `+ - * / & | ^ << >>u >>s` are `add sub
@@ -486,6 +488,63 @@ def eval_function_vec(fn: Function, params: dict, consts: dict) -> VVal:
         args = [_operand_vval(o, params, locals_, consts) for o in instr.operands]
         locals_.append(eval_instr_vec(instr, args))
     return _operand_vval(fn.ret, params, locals_, consts)
+
+
+# the instructions that are poison wherever their second operand is the
+# width or more (shifts) or zero (divisions), whatever their first
+_DEAD_BY_SECOND = ("shl", "lshr", "ashr", "udiv", "urem", "sdiv", "srem")
+
+
+def dead_rows(fn: Function, consts: dict) -> Optional[np.ndarray]:
+    """The constant tuples at which the constants alone make `fn` poison on
+    every input: a boolean mask over the tuples of `consts` (name -> (1-D
+    array, Type)), or None when it marks none or there are no constants.
+
+    A sufficient test, not an exact one, made in one walk of `fn.body`.  An
+    instruction whose operands are constants, literals or such instructions
+    is evaluated over the constant arrays, and is dead where it is poison.
+    Any other instruction but `select` is dead where an operand is dead, and
+    a shift or division also where its constant second operand alone makes
+    it poison: the kernel without flags on a zero first operand.  A
+    `select` is dead where its condition is."""
+    if not consts:
+        return None
+    values: list = []  # per local: its VVal over the tuples, or None
+    dead: list = []  # per local: its dead mask, or None
+
+    def value(o) -> Optional[VVal]:
+        if isinstance(o, Param):
+            return None
+        return _operand_vval(o, {}, values, consts)
+
+    def dead_at(o):
+        return dead[o.index] if isinstance(o, Local) else None
+
+    for instr in fn.body:
+        args = [value(o) for o in instr.operands]
+        if all(a is not None for a in args):
+            values.append(eval_instr_vec(instr, args))
+            dead.append(values[-1].poison)
+            continue
+        values.append(None)
+        if instr.op == "select":
+            dead.append(dead_at(instr.operands[0]))
+            continue
+        d = None
+        for o in instr.operands:
+            d = _por(d, dead_at(o))
+        b = args[1] if instr.op in _DEAD_BY_SECOND else None
+        if b is not None:
+            zero = np.zeros(1, udtype(b.width))
+            d = _por(d, _int_binop_vec(instr.op, frozenset(), zero, b.data,
+                                       b.width)[1])
+        dead.append(d)
+    d = dead_at(fn.ret)
+    if d is None:
+        return None
+    n = len(next(iter(consts.values()))[0])
+    d = np.broadcast_to(np.asarray(d, dtype=bool), (n,))
+    return d if d.any() else None
 
 
 def values_equal_vec(a: VVal, b: VVal):

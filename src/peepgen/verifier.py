@@ -34,6 +34,14 @@ time.  A block evaluates the parameter precondition first; when it admits
 at most half of the block, lhs and rhs run only on the admitted points,
 gathered in row-major order (`_admitted`), so the first violation is the
 same point.  The point count covers every scanned point, admitted or not.
+The exhaustive check and the sampled scan first drop the constant tuples at
+which the constants alone make the lhs poison on every input
+(`engine.dead_rows`, through `_live`): no point of such a tuple violates
+refinement, so the first violation does not move, and their points still
+count.  The exhaustive check keeps the looped axis that the satisfying
+count picks, and a map left without tuples is one empty block, so that lhs
+and rhs still run and a fault in them is reported.  The special-value pass
+keeps every tuple, as its loop cap counts them.
 Grids are enumerated by bit slicing the flat index (`engine.unravel_chunk`,
 `engine.slice_digits`).  The sampled scan evaluates each distinct constant
 tuple and each distinct sampled input tuple once (first occurrences in
@@ -569,12 +577,14 @@ def _slices(const_map: dict, grid, points: int, cap: Optional[int] = None,
     A block is a column of consecutive looped entries x a piece of the
     vectorised row (`_blocks`), so its flat C-order index visits points in
     the same order as looping one entry at a time.  `cap` bounds the
-    number of looped entries.
+    number of looped entries.  A map of no tuple (`_live` dropped them all)
+    is one empty block, so that a scan still evaluates lhs and rhs and
+    reports a fault in them before any verdict.
     """
     nc = _const_count(const_map)
     rows, cols = (points, nc) if loop_inputs else (nc, points)
     pshape, kshape = ((-1, 1), (1, -1)) if loop_inputs else ((1, -1), (-1, 1))
-    for r0, r1, c0, c1 in _blocks(rows, cols, cap):
+    for r0, r1, c0, c1 in _blocks(rows, cols, cap) if nc else [(0, 0, 0, 0)]:
         p, k = ((r0, r1), (c0, c1)) if loop_inputs else ((c0, c1), (r0, r1))
         params = {name: engine.VVal(v.data.reshape(pshape), None, v.ty)
                   for name, v in grid(*p).items()}
@@ -583,13 +593,12 @@ def _slices(const_map: dict, grid, points: int, cap: Optional[int] = None,
         yield params, consts, (r1 - r0, c1 - c0)
 
 
-def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
-    """Check the blocks in order; returns (Refuted at the first violation,
-    or None; the number of points checked)."""
+def _scan(resolved: Rule, widths: dict, slices,
+          budget: Budget) -> Optional[Refuted]:
+    """Check the blocks in order; returns Refuted at the first violation,
+    or None."""
     param_conjs = [c for c in resolved.pre if pred_param_refs(c)]
-    checked = 0
     for params, consts, shape in slices:
-        checked += math.prod(shape)
         pre = None
         if param_conjs:
             try:
@@ -622,8 +631,23 @@ def _scan(resolved: Rule, widths: dict, slices, budget: Budget) -> tuple:
             if not replay_counterexample(resolved, cx):
                 raise ReplayMismatch(
                     f"counterexample does not replay under scalar semantics: {cx}")
-            return Refuted(cx, budget.rng_seed), checked
-    return None, checked
+            return Refuted(cx, budget.rng_seed)
+    return None
+
+
+def _live(resolved: Rule, const_map: dict) -> dict:
+    """`const_map` without the tuples at which the constants alone make the
+    lhs poison on every input (`engine.dead_rows`).  Refinement puts no
+    constraint on a point where the lhs is poison, so no point of such a
+    tuple holds a violation; its points are decided, and still counted."""
+    try:
+        dead = engine.dead_rows(resolved.lhs, const_map)
+    except engine.UnsupportedConstruct:
+        # the scan reports it, after any fault that comes before it
+        return const_map
+    if dead is None:
+        return const_map
+    return {name: (arr[~dead], ty) for name, (arr, ty) in const_map.items()}
 
 
 def _admitted(params: dict, consts: dict, pre: np.ndarray) -> tuple:
@@ -734,12 +758,14 @@ def _check_refinement(rule: Rule, widths: dict, budget: Budget) -> Verdict:
             return Inconclusive("NoSatisfyingConstants",
                                 "no constant assignment satisfies the precondition")
         if sat * pspace <= budget.exhaustive_limit:
-            slices = _slices(const_map, _columns(resolved.lhs.params), pspace,
+            # the looped axis is the one the satisfying count picks, so that
+            # dropping dead tuples does not change the scan order
+            slices = _slices(_live(resolved, const_map),
+                             _columns(resolved.lhs.params), pspace,
                              loop_inputs=sat > pspace)
-            refuted, checked = _scan(resolved, widths, slices, budget)
-            return refuted or Verified(
-                "exhaustive", checked, f"{sat} constants x {pspace} inputs",
-                budget.rng_seed)
+            return _scan(resolved, widths, slices, budget) or Verified(
+                "exhaustive", sat * pspace,
+                f"{sat} constants x {pspace} inputs", budget.rng_seed)
         if budget.sample_count == 0:
             return Inconclusive(
                 "BudgetExceeded",
@@ -793,7 +819,7 @@ def _special_cross_refute(resolved: Rule, widths: dict,
     points = len(sp[0]) if sp else 1
     slices = _slices(sp_consts, _columns(fn.params, sp), points,
                      _SPECIAL_LOOP_CAP, _const_count(sp_consts) > points)
-    return _scan(resolved, widths, slices, budget)[0]
+    return _scan(resolved, widths, slices, budget)
 
 
 def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
@@ -803,8 +829,10 @@ def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
 
     A repeated constant tuple or sampled input tuple gives the same lhs,
     rhs and precondition as its first occurrence, which comes first in
-    row-major order, so only first occurrences are scanned; the point count
-    is that of the drawn constants x the drawn inputs, repeats included."""
+    row-major order, so only first occurrences are scanned, and of the
+    constant tuples only the live ones (`_live`); the point count is that of
+    the drawn constants x the drawn inputs, repeats and dead tuples
+    included."""
     fn = resolved.lhs
     pspace = _space(fn.params)
     full_grid = pspace <= max(budget.sample_count, 1)
@@ -813,9 +841,8 @@ def _scan_sampled(resolved: Rule, widths: dict, const_map: dict,
     else:
         pats, inputs = _sampled_inputs(rng, fn.params, budget.sample_count)
         grid, points = _columns(fn.params, pats), len(pats[0])
-    refuted, _ = _scan(resolved, widths,
-                       _slices(_distinct_consts(const_map), grid, points),
-                       budget)
+    refuted = _scan(resolved, widths, _slices(
+        _live(resolved, _distinct_consts(const_map)), grid, points), budget)
     count = _const_count(const_map)
     space = f"{count} sampled constants x " + (
         f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")

@@ -692,3 +692,53 @@ def test_predicate_masks_of_different_shapes_match_scalar():
                 scalar = semantics.eval_predicate(
                     p, {"x": x}, {"C1": (c1[i], ty), "C2": (c2[i], ty)}, {})
                 assert bool(vec[i, j]) == scalar, (src, c1[i], c2[i], xs[j])
+
+
+# ---------------------------------------------------------------------------
+# Constant tuples at which the lhs is poison on every input
+
+
+def _dead(body: str, consts: dict, params="x: i8", ty="i8"):
+    """`engine.dead_rows` of a lhs with `body` over the constant patterns
+    `consts` (name -> (patterns, type name)), as a list of booleans."""
+    decls = "".join(f"const {n}: {t}; " for n, (_, t) in consts.items())
+    rule = parse(f'rule "d" {{ {decls}lhs fn({params}) -> {ty} {{ {body} }} '
+                 f'rhs fn({params}) -> {ty} {{ ret 0 }} }}')
+    arrays = {n: (np.array(p, dtype=engine.udtype(int(t[1:]))),
+                  IntType(int(t[1:]))) for n, (p, t) in consts.items()}
+    dead = engine.dead_rows(rule.lhs, arrays)
+    return None if dead is None else dead.tolist()
+
+
+@pytest.mark.parametrize("body, consts, expected", [
+    # a shift by the width or more, under the constant alone
+    ("%0 = lshr i8 %x, C1; ret %0", {"C1": ([0, 7, 8, 200], "i8")},
+     [False, False, True, True]),
+    # a zero divisor, through a constant expression of two constants
+    ("%0 = sub i8 C1, C2; %1 = urem i8 %x, %0; ret %1",
+     {"C1": ([3, 3, 5], "i8"), "C2": ([3, 4, 5], "i8")}, [True, False, True]),
+    # a dead operand makes any other instruction dead, a cast included
+    ("%0 = sdiv i8 %x, C1; %1 = zext i8 %0 to i16; %2 = trunc i16 %1 to i8; "
+     "%3 = add i8 %2, %x; ret %3", {"C1": ([0, 1], "i8")}, [True, False]),
+    # a constant-only instruction is dead where it is poison
+    ("%0 = shl.nuw i8 C1, 1; %1 = add i8 %x, %0; ret %1",
+     {"C1": ([1, 128], "i8")}, [False, True]),
+    # a select is dead where its condition is, not where one arm is
+    ("%0 = lshr i8 %x, C1; %1 = icmp.eq i8 %x, 0; "
+     "%2 = select i8 %1, %0, %x; ret %2", {"C1": ([9], "i8")}, None),
+    ("%0 = udiv i8 1, C1; %1 = icmp.eq i8 %0, 0; "
+     "%2 = select i8 %1, %x, %x; ret %2", {"C1": ([0, 2], "i8")},
+     [True, False]),
+    # flags that the input decides do not make a tuple dead
+    ("%0 = shl.nsw i8 %x, C1; ret %0", {"C1": ([1, 8], "i8")}, [False, True]),
+    # a constant that no instruction makes poison
+    ("%0 = add i8 %x, C1; ret %0", {"C1": ([0, 255], "i8")}, None),
+    ("ret %x", {"C1": ([0], "i8")}, None),
+])
+def test_dead_rows_marks_the_tuples_the_constants_decide(body, consts,
+                                                         expected):
+    assert _dead(body, consts) == expected
+
+
+def test_dead_rows_without_constants_is_none():
+    assert _dead("%0 = udiv i8 %x, 0; ret %0", {}) is None

@@ -1140,6 +1140,25 @@ rule "scan_order" {
 """
 
 
+# 254 constants > 16 inputs, so the scan loops inputs; only C1 = 2..7 are
+# live (the shifts are poison at C1 >= 8), fewer than the inputs.  The
+# high bits of x are lost for C1 = 5..7: looping inputs reaches x = 2 at
+# C1 = 7 first, looping constants would reach x = 8 at C1 = 5
+_DEAD_ROWS_ORDER_RULE = """
+rule "scan_order" {
+  const C1: i8;
+  pre: C1 >u 1;
+  lhs fn(x: i4) -> i8 {
+    %0 = zext i4 %x to i8;
+    %1 = shl i8 %0, C1;
+    %2 = lshr i8 %1, C1;
+    ret %2
+  }
+  rhs fn(x: i4) -> i8 { %0 = zext i4 %x to i8; ret %0 }
+}
+"""
+
+
 def _refuted(c1, x, lhs, rhs):
     return {"kind": "refuted", "seed": 0, "counterexample": {
         "consts": {"C1": c1}, "widths": {}, "inputs": {"x": x},
@@ -1219,6 +1238,11 @@ def _refuted(c1, x, lhs, rhs):
                  {"kind": "verified", "mode": "exhaustive", "points": 14336,
                   "space": "56 constants x 256 inputs", "seed": 0},
                  id="pre-admits-no-point"),
+    # the looped axis is the one the satisfying count picks, even when
+    # fewer live constants than inputs remain
+    pytest.param(_DEAD_ROWS_ORDER_RULE, Budget(),
+                 _refuted("0x7", "0x2", "0x0", "0x2"),
+                 id="dead-rows-keep-the-looped-axis"),
 ])
 def test_scan_order_pins_reported_counterexample(text, budget, expected):
     # which counterexample a scan reports is decided by the order it visits
@@ -1359,6 +1383,33 @@ rule "wide" {{
         "detail": "integer width 128 exceeds 64"}
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    # every constant tuple makes the lhs poison on every input, so none is
+    # scanned; lhs and rhs still run once, on an empty block, and the
+    # unsupported width in rhs is reported instead of a verdict
+    ("%0 = lshr i8 %x, C1; ret %0",
+     "%0 = zext i8 %x to i128; %1 = trunc i128 %0 to i8; ret %1"),
+    # a constant-only instruction the engine cannot evaluate leaves the
+    # tuples undecided: the lhs's first unsupported width is reported, not
+    # the constant-only one that comes after it
+    ("%0 = zext i8 %x to i128; %1 = trunc i128 %0 to i8; "
+     "%2 = zext i8 C1 to i72; %3 = trunc i72 %2 to i8; "
+     "%4 = add i8 %1, %3; ret %4", "ret %x"),
+])
+def test_unsupported_construct_is_reported_past_dead_tuples(lhs, rhs):
+    rule = parse(f"""
+rule "dead" {{
+  const C1: i8;
+  pre: C1 >=u 8;
+  lhs fn(x: i8) -> i8 {{ {lhs} }}
+  rhs fn(x: i8) -> i8 {{ {rhs} }}
+}}
+""")
+    assert verdict_to_json(check_refinement(rule, {}, Budget())) == {
+        "kind": "inconclusive", "reason": "UnsupportedConstruct",
+        "detail": "integer width 128 exceeds 64"}
+
+
 # ---------------------------------------------------------------------------
 # Sampled scans check each distinct (constant tuple, input tuple) once
 
@@ -1376,11 +1427,13 @@ def _reference_scan_sampled(resolved, widths, const_map, budget, rng, seen):
                                           verifier._SPECIAL_CROSS_CAP)
         grid, points = verifier._columns(fn.params, pats), len(pats[0])
     seen.append((const_map, None if full_grid else pats))
-    refuted, checked = verifier._scan(
+    refuted = verifier._scan(
         resolved, widths, verifier._slices(const_map, grid, points), budget)
-    space = f"{verifier._const_count(const_map)} sampled constants x " + (
+    count = verifier._const_count(const_map)
+    space = f"{count} sampled constants x " + (
         f"{pspace} inputs (full grid)" if full_grid else "sampled inputs")
-    return refuted or Verified("sampled", checked, space, budget.rng_seed)
+    return refuted or Verified("sampled", count * points, space,
+                               budget.rng_seed)
 
 
 def _reference_verdict(rule, budget):
@@ -1795,3 +1848,140 @@ rule "range" {
         ("refuted", False), ("refuted", False), ("refuted", True)]
     for v in (exhaustive, special, drawn):
         assert verdict_to_json(v).keys() == {"kind", "seed", "counterexample"}
+
+
+# ---------------------------------------------------------------------------
+# Constant tuples at which the lhs is poison on every input are not scanned
+
+_DEAD_BY_SECOND = ["shl", "lshr", "ashr", "udiv", "urem", "sdiv", "srem"]
+
+
+@st.composite
+def dead_row_rules(draw):
+    """Rules over one input `x` of i3, i4 or i6 and 1-2 constants of i2-i4,
+    cast to x's width and combined by constant expressions, whose lhs
+    shifts and divides by them under any legal flags, through `select`s and
+    casts to a wider type and back, so that some constant tuples make the
+    lhs poison on every input and others do not; 0-1 constant conjuncts;
+    rhs is 0, x, the lhs or the lhs masked."""
+    w = draw(st.sampled_from([3, 4, 6]))
+    ty = IntType(w)
+    consts = tuple((f"C{i + 1}", IntType(draw(st.integers(2, 4))))
+                   for i in range(draw(st.integers(1, 2))))
+    body, known, values = [], [], [Param("x")]
+
+    def lit():
+        return Literal(draw(st.integers(0, (1 << w) - 1)), ty)
+
+    def flags(op):
+        legal = sorted(LEGAL_FLAGS.get(op, ()))
+        return (frozenset(draw(st.sets(st.sampled_from(legal)))) if legal
+                else frozenset())
+
+    def push(instr, pool=None):
+        body.append(instr)
+        if pool is not None:
+            pool.append(Local(len(body) - 1))
+        return Local(len(body) - 1)
+
+    for name, cty in consts:
+        c = SymConst(name, cty)
+        if cty == ty:
+            known.append(c)
+        else:
+            cast = "trunc" if cty.width > w else draw(st.sampled_from(
+                ["zext", "sext"]))
+            push(Instr(cast, (c,), ty), known)
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["add", "sub", "xor"] + _DEAD_BY_SECOND))
+        push(Instr(op, (draw(st.sampled_from(known)),
+                        draw(st.sampled_from(known + [lit()]))), ty,
+                   flags(op)), known)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["binop", "binop", "select", "cast"]))
+        if kind == "binop":
+            op = draw(st.sampled_from(_DEAD_BY_SECOND + ["add", "mul", "and"]))
+            b = draw(st.sampled_from(known + values + [lit()]))
+            push(Instr(op, (draw(st.sampled_from(values)), b), ty, flags(op)),
+                 values)
+        elif kind == "select":
+            pred = draw(st.sampled_from(["eq", "ult", "sgt"]))
+            cond = push(Instr("icmp", (draw(st.sampled_from(known + values)),
+                                       draw(st.sampled_from(known + values
+                                                            + [lit()]))),
+                              IntType(1), frozenset(), pred))
+            push(Instr("select", (cond, draw(st.sampled_from(known + values)),
+                                  draw(st.sampled_from(known + values))), ty),
+                 values)
+        else:
+            op = draw(st.sampled_from(["zext", "sext"]))
+            wide = push(Instr(op, (draw(st.sampled_from(values)),),
+                              IntType(w + draw(st.integers(1, 4))),
+                              flags(op)))
+            push(Instr("trunc", (wide,), ty), values)
+    params = (("x", ty),)
+    lhs = Function("lhs", params, tuple(body), Local(len(body) - 1))
+    rhs = draw(st.sampled_from([
+        Function("rhs", params, (), Literal(0, ty)),
+        Function("rhs", params, (), Param("x")),
+        dataclasses.replace(lhs, name="rhs"),
+        Function("rhs", params, lhs.body + (Instr(
+            "and", (Local(len(body) - 1), lit()), ty),), Local(len(body)))]))
+    pre = ()
+    if draw(st.booleans()):
+        name, cty = consts[0]
+        pre = (PCmp(draw(st.sampled_from(["ult", "ne"])), CConst(name),
+                    CInt(draw(st.integers(0, (1 << cty.width) - 1)))),)
+    rule = Rule("dead", consts, (), pre, lhs, rhs)
+    assume(not validate(rule))
+    return rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(dead_row_rules())
+def test_dead_rows_are_poison_on_every_input_under_the_scalar_evaluator(rule):
+    # every constant tuple `engine.dead_rows` marks makes the lhs poison at
+    # each of the (at most 64) inputs, in the scalar evaluator
+    types = [ty for _, ty in rule.sym_consts]
+    tuples = list(itertools.product(*(range(1 << t.width) for t in types)))
+    consts = {name: (np.array([t[i] for t in tuples],
+                              dtype=engine.udtype(ty.width)), ty)
+              for i, (name, ty) in enumerate(rule.sym_consts)}
+    dead = engine.dead_rows(rule.lhs, consts)
+    if dead is None:
+        return
+    (_, ty), = rule.lhs.params
+    for i in np.flatnonzero(dead):
+        lhs = bind_consts(rule, {name: (int(consts[name][0][i]), t)
+                                 for name, t in rule.sym_consts}).lhs
+        for x in range(1 << ty.width):
+            assert semantics.eval_function(
+                lhs, [semantics.Bits(ty.width, x)]) is semantics.POISON
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([1, 5, 64]))
+@pytest.mark.parametrize("rules, budgets", [
+    pytest.param(small_rules(), st.just(Budget(exhaustive_limit=1 << 20)),
+                 id="small"),
+    pytest.param(param_precondition_rules(),
+                 st.just(Budget(exhaustive_limit=1 << 20)), id="param-pre"),
+    pytest.param(repeating_sampled_rules(), _REPEATING_BUDGETS,
+                 id="repeating-sampled"),
+    pytest.param(dead_row_rules(), st.sampled_from([
+        Budget(), Budget(exhaustive_limit=64, sample_count=40,
+                         constant_sample_count=16)]), id="dead-rows"),
+])
+def test_skipping_dead_rows_leaves_the_verdict(rules, budgets, data, block):
+    # no point of a dead tuple can violate refinement, and its points still
+    # count: the verdict, counterexample and point count are those of a
+    # scan that drops no tuple, over blocks of many sizes
+    rule, budget = data.draw(rules), data.draw(budgets)
+    saved = verifier._BLOCK, engine.dead_rows
+    verifier._BLOCK = block
+    try:
+        skipping = verdict_to_json(check_refinement(rule, {}, budget))
+        engine.dead_rows = lambda fn, consts: None
+        assert verdict_to_json(check_refinement(rule, {}, budget)) == skipping
+    finally:
+        verifier._BLOCK, engine.dead_rows = saved

@@ -1,5 +1,5 @@
 """Print the verifier's throughput, in points per second, and its peak
-memory on seventeen fixed kernels, so that a change to the engine, the
+memory on eighteen fixed kernels, so that a change to the engine, the
 constant walk or the scan loop can be measured layer by layer:
 
   enumerate  walk and filter the whole 2^24-tuple free-constant space of
@@ -33,10 +33,16 @@ constant walk or the scan loop can be measured layer by layer:
              check_refinement on an i32 rule whose `lshr` by a constant
              C1 <=u 40 meets `add nsw` of the input, which carries its own
              poison (256 sampled constants x 65600 sampled inputs, 36766
-             of them distinct): each block ORs a (k, 1) column of poison,
-             all poison on the rows where C1 >= 32, into a (1, m) row of
-             it, several constant rows to a block: the masks of different
-             shapes
+             of them distinct): each block ORs a (k, 1) column of poison
+             into a (1, m) row of it, several constant rows to a block: the
+             masks of different shapes; the rows where C1 >= 32, on which
+             the lhs is poison whatever the input, are not scanned
+  vacuous_rows
+             check_refinement on heuristic negate_lshr_or's final rule at
+             seed 1, whose `lshr i64` by C2 under `C2 >=u 8 &&
+             PowerOfTwo(C2)` is poison at every C2 >= 64 (256 sampled
+             constants x sampled inputs): the constant tuples at which the
+             lhs is poison on every input are decided without a scan
   refute_wide
              check_refinement on a rule over (x: i8, y: i16) whose first
              violation is at index 65536 of the 2^24-point input grid, which
@@ -242,6 +248,32 @@ rule "poison_column" {
 """
 
 
+# heuristic negate_lshr_or's final rule at seed 1: PowerOfTwo(C2) and
+# C2 >=u 8 admit C2 = 8..2^63, and the lshr is poison at every C2 >= 64
+VACUOUS_ROWS = """
+rule "negate_lshr_or" {
+  const C1: i32;
+  const C2: i64;
+  pre: C1 <=u 63 && C2 >=u 8 && PowerOfTwo(C1 + 1) && PowerOfTwo(C2);
+  lhs fn(x: i32) -> i64 {
+    %0 = sub i32 0, %x;
+    %1 = and i32 %0, C1;
+    %2 = zext i32 %1 to i64;
+    %3 = sub i64 0, %2;
+    %4 = lshr i64 %3, C2;
+    %5 = or i64 %4, %3;
+    ret %5
+  }
+  rhs fn(x: i32) -> i64 {
+    %0 = and i32 %x, C1;
+    %1 = icmp.ne i32 %0, 0;
+    %2 = sext i1 %1 to i64;
+    ret %2
+  }
+}
+"""
+
+
 # `x | y` is `y` only while x is 0: the first violation is x = 1, y = 0,
 # grid index 1 * 2^16 + 0
 REFUTE_WIDE = """
@@ -355,11 +387,12 @@ def enumerate_kernel():
     return run
 
 
-def refinement_kernel(rule, space: str, points: Optional[int] = None):
+def refinement_kernel(rule, space: str, points: Optional[int] = None,
+                      budget: Optional[verifier.Budget] = None):
     """A verified check with verdict space `space`; its points are the
     verdict's, or `points`."""
     def run() -> int:
-        verdict = verifier.check_refinement(rule)
+        verdict = verifier.check_refinement(rule, None, budget)
         if verdict.kind != "verified" or verdict.space != space:
             raise SystemExit(f"{rule.name}: unexpected verdict "
                              f"{verifier.verdict_to_json(verdict)}")
@@ -454,6 +487,10 @@ KERNELS = (
     ("poison_column", lambda: refinement_kernel(
         textfmt.parse_rule(POISON_COLUMN),
         "256 sampled constants x sampled inputs"), 1),
+    ("vacuous_rows", lambda: refinement_kernel(
+        textfmt.parse_rule(VACUOUS_ROWS),
+        "256 sampled constants x sampled inputs",
+        budget=verifier.Budget(rng_seed=1)), 1),
     ("refute_wide", lambda: refuting_kernel(
         textfmt.parse_rule(REFUTE_WIDE), {"x": 1, "y": 0}, 65537), 1),
     ("sparse_walk", lambda: refinement_kernel(
